@@ -13,21 +13,20 @@ from .rules import (CoefficientSchedule, CoefficientSet, OccupancyRule,
                     coefficient_schedule, coefficients, constant_rule,
                     estimate_coefficients, evaluate_rule, injected_variance,
                     kappa, linear_rule, rule_conditionals, rule_jacobian)
-from .simulate import (BinaryEnsemble, coupled_step, empirical_law, exact_law,
-                       law_mean, simulate_ensemble, simulate_projections,
-                       state_table, step, total_variation)
+from .simulate import (BinaryEnsemble, empirical_law, exact_law, law_mean,
+                       simulate_ensemble, simulate_projections, state_table,
+                       total_variation)
 from .deterministic import (DeterministicTrajectory, EquilibriumResult,
                             SmithReport, det_trajectory, find_equilibrium,
                             smith_check, spectral_radius)
-from .gaussian import (GaussianApprox, LyapunovResult, cross_covariance,
-                       lyapunov_solve, projected_variance, sigma_form,
-                       simulate_gaussian)
+from .gaussian import (GaussianApprox, LyapunovResult, lyapunov_solve,
+                       sigma_form, simulate_gaussian)
 from .bounds import (BoundReport, clt_rate_bound, concentration_bound,
                      concentration_threshold, finite_class_bound, induced_l1,
                      jbar_moment_bound, linearization_error_bound,
-                     lqr_error_bound, matrix_qr_norm, rademacher_exact,
-                     rademacher_mc)
+                     lqr_error_bound, matrix_qr_norm, mean_functional_norms,
+                     rademacher_exact, rademacher_mc)
 from .analysis import (DistanceReport, NormalTarget, clt_sweep, ks_distance,
-                       lln_sweep, project, wasserstein1)
+                       lln_sweep, project, sign_class, wasserstein1)
 
 __version__ = "0.1.0"

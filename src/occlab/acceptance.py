@@ -20,9 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .analysis import NormalTarget, ks_distance, _loglog_slope
+from .analysis import NormalTarget, ks_distance, sign_class, _loglog_slope
 from .bounds import (concentration_bound, concentration_threshold,
-                     jbar_moment_bound, lqr_error_bound, rademacher_mc)
+                     jbar_moment_bound, lqr_error_bound, mean_functional_norms,
+                     rademacher_mc)
 from .deterministic import det_trajectory, find_equilibrium, spectral_radius
 from .gaussian import GaussianApprox, lyapunov_solve
 from .models import (DomanyKinzel, complete_host, dk_device_time, dk_rule,
@@ -182,10 +183,6 @@ def criterion_4(fast=False):
     return passed, detail
 
 
-def _mean_functional_norms(n):
-    return {"df_1": 1.0 / n, "df_2q": n ** -0.5, "d2f_1q": 0.0}
-
-
 def criterion_5(fast=False):
     """Coupling bound dominance on the mean-field zoo (analytic coefficients)."""
     R = 2 * 10 ** 4 if fast else 10 ** 5
@@ -214,7 +211,7 @@ def criterion_5(fast=False):
         mean_err = float(np.abs(res["proj"][:, T]).mean()) / math.sqrt(n)
         jbar_mean = float(res["jbar"][:, T].mean())
         coeffs = coefficient_schedule(rule, T)
-        func_bound = lqr_error_bound(_mean_functional_norms(n), coeffs,
+        func_bound = lqr_error_bound(mean_functional_norms(n), coeffs,
                                      q=1, r=1, t=T, n=n).value
         jb_bound = jbar_moment_bound(coeffs, q=1, t=T, n=n).value
         good = mean_err <= func_bound and jbar_mean <= jb_bound
@@ -312,12 +309,10 @@ def criterion_8(fast=False):
                                rng.derive_seed(MASTER_SEED, "c8"),
                                h=np.ones(n), p_traj=traj.p, keep_nodes=support)
     dev = (res["nodes"][:, t, :].astype(float) - traj.p[t][support][None, :]) / n
-    signs = 1.0 - 2.0 * (((np.arange(2 ** k)[:, None] >> np.arange(k)[None, :]) & 1))
-    sups = np.abs(dev @ signs.T).max(axis=1)
+    H = sign_class(k, n)
+    sups = np.abs(dev @ H[:, support].T).max(axis=1)
 
     coeffs = coefficient_schedule(rule, t)
-    H = np.zeros((2 ** k, n))
-    H[:, :k] = signs
     rad, _ = rademacher_mc(H, 20000, rng.derive_seed(MASTER_SEED, "c8rad"))
     rep = concentration_bound(coeffs, 1.0, rad, t, n, x)
     thresh = concentration_threshold(coeffs, 1.0, rad, t, n, x)
@@ -495,11 +490,8 @@ def run_criterion(ident, fast=False):
 
 def run_all(fast=False, echo=True):
     results = []
-    for cid, name, fn in CRITERIA:
-        start = time.time()
-        passed, detail = fn(fast=fast)
-        res = CriterionResult(ident=cid, name=name, passed=passed,
-                              detail=detail, seconds=time.time() - start)
+    for cid, _, _ in CRITERIA:
+        res = run_criterion(cid, fast=fast)
         results.append(res)
         if echo:
             print(res.line() + f" [{res.seconds:.1f}s]", flush=True)

@@ -8,9 +8,7 @@ distance versus system size against the closed-form bounds.
 
 import csv
 import math
-import os
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -22,7 +20,7 @@ from .bounds import (clt_rate_bound, concentration_bound,
 from .deterministic import det_trajectory
 from .gaussian import GaussianApprox
 from .rules import coefficient_schedule
-from .simulate import simulate_projections
+from .simulate import simulate_ensemble, simulate_projections
 
 BOOTSTRAP_RESAMPLES = 200
 
@@ -169,28 +167,16 @@ def wasserstein1(sample, target, seed=0):
 
 
 # ---------------------------------------------------------------------------
-# null calibration cache for the Kolmogorov statistic
+# null calibration of the Kolmogorov statistic
 # ---------------------------------------------------------------------------
 
-def _cache_dir():
-    base = os.environ.get("OCCLAB_CACHE")
-    path = Path(base) if base else Path.home() / ".cache" / "occlab"
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
 def ks_null_quantiles(sample_size, n_sims=400, seed=2024):
-    """Null quantiles of the one-sample Kolmogorov statistic, cached on disk."""
-    cache = _cache_dir() / f"ks_null_m{sample_size}_s{n_sims}_{seed}.npy"
-    if cache.exists():
-        vals = np.load(cache)
-    else:
-        g = np.random.Generator(np.random.Philox(key=rng.derive_seed(seed, "ks-null")))
-        target = NormalTarget(0.0, 1.0)
-        vals = np.empty(n_sims)
-        for i in range(n_sims):
-            vals[i] = _ks_one_sample(np.sort(g.standard_normal(sample_size)), target)
-        np.save(cache, vals)
+    """Null quantiles of the one-sample Kolmogorov statistic by simulation."""
+    g = np.random.Generator(np.random.Philox(key=rng.derive_seed(seed, "ks-null")))
+    target = NormalTarget(0.0, 1.0)
+    vals = np.empty(n_sims)
+    for i in range(n_sims):
+        vals[i] = _ks_one_sample(np.sort(g.standard_normal(sample_size)), target)
     return {q: float(np.quantile(vals, q)) for q in (0.01, 0.5, 0.95, 0.99)}
 
 
@@ -245,9 +231,17 @@ def clt_sweep(family, h_family, t, q, n_list, R, seed, model_id="model"):
     return rows, summary
 
 
-def _class_support(H):
-    cols = np.nonzero(np.abs(H).sum(axis=0))[0]
-    return cols
+def sign_class(k, n):
+    """The 2^k sign vectors on coordinates 0..k-1 (zero elsewhere), (2^k, n).
+
+    Raises :class:`TooLargeError` before allocating when 2^k exceeds the
+    1e6-vector cap of :func:`lln_sweep`.
+    """
+    if 2 ** k > 10 ** 6:
+        raise TooLargeError("projection class exceeds 1e6 vectors")
+    H = np.zeros((2 ** k, n))
+    H[:, :k] = 1.0 - 2.0 * ((np.arange(2 ** k)[:, None] >> np.arange(k)[None, :]) & 1)
+    return H
 
 
 def lln_sweep(family, class_family, t, n_list, R, seed, x=math.e ** 2,
@@ -266,7 +260,7 @@ def lln_sweep(family, class_family, t, n_list, R, seed, x=math.e ** 2,
         H = np.atleast_2d(np.asarray(class_family(n), dtype=np.float64))
         if H.shape[0] > 10 ** 6:
             raise TooLargeError("projection class exceeds 1e6 vectors")
-        support = _class_support(H)
+        support = np.nonzero(np.abs(H).sum(axis=0))[0]
         traj = det_trajectory(rule, X0.astype(np.float64), t)
         sub_seed = rng.derive_seed(seed, f"lln{n}")
         if len(support) <= 64:
@@ -277,7 +271,6 @@ def lln_sweep(family, class_family, t, n_list, R, seed, x=math.e ** 2,
                    - traj.p[t][support][None, :]) / n
             sups = np.abs(dev @ H[:, support].T).max(axis=1)
         else:
-            from .simulate import simulate_ensemble
             if n > 4096:
                 raise TooLargeError(
                     "dense projection classes are limited to n <= 4096")

@@ -133,6 +133,11 @@ def clt_rate_bound(coeffs, h, q, approx, t):
 # functional error of the deterministic approximation
 # ---------------------------------------------------------------------------
 
+def mean_functional_norms(n):
+    """``df_norms`` of the mean f(x) = n^{-1} sum_i x_i for :func:`lqr_error_bound`."""
+    return {"df_1": 1.0 / n, "df_2q": n ** -0.5, "d2f_1q": 0.0}
+
+
 def lqr_error_bound(df_norms, coeffs, q, r, t, n):
     """Moment bound on f(X_t) - f(p_t) from the function's derivative norms.
 

@@ -20,8 +20,222 @@ import numpy as np
 import jsonschema
 
 from . import __version__
+from .acceptance import run_all
+from .analysis import SWEEP_HEADER, clt_sweep, lln_sweep, rows_to_csv, sign_class
+from .bounds import (clt_rate_bound, jbar_moment_bound, lqr_error_bound,
+                     mean_functional_norms)
+from .deterministic import (det_trajectory, find_equilibrium, smith_check,
+                            trajectory_to_csv)
 from .errors import OcclabError, SchemaError
+from .gaussian import GaussianApprox, variance_to_csv
+from .models import graphdyn as gd
+from .models import hanski_limit
 from .models.descriptors import model_from_descriptor
+from .rules import coefficient_schedule
+from .simulate import ensemble_to_csv, simulate_ensemble, summary_to_csv
+
+
+def _canonical(obj):
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def _sha256_file(path):
+    h = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            h.update(chunk)
+    return h.hexdigest()
+
+
+def _write_json(path, payload):
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    return path
+
+
+def _write_rows(path, rows, header=None):
+    rows_to_csv(rows, path, header=header)
+    return path
+
+
+def _x0(spec, n):
+    if spec is None or spec == "zeros":
+        return np.zeros(n, dtype=np.uint8)
+    if spec == "ones":
+        return np.ones(n, dtype=np.uint8)
+    if spec == "half":
+        x = np.zeros(n, dtype=np.uint8)
+        x[: n // 2] = 1
+        return x
+    x = np.asarray(spec, dtype=np.uint8)
+    if x.shape != (n,):
+        raise SchemaError(f"x0 must have length {n}")
+    return x
+
+
+def _h(spec, n):
+    if spec is None or spec == "ones":
+        return np.ones(n)
+    h = np.asarray(spec, dtype=np.float64)
+    if h.shape != (n,):
+        raise SchemaError(f"h must have length {n}")
+    return h
+
+
+def _q(spec):
+    return float("inf") if spec in ("inf", "infinity") else float(spec)
+
+
+def _p0(params, n):
+    p0 = params.get("p0", 0.5)
+    return np.full(n, float(p0)) if np.isscalar(p0) else np.asarray(p0)
+
+
+def _family(config, params):
+    """``n -> (rule, X0)`` for the sweeps: the model descriptor at size n."""
+    def family(n):
+        _, rule = model_from_descriptor({**config["model"], "n": n})
+        return rule, _x0(params.get("x0", "half"), n)
+    return family
+
+
+def _simulate(config, params, seed, workers, out):
+    _, rule = model_from_descriptor(config["model"])
+    T = int(params.get("T", 10))
+    R = int(params.get("R", 100))
+    X0 = _x0(params.get("x0"), rule.n)
+    couple = bool(params.get("couple", False))
+    p_traj = det_trajectory(rule, X0.astype(float), T).p if couple else None
+    ens = simulate_ensemble(rule, X0, T, R, seed, couple=couple,
+                            p_traj=p_traj, workers=workers)
+    files = [out / "summary.csv"]
+    summary_to_csv(ens, files[0])
+    if params.get("full_states"):
+        files.append(out / "states.csv")
+        ensemble_to_csv(ens, files[1])
+    return files
+
+
+def _deterministic(config, params, seed, workers, out):
+    _, rule = model_from_descriptor(config["model"])
+    traj = det_trajectory(rule, _p0(params, rule.n), int(params.get("T", 10)))
+    path = out / "trajectory.csv"
+    trajectory_to_csv(traj, path)
+    return [path]
+
+
+def _equilibrium(config, params, seed, workers, out):
+    _, rule = model_from_descriptor(config["model"])
+    if not rule.homogeneous:
+        raise SchemaError("task 'equilibrium' needs a time-homogeneous model")
+    eq = find_equilibrium(rule, _p0(params, rule.n), tol=float(params.get("tol", 1e-12)),
+                          max_iter=int(params.get("max_iter", 10 ** 6)))
+    screen = smith_check(rule, sample_budget=64, seed=seed)
+    return [_write_json(out / "equilibrium.json", {
+        "converged": eq.converged, "iterations": eq.iterations,
+        "residual": eq.residual, "p_inf": [f"{v:.17g}" for v in eq.p_inf],
+        "monotone_screen": {
+            "positivity": screen.positivity,
+            "jacobian_monotonicity": screen.jacobian_monotonicity,
+            "not_all_absorbing": screen.not_all_absorbing,
+            "spectral_radius_origin": screen.spectral_radius_origin,
+        }})]
+
+
+def _gaussian(config, params, seed, workers, out):
+    _, rule = model_from_descriptor(config["model"])
+    h = _h(params.get("h"), rule.n)
+    approx = GaussianApprox.from_rule(rule, _p0(params, rule.n), int(params.get("T", 10)))
+    path = out / "projected_variance.csv"
+    variance_to_csv(approx, h, path)
+    return [path]
+
+
+def _report(rep):
+    return {"value": rep.value, "formula": rep.formula_id,
+            "inputs": rep.inputs, "caveats": rep.caveats}
+
+
+def _bounds(config, params, seed, workers, out):
+    _, rule = model_from_descriptor(config["model"])
+    n = rule.n
+    t = int(params.get("t", 5))
+    q = _q(params.get("q", 1))
+    r = float(params.get("r", 1))
+    h = _h(params.get("h"), n)
+    coeffs = coefficient_schedule(rule, t)
+    approx = GaussianApprox.from_rule(rule, _p0(params, n), t)
+    payload = {
+        "discrepancy_moment": _report(jbar_moment_bound(coeffs, q, t, n)),
+        "mean_functional_error": _report(lqr_error_bound(
+            mean_functional_norms(n), coeffs, q, r, t, n)),
+    }
+    try:
+        payload["projection_rate"] = _report(clt_rate_bound(coeffs, h, q, approx, t))
+    except OcclabError as exc:
+        payload["projection_rate"] = {"error": str(exc)}
+    return [_write_json(out / "bounds.json", payload)]
+
+
+def _clt_sweep(config, params, seed, workers, out):
+    rows, summary = clt_sweep(_family(config, params), lambda n: np.ones(n),
+                              int(params.get("t", 3)), _q(params.get("q", "inf")),
+                              params.get("n_list", [100, 400]),
+                              int(params.get("R", 20000)), seed,
+                              model_id=config["model"].get("type", "model"))
+    return [_write_rows(out / "clt_sweep.csv", rows, header=SWEEP_HEADER),
+            _write_json(out / "clt_summary.json", summary)]
+
+
+def _lln_sweep(config, params, seed, workers, out):
+    k = int(params.get("class_coords", 10))
+    rows = lln_sweep(_family(config, params), lambda n: sign_class(min(k, n), n),
+                     int(params.get("t", 3)), params.get("n_list", [100, 400]),
+                     int(params.get("R", 2000)), seed,
+                     x=float(params.get("x", float(np.e) ** 2)),
+                     model_id=config["model"].get("type", "model"))
+    return [_write_rows(out / "lln_sweep.csv", rows)]
+
+
+def _graphon(config, params, seed, workers, out):
+    T = int(params.get("T", 3))
+    rows = []
+    for v in params.get("v_list", [8, 16]):
+        gmodel, _ = model_from_descriptor({**config["model"], "v": v})
+        A0 = gmodel.host_adjacency()
+        P_seq = gd.deterministic_edge_matrices(gmodel, A0, T)
+        rows.append({"v": v, "edges": gmodel.n_edges,
+                     "triangle_density_T": gd.triangle_density(P_seq[T]),
+                     "clt_variance_T": gd.triangle_clt_variance(gmodel, A0, T)})
+    return [_write_rows(out / "graphon.csv", rows)]
+
+
+def _hanski_limit(config, params, seed, workers, out):
+    T = int(params.get("T", 5))
+    rho0 = float(params.get("rho0", 0.5))
+    model, _ = model_from_descriptor(config["model"])
+    limit = hanski_limit(model, lambda z: np.full_like(z, rho0), T,
+                         G=int(params.get("grid", 512)))
+    rows = [{"t": t, "mean_density": float((limit.weights * limit.rho[t]).sum()),
+             "mean_variance_density": float((limit.weights * limit.variance[t]).sum())}
+            for t in range(T + 1)]
+    return [_write_rows(out / "hanski_limit.csv", rows)]
+
+
+#: task name -> function(config, params, seed, workers, out) returning the
+#: paths it wrote
+TASKS = {
+    "simulate": _simulate,
+    "deterministic": _deterministic,
+    "gaussian": _gaussian,
+    "bounds": _bounds,
+    "clt-sweep": _clt_sweep,
+    "lln-sweep": _lln_sweep,
+    "equilibrium": _equilibrium,
+    "graphon": _graphon,
+    "hanski-limit": _hanski_limit,
+}
 
 CONFIG_SCHEMA = {
     "type": "object",
@@ -29,9 +243,7 @@ CONFIG_SCHEMA = {
     "required": ["model", "task"],
     "properties": {
         "model": {"type": "object"},
-        "task": {"enum": ["simulate", "deterministic", "gaussian", "bounds",
-                          "clt-sweep", "lln-sweep", "equilibrium", "graphon",
-                          "hanski-limit"]},
+        "task": {"enum": list(TASKS)},
         "output_dir": {"type": "string"},
         "parameters": {
             "type": "object",
@@ -41,12 +253,14 @@ CONFIG_SCHEMA = {
                 "R": {"type": "integer", "minimum": 1},
                 "seed": {"type": "integer"},
                 "t": {"type": "integer", "minimum": 0},
-                "q": {"type": ["number", "string"]},
+                "q": {"anyOf": [{"type": "number"}, {"enum": ["inf", "infinity"]}]},
                 "r": {"type": "number"},
                 "x": {"type": "number"},
-                "x0": {"type": ["string", "array"]},
-                "p0": {"type": ["number", "array"]},
-                "h": {"type": ["string", "array"]},
+                "x0": {"anyOf": [{"enum": ["zeros", "ones", "half"]},
+                                 {"type": "array", "items": {"enum": [0, 1]}}]},
+                "p0": {"type": ["number", "array"], "items": {"type": "number"}},
+                "h": {"anyOf": [{"enum": ["ones"]},
+                                {"type": "array", "items": {"type": "number"}}]},
                 "n_list": {"type": "array", "items": {"type": "integer"}},
                 "grid": {"type": "integer", "minimum": 2},
                 "rho0": {"type": "number"},
@@ -62,54 +276,6 @@ CONFIG_SCHEMA = {
 }
 
 
-def _canonical(obj):
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-def _sha256_file(path):
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
-def _resolve_x0(spec, n):
-    if spec is None or spec == "zeros":
-        return np.zeros(n, dtype=np.uint8)
-    if spec == "ones":
-        return np.ones(n, dtype=np.uint8)
-    if spec == "half":
-        x = np.zeros(n, dtype=np.uint8)
-        x[: n // 2] = 1
-        return x
-    x = np.asarray(spec, dtype=np.uint8)
-    if x.shape != (n,):
-        raise SchemaError(f"x0 must have length {n}")
-    return x
-
-
-def _resolve_h(spec, n):
-    if spec is None or spec == "ones":
-        return np.ones(n)
-    h = np.asarray(spec, dtype=np.float64)
-    if h.shape != (n,):
-        raise SchemaError(f"h must have length {n}")
-    return h
-
-
-def _q_value(q):
-    if q in ("inf", "infinity"):
-        return float("inf")
-    return float(q)
-
-
-def _write_json(path, payload):
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def run_config(config, out_dir, seed_override=None, workers=1):
     """Execute one experiment; returns the list of files written."""
     try:
@@ -121,186 +287,10 @@ def run_config(config, out_dir, seed_override=None, workers=1):
     params = dict(config.get("parameters", {}))
     if seed_override is not None:
         params["seed"] = seed_override
-    seed = int(params.get("seed", 0))
-    task = config["task"]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written = []
-
-    def emit_rows(name, rows, header=None):
-        from .analysis import rows_to_csv
-        path = out / name
-        rows_to_csv(rows, path, header=header)
-        written.append(path)
-
-    if task in ("simulate", "deterministic", "gaussian", "bounds", "equilibrium"):
-        model, rule = model_from_descriptor(config["model"])
-        n = rule.n
-
-    if task == "simulate":
-        from .deterministic import det_trajectory
-        from .simulate import simulate_ensemble, summary_to_csv, ensemble_to_csv
-        T = int(params.get("T", 10))
-        R = int(params.get("R", 100))
-        X0 = _resolve_x0(params.get("x0"), n)
-        couple = bool(params.get("couple", False))
-        p_traj = det_trajectory(rule, X0.astype(float), T).p if couple else None
-        ens = simulate_ensemble(rule, X0, T, R, seed, couple=couple,
-                                p_traj=p_traj, workers=workers)
-        path = out / "summary.csv"
-        summary_to_csv(ens, path)
-        written.append(path)
-        if params.get("full_states"):
-            path = out / "states.csv"
-            ensemble_to_csv(ens, path)
-            written.append(path)
-
-    elif task == "deterministic":
-        from .deterministic import det_trajectory, trajectory_to_csv
-        T = int(params.get("T", 10))
-        p0 = params.get("p0", 0.5)
-        p0 = np.full(n, float(p0)) if np.isscalar(p0) else np.asarray(p0)
-        traj = det_trajectory(rule, p0, T)
-        path = out / "trajectory.csv"
-        trajectory_to_csv(traj, path)
-        written.append(path)
-
-    elif task == "equilibrium":
-        from .deterministic import find_equilibrium, smith_check
-        p0 = params.get("p0", 0.5)
-        p0 = np.full(n, float(p0)) if np.isscalar(p0) else np.asarray(p0)
-        eq = find_equilibrium(rule, p0, tol=float(params.get("tol", 1e-12)),
-                              max_iter=int(params.get("max_iter", 10 ** 6)))
-        screen = smith_check(rule, sample_budget=64, seed=seed)
-        path = out / "equilibrium.json"
-        _write_json(path, {
-            "converged": eq.converged, "iterations": eq.iterations,
-            "residual": eq.residual, "p_inf": [f"{v:.17g}" for v in eq.p_inf],
-            "monotone_screen": {
-                "positivity": screen.positivity,
-                "jacobian_monotonicity": screen.jacobian_monotonicity,
-                "not_all_absorbing": screen.not_all_absorbing,
-                "spectral_radius_origin": screen.spectral_radius_origin,
-            }})
-        written.append(path)
-
-    elif task == "gaussian":
-        from .gaussian import GaussianApprox, variance_to_csv
-        T = int(params.get("T", 10))
-        p0 = params.get("p0", 0.5)
-        p0 = np.full(n, float(p0)) if np.isscalar(p0) else np.asarray(p0)
-        h = _resolve_h(params.get("h"), n)
-        approx = GaussianApprox.from_rule(rule, p0, T)
-        path = out / "projected_variance.csv"
-        variance_to_csv(approx, h, path)
-        written.append(path)
-
-    elif task == "bounds":
-        from .bounds import jbar_moment_bound, lqr_error_bound, clt_rate_bound
-        from .gaussian import GaussianApprox
-        from .rules import coefficient_schedule
-        t = int(params.get("t", 5))
-        q = _q_value(params.get("q", 1))
-        r = float(params.get("r", 1))
-        h = _resolve_h(params.get("h"), n)
-        p0 = params.get("p0", 0.5)
-        p0 = np.full(n, float(p0)) if np.isscalar(p0) else np.asarray(p0)
-        coeffs = coefficient_schedule(rule, t)
-        approx = GaussianApprox.from_rule(rule, p0, t)
-        mean_norms = {"df_1": 1.0 / n, "df_2q": n ** -0.5, "d2f_1q": 0.0}
-        reports = {
-            "discrepancy_moment": jbar_moment_bound(coeffs, q, t, n),
-            "mean_functional_error": lqr_error_bound(mean_norms, coeffs, q, r, t, n),
-        }
-        try:
-            reports["projection_rate"] = clt_rate_bound(coeffs, h, q, approx, t)
-        except OcclabError as exc:
-            reports["projection_rate"] = None
-            degenerate = str(exc)
-        payload = {}
-        for key, rep in reports.items():
-            payload[key] = ({"value": rep.value, "formula": rep.formula_id,
-                             "inputs": rep.inputs, "caveats": rep.caveats}
-                            if rep is not None else {"error": degenerate})
-        path = out / "bounds.json"
-        _write_json(path, payload)
-        written.append(path)
-
-    elif task == "clt-sweep":
-        from .analysis import clt_sweep, SWEEP_HEADER
-        n_list = params.get("n_list", [100, 400])
-        t = int(params.get("t", 3))
-        q = _q_value(params.get("q", "inf"))
-        R = int(params.get("R", 20000))
-
-        def family(nn):
-            _, r_n = model_from_descriptor({**config["model"], "n": nn})
-            return r_n, _resolve_x0(params.get("x0", "half"), nn)
-
-        rows, summary = clt_sweep(family, lambda nn: np.ones(nn), t, q,
-                                  n_list, R, seed,
-                                  model_id=config["model"].get("type", "model"))
-        emit_rows("clt_sweep.csv", rows, header=SWEEP_HEADER)
-        path = out / "clt_summary.json"
-        _write_json(path, summary)
-        written.append(path)
-
-    elif task == "lln-sweep":
-        from .analysis import lln_sweep
-        n_list = params.get("n_list", [100, 400])
-        t = int(params.get("t", 3))
-        R = int(params.get("R", 2000))
-        x = float(params.get("x", float(np.e) ** 2))
-        k = int(params.get("class_coords", 10))
-
-        def family(nn):
-            _, r_n = model_from_descriptor({**config["model"], "n": nn})
-            return r_n, _resolve_x0(params.get("x0", "half"), nn)
-
-        def classes(nn):
-            kk = min(k, nn)
-            signs = 1.0 - 2.0 * (((np.arange(2 ** kk)[:, None]
-                                   >> np.arange(kk)[None, :]) & 1))
-            H = np.zeros((2 ** kk, nn))
-            H[:, :kk] = signs
-            return H
-
-        rows = lln_sweep(family, classes, t, n_list, R, seed, x=x,
-                         model_id=config["model"].get("type", "model"))
-        emit_rows("lln_sweep.csv", rows)
-
-    elif task == "graphon":
-        from .models import graphdyn as gd
-        v_list = params.get("v_list", [8, 16])
-        T = int(params.get("T", 3))
-        rows = []
-        for v in v_list:
-            desc = {**config["model"], "v": v}
-            gmodel, grule = model_from_descriptor(desc)
-            A0 = gmodel.host_adjacency()
-            P_seq = gd.deterministic_edge_matrices(gmodel, A0, T)
-            rows.append({"v": v, "edges": gmodel.n_edges,
-                         "triangle_density_T": gd.triangle_density(P_seq[T]),
-                         "clt_variance_T": gd.triangle_clt_variance(gmodel, A0, T)})
-        emit_rows("graphon.csv", rows)
-
-    elif task == "hanski-limit":
-        from .models import hanski_limit
-        G = int(params.get("grid", 512))
-        T = int(params.get("T", 5))
-        rho0 = float(params.get("rho0", 0.5))
-        model, _ = model_from_descriptor(config["model"])
-        limit = hanski_limit(model, lambda z: np.full_like(z, rho0), T, G=G)
-        rows = [{"t": t, "mean_density": float((limit.weights * limit.rho[t]).sum()),
-                 "mean_variance_density":
-                     float((limit.weights * limit.variance[t]).sum())}
-                for t in range(T + 1)]
-        emit_rows("hanski_limit.csv", rows)
-
-    else:  # pragma: no cover - schema forbids it
-        raise SchemaError(f"unhandled task {task!r}")
-
-    return written
+    return TASKS[config["task"]](config, params, int(params.get("seed", 0)),
+                                 workers, out)
 
 
 def _manifest(config, files, out, elapsed, workers):
@@ -330,7 +320,6 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     if args.command == "verify":
-        from .acceptance import run_all
         results = run_all(fast=args.fast)
         return 0 if all(r.passed for r in results) else 1
 

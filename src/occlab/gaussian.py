@@ -51,7 +51,7 @@ def sigma_form(p, h, h2=None):
 
 
 class GaussianApprox:
-    """Deterministic path plus Jacobians, variance diagonals and propagators."""
+    """Deterministic path plus Jacobians and variance diagonals."""
 
     def __init__(self, rule, base: DeterministicTrajectory):
         if base.jacobians is None:
@@ -69,7 +69,6 @@ class GaussianApprox:
             self.V[t] = injected_variance(rule, base.p[t - 1], t - 1)
         self.bernoulli_var = base.p * (1.0 - base.p)   # marginal form, for bounds
         self._sigma = None
-        self._propagators = {}
 
     @classmethod
     def from_rule(cls, rule, p0, T):
@@ -99,18 +98,6 @@ class GaussianApprox:
         for u in range(t - 1, s - 1, -1):
             g = self.jac(u).T @ g
         return g
-
-    def propagator(self, s, t):
-        """Dense matrix D_{s,t}, cached; prefer :meth:`propagate` for vectors."""
-        if not 0 <= s <= t <= self.T:
-            raise ValueError("need 0 <= s <= t <= T")
-        if (s, t) not in self._propagators:
-            if s == t:
-                out = np.eye(self.n)
-            else:
-                out = self.jac(s).T @ self.propagator(s + 1, t)
-            self._propagators[(s, t)] = out
-        return self._propagators[(s, t)]
 
     def noise_form(self, t, h, h2=None):
         """Injected-noise bilinear form n^{-1} sum_i h_i h'_i v_{i,t}."""
@@ -156,14 +143,6 @@ class GaussianApprox:
 
     def covariance(self, t):
         return self.covariances()[t]
-
-
-def projected_variance(approx, h, t):
-    return approx.projected_variance(h, t)
-
-
-def cross_covariance(approx, s, t, h, h2):
-    return approx.cross_covariance(s, t, h, h2)
 
 
 def simulate_gaussian(approx, R, seed):
@@ -249,11 +228,6 @@ def lyapunov_solve(J, V, method="auto", tol=1e-12, max_iter=10 ** 6):
         raise NotConvergedError("Lyapunov fixed-point iteration exhausted budget")
 
     raise ValueError(f"unknown method {method!r}")
-
-
-def matrix_to_text(A, path):
-    """Dense row-major text dump with 17 significant digits."""
-    np.savetxt(path, np.asarray(A, dtype=np.float64), fmt="%.17g")
 
 
 def variance_to_csv(approx, h, path):

@@ -45,7 +45,14 @@ def _attachment(spec):
 
 def model_from_descriptor(desc, base_dir="."):
     """Build (model_object, rule) from a descriptor dict."""
-    base = Path(base_dir)
+    try:
+        return _build(desc, Path(base_dir))
+    except KeyError as exc:
+        raise SchemaError(f"{desc.get('type')!r} descriptor is missing key "
+                          f"{exc.args[0]!r}") from None
+
+
+def _build(desc, base):
     kind = desc.get("type")
     if kind == "constant":
         n = int(desc["n"])

@@ -19,7 +19,7 @@ Conventions
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -48,9 +48,6 @@ class OccupancyRule:
     coeff_oracle: Optional[Callable[[int], "CoefficientSet"]] = None
     homogeneous: bool = True
     name: str = "rule"
-
-    def with_name(self, name):
-        return replace(self, name=name)
 
 
 @dataclass(frozen=True)

@@ -26,10 +26,6 @@ from .rules import evaluate_rule
 EXACT_LAW_CAP = 12
 EXACT_LAW_HARD_CAP = 16
 
-#: replicate rows processed per work unit; fixed so results never depend on
-#: the worker count (matches the RNG block size).
-_CHUNK = rng.BLOCK
-
 
 @dataclass
 class BinaryEnsemble:
@@ -67,48 +63,18 @@ def _draw_bits(rule, x, t, u):
     return (u <= thresh).astype(np.uint8)
 
 
-def step(rule, x, t, seed, replicate=0):
-    """Advance one replicate's binary state one step using its keyed stream."""
-    x = np.asarray(x, dtype=np.uint8)
-    u = rng.uniforms(seed, t, rule.n, r0=replicate, rows=1)[0]
-    return _draw_bits(rule, x[None, :], t, u[None, :])[0]
-
-
-def coupled_step(rule, x, w, j, p_det, t, seed, replicate=0):
-    """Advance (X, W, J) one step; both chains consume the same uniforms."""
-    if rule.split is None:
-        raise SplitRequiredError(
-            "coupling is defined through the survival/colonization split")
-    x = np.asarray(x, dtype=np.uint8)[None, :]
-    w = np.asarray(w, dtype=np.uint8)[None, :]
-    j = np.asarray(j, dtype=np.uint8)[None, :]
-    u = rng.uniforms(seed, t, rule.n, r0=replicate, rows=1)
-    x2, w2, j2 = _coupled_update(rule, x, w, j, p_det, t, u)
-    return x2[0], w2[0], j2[0]
-
-
 def _coupled_update(rule, x, w, j, p_det, t, u):
     surv, col = rule.split
-    xf = x.astype(np.float64)
-    sx = np.asarray(surv(xf, t), dtype=np.float64)
-    cx = np.asarray(col(xf, t), dtype=np.float64)
-    tx = np.where(x == 1, sx, cx)
+    x2 = _draw_bits(rule, x, t, u)
     sp = np.asarray(surv(p_det, t), dtype=np.float64)
     cp = np.asarray(col(p_det, t), dtype=np.float64)
-    tw = np.where(w == 1, sp, cp)
-    x2 = (u <= tx).astype(np.uint8)
-    w2 = (u <= tw).astype(np.uint8)
+    w2 = (u <= np.where(w == 1, sp, cp)).astype(np.uint8)
     j2 = np.maximum(j, (x2 != w2).astype(np.uint8))
     return x2, w2, j2
 
 
-def simulate_ensemble(rule, X0, T, R, seed, couple=False, p_traj=None, workers=1):
-    """Simulate R independent replicates for T steps from the fixed state X0.
-
-    With ``couple=True`` the independent-node companion W (thresholds taken
-    at the supplied deterministic trajectory ``p_traj``) and the discrepancy
-    indicators J are tracked alongside X.
-    """
+def _checked(rule, X0, T, R, couple, p_traj):
+    """Validated (X0, p_traj); raises before the caller allocates anything."""
     if R < 1:
         raise ValueError("R must be >= 1")
     X0 = np.asarray(X0, dtype=np.uint8)
@@ -120,34 +86,37 @@ def simulate_ensemble(rule, X0, T, R, seed, couple=False, p_traj=None, workers=1
                 "coupling is defined through the survival/colonization split")
         if p_traj is None:
             raise ValueError("coupled simulation needs the deterministic trajectory")
+    if p_traj is not None:
         p_traj = np.asarray(p_traj, dtype=np.float64)
         if p_traj.shape[0] < T + 1:
             raise ValueError("p_traj must cover steps 0..T")
+    return X0, p_traj
 
-    states = np.empty((R, T + 1, rule.n), dtype=np.uint8)
-    coupled = np.empty_like(states) if couple else None
-    disc = np.empty_like(states) if couple else None
 
+def _run_chunks(rule, X0, T, R, seed, couple, p_traj, workers, record):
+    """Run R replicates from X0 for T steps in chunks of ``rng.BLOCK`` rows.
+
+    The chunk size is fixed, never the worker count, so results do not
+    depend on ``workers``.  ``record(r0, t, x, w, j)`` receives the (rows, n)
+    states of the chunk starting at replicate r0 after every step
+    t = 0..T; ``w`` and ``j`` are None unless ``couple``.  Chunks write
+    disjoint rows, so they may run on worker threads in any order.
+    """
     def run_chunk(r0):
-        rows = min(_CHUNK, R - r0)
+        rows = min(rng.BLOCK, R - r0)
         x = np.repeat(X0[None, :], rows, axis=0)
-        states[r0:r0 + rows, 0] = x
-        if couple:
-            w = x.copy()
-            j = np.zeros_like(x)
-            coupled[r0:r0 + rows, 0] = w
-            disc[r0:r0 + rows, 0] = j
+        w = x.copy() if couple else None
+        j = np.zeros_like(x) if couple else None
+        record(r0, 0, x, w, j)
         for t in range(T):
             u = rng.uniforms(seed, t, rule.n, r0=r0, rows=rows)
             if couple:
                 x, w, j = _coupled_update(rule, x, w, j, p_traj[t], t, u)
-                coupled[r0:r0 + rows, t + 1] = w
-                disc[r0:r0 + rows, t + 1] = j
             else:
                 x = _draw_bits(rule, x, t, u)
-            states[r0:r0 + rows, t + 1] = x
+            record(r0, t + 1, x, w, j)
 
-    starts = range(0, R, _CHUNK)
+    starts = range(0, R, rng.BLOCK)
     if workers and workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(run_chunk, starts))
@@ -155,6 +124,26 @@ def simulate_ensemble(rule, X0, T, R, seed, couple=False, p_traj=None, workers=1
         for r0 in starts:
             run_chunk(r0)
 
+
+def simulate_ensemble(rule, X0, T, R, seed, couple=False, p_traj=None, workers=1):
+    """Simulate R independent replicates for T steps from the fixed state X0.
+
+    With ``couple=True`` the independent-node companion W (thresholds taken
+    at the supplied deterministic trajectory ``p_traj``) and the discrepancy
+    indicators J are tracked alongside X.
+    """
+    X0, p_traj = _checked(rule, X0, T, R, couple, p_traj)
+    states = np.empty((R, T + 1, rule.n), dtype=np.uint8)
+    coupled = np.empty_like(states) if couple else None
+    disc = np.empty_like(states) if couple else None
+
+    def record(r0, t, x, w, j):
+        states[r0:r0 + len(x), t] = x
+        if couple:
+            coupled[r0:r0 + len(x), t] = w
+            disc[r0:r0 + len(x), t] = j
+
+    _run_chunks(rule, X0, T, R, seed, couple, p_traj, workers, record)
     return BinaryEnsemble(n=rule.n, T=T, R=R, seed=seed, states=states,
                           coupled=coupled, discrepancy=disc)
 
@@ -169,52 +158,24 @@ def simulate_projections(rule, X0, T, R, seed, h, p_traj, keep_nodes=None,
     subset, plus ``jbar`` (R, T+1) when ``couple=True``.  Bit stream and
     update path match :func:`simulate_ensemble` exactly.
     """
-    X0 = np.asarray(X0, dtype=np.uint8)
-    p_traj = np.asarray(p_traj, dtype=np.float64)
+    X0, p_traj = _checked(rule, X0, T, R, couple, p_traj)
     h = np.asarray(h, dtype=np.float64)
     scale = 1.0 / np.sqrt(rule.n)
-    proj = np.empty((R, T + 1), dtype=np.float64)
-    kept = (np.empty((R, T + 1, len(keep_nodes)), dtype=np.uint8)
-            if keep_nodes is not None else None)
-    jbar = np.empty((R, T + 1), dtype=np.float64) if couple else None
-    if couple and rule.split is None:
-        raise SplitRequiredError(
-            "coupling is defined through the survival/colonization split")
+    out = {"proj": np.empty((R, T + 1), dtype=np.float64)}
+    if keep_nodes is not None:
+        out["nodes"] = np.empty((R, T + 1, len(keep_nodes)), dtype=np.uint8)
+    if couple:
+        out["jbar"] = np.empty((R, T + 1), dtype=np.float64)
 
-    def record(x, t, r0, rows, j=None):
-        proj[r0:r0 + rows, t] = scale * ((x - p_traj[t][None, :]) @ h)
-        if kept is not None:
-            kept[r0:r0 + rows, t] = x[:, keep_nodes]
-        if jbar is not None:
-            jbar[r0:r0 + rows, t] = j.mean(axis=1)
+    def record(r0, t, x, w, j):
+        rows = slice(r0, r0 + len(x))
+        out["proj"][rows, t] = scale * ((x - p_traj[t][None, :]) @ h)
+        if keep_nodes is not None:
+            out["nodes"][rows, t] = x[:, keep_nodes]
+        if couple:
+            out["jbar"][rows, t] = j.mean(axis=1)
 
-    def run_chunk(r0):
-        rows = min(_CHUNK, R - r0)
-        x = np.repeat(X0[None, :], rows, axis=0)
-        w = x.copy() if couple else None
-        j = np.zeros_like(x) if couple else None
-        record(x, 0, r0, rows, j)
-        for t in range(T):
-            u = rng.uniforms(seed, t, rule.n, r0=r0, rows=rows)
-            if couple:
-                x, w, j = _coupled_update(rule, x, w, j, p_traj[t], t, u)
-            else:
-                x = _draw_bits(rule, x, t, u)
-            record(x, t + 1, r0, rows, j)
-
-    starts = range(0, R, _CHUNK)
-    if workers and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run_chunk, starts))
-    else:
-        for r0 in starts:
-            run_chunk(r0)
-
-    out = {"proj": proj}
-    if kept is not None:
-        out["nodes"] = kept
-    if jbar is not None:
-        out["jbar"] = jbar
+    _run_chunks(rule, X0, T, R, seed, couple, p_traj, workers, record)
     return out
 
 

@@ -5,8 +5,9 @@ from scipy import stats
 import occlab as ol
 from occlab.analysis import (NormalTarget, clt_sweep, ks_distance,
                              ks_null_quantiles, lln_sweep, project,
-                             rows_to_csv, wasserstein1)
+                             rows_to_csv, sign_class, wasserstein1)
 from occlab.deterministic import det_trajectory
+from occlab.errors import TooLargeError
 from occlab.models import mean_field, spreading_rule
 from occlab.simulate import simulate_ensemble
 
@@ -89,15 +90,14 @@ def test_w1_one_sample_against_quadrature():
     assert wasserstein1(s, target).value == pytest.approx(quad, abs=1e-5)
 
 
-def test_ks_null_calibration(tmp_path, monkeypatch):
-    monkeypatch.setenv("OCCLAB_CACHE", str(tmp_path))
+def test_ks_null_calibration():
     qs = ks_null_quantiles(10 ** 4, n_sims=120, seed=7)
     # distribution-free null: statistic concentrates near 0.43 / sqrt(m)
     assert 0.002 <= qs[0.5] <= 0.02
     g = np.random.default_rng(8)
     observed = ks_distance(g.standard_normal(10 ** 4), NormalTarget(0, 1)).value
     assert qs[0.01] * 0.2 <= observed <= qs[0.99] * 2.0
-    # second call hits the cache
+    # the calibration is a pure function of its arguments
     assert ks_null_quantiles(10 ** 4, n_sims=120, seed=7) == qs
 
 
@@ -129,14 +129,14 @@ def test_clt_sweep_bootstrap_scaling():
 
 
 def test_lln_sweep_sign_class():
-    def classes(n):
-        k = 6
-        signs = 1.0 - 2.0 * (((np.arange(2 ** k)[:, None] >> np.arange(k)[None, :]) & 1))
-        H = np.zeros((2 ** k, n))
-        H[:, :k] = signs
-        return H
+    H = sign_class(2, 3)
+    assert H.tolist() == [[1, 1, 0], [-1, 1, 0], [1, -1, 0], [-1, -1, 0]]
+    # the 1e6-vector cap is checked before the (2^k, n) array exists
+    with pytest.raises(TooLargeError):
+        sign_class(21, 50)
 
-    rows = lln_sweep(family, classes, t=2, n_list=[64, 256], R=3000, seed=11)
+    rows = lln_sweep(family, lambda n: sign_class(6, n), t=2, n_list=[64, 256],
+                     R=3000, seed=11)
     assert rows[0]["q99"] >= rows[0]["q50"] >= 0
     # deviations of averages shrink with n
     assert rows[1]["q99"] < rows[0]["q99"]

@@ -6,8 +6,8 @@ import pytest
 import occlab as ol
 from occlab.bounds import (clt_rate_bound, concentration_bound, finite_class_bound,
                            induced_l1, jbar_moment_bound, linearization_error_bound,
-                           lqr_error_bound, matrix_qr_norm, rademacher_exact,
-                           rademacher_mc)
+                           lqr_error_bound, matrix_qr_norm, mean_functional_norms,
+                           rademacher_exact, rademacher_mc)
 from occlab.errors import DegenerateSigmaError, DomainError
 from occlab.gaussian import GaussianApprox
 from occlab.models import mean_field, spreading_rule
@@ -64,9 +64,11 @@ def test_mean_functional_norms():
     # gradient of the averaging functional: a single row of 1/n entries
     n = 64
     row = np.full((1, n), 1.0 / n)
-    assert induced_l1(row) == pytest.approx(1.0 / n)
+    norms = mean_functional_norms(n)
+    assert induced_l1(row) == pytest.approx(norms["df_1"])
     for q in (1, 2, 4, INF):
-        assert matrix_qr_norm(row, 2, q) == pytest.approx(n ** -0.5)
+        assert matrix_qr_norm(row, 2, q) == pytest.approx(norms["df_2q"])
+    assert norms["d2f_1q"] == 0.0
 
 
 # ---------------------------------------------------------------------------

