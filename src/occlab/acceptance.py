@@ -418,7 +418,7 @@ def criterion_10(fast=False):
                                        rng.derive_seed(MASTER_SEED, f"c10-{n}-{fi}"),
                                        h=h, p_traj=traj.p)
             for ti in (1, 3):
-                target = lim.integrate(h_fn(lim.grid) * lim.rho[ti])
+                target = lim.measure_integral(h_fn, ti)
                 mu_vals = (res["proj"][:, ti] / math.sqrt(n)
                            + h @ traj.p[ti] / n)
                 errs[(ti, fi)].append(float(np.abs(mu_vals - target).mean()))

@@ -3,7 +3,10 @@
 A descriptor is a JSON object with a ``type`` tag plus parameters; file
 references (reaction matrices as dense CSV, edge lists as two-column CSV,
 patch tables as CSV with columns z, a, s) are resolved relative to the
-descriptor's base directory.
+descriptor's base directory.  Each type accepts only the keys listed in
+``_KEYS``; any other key (a misspelling, say) raises ``SchemaError``.  A
+``graph`` descriptor without ``attachment`` uses the ``"linear"`` curve
+f(y) = attachment_scale * y.
 """
 
 import json
@@ -20,12 +23,23 @@ from .graphdyn import GraphDynModel, complete_host, graph_rule
 from .random_rules import random_product_rule
 
 
+_KEYS = {
+    "constant": {"n", "c"},
+    "linear": {"A", "A_csv"},
+    "spreading": {"n", "rbar", "mu", "R_csv", "reinfection", "domain_form"},
+    "domany_kinzel": {"n", "q1", "q2", "p0", "iid_start"},
+    "hanski": {"n", "patch_csv", "kernel_scale"},
+    "graph": {"v", "q", "edges_csv", "attachment", "attachment_scale"},
+    "random_product": {"n", "seed", "strength"},
+}
+
+
 def _load_csv_matrix(path):
     return np.loadtxt(path, delimiter=",", ndmin=2)
 
 
 def _attachment(spec):
-    kind = spec.get("attachment", "logistic")
+    kind = spec.get("attachment", "linear")
     scale = float(spec.get("attachment_scale", 0.5))
     if kind == "constant":
         return (lambda y: np.full_like(np.asarray(y, dtype=np.float64), scale),
@@ -45,10 +59,16 @@ def _attachment(spec):
 
 def model_from_descriptor(desc, base_dir="."):
     """Build (model_object, rule) from a descriptor dict."""
+    kind = desc.get("type")
+    if kind not in _KEYS:
+        raise SchemaError(f"unknown model type {kind!r}")
+    unknown = sorted(set(desc) - _KEYS[kind] - {"type"})
+    if unknown:
+        raise SchemaError(f"{kind!r} descriptor has unknown key {unknown[0]!r}")
     try:
         return _build(desc, Path(base_dir))
     except KeyError as exc:
-        raise SchemaError(f"{desc.get('type')!r} descriptor is missing key "
+        raise SchemaError(f"{kind!r} descriptor is missing key "
                           f"{exc.args[0]!r}") from None
 
 
@@ -103,7 +123,6 @@ def _build(desc, base):
     if kind == "random_product":
         return None, random_product_rule(int(desc["n"]), int(desc.get("seed", 0)),
                                          strength=float(desc.get("strength", 0.8)))
-    raise SchemaError(f"unknown model type {kind!r}")
 
 
 def load_descriptor(path):

@@ -45,6 +45,8 @@ def test_exit_codes(tmp_path, capsys):
     ({"type": "spreading", "n": 8, "rbar": 0.5, "mu": 0.5}, "bounds", {"q": "abc"}),
     ({"type": "domany_kinzel", "n": 8, "q1": 0.4, "q2": 0.7}, "equilibrium", {}),
     ({"type": "constant", "c": 0.4}, "deterministic", {}),
+    ({"type": "spreading", "n": 8, "rbar": 0.5, "mu": 0.5, "reinfecton": True},
+     "deterministic", {}),
 ])
 def test_bad_input_exits_2_without_traceback(tmp_path, capsys, model, task, params):
     path = write_config(tmp_path, {"model": model, "task": task, "parameters": params})

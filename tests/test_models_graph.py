@@ -3,11 +3,12 @@ import pytest
 
 import occlab as ol
 from occlab.deterministic import det_trajectory
-from occlab.errors import TooLargeError
+from occlab.errors import SchemaError, TooLargeError
 from occlab.gaussian import GaussianApprox
 from occlab.models import (complete_host, graph_rule, graphon_step,
                            graphon_trajectory, homomorphism_density,
-                           lambda_kernel, triangle_clt_variance, triangle_density)
+                           lambda_kernel, model_from_descriptor,
+                           triangle_clt_variance, triangle_density)
 from occlab.models.graphdyn import (clt_functionals, cut_norm,
                                     cut_norm_exact, cut_norm_heuristic,
                                     deterministic_edge_matrices,
@@ -145,3 +146,17 @@ def test_triangle_variance_desk_scale():
     stat = model.v * (tri - triangle_density(P_det[t])) / np.sqrt(model.n_edges)
     emp = stat.var()
     assert emp == pytest.approx(pred, rel=0.2)
+
+
+def test_graph_descriptor_attachment_defaults_to_linear():
+    desc = {"type": "graph", "v": 5, "q": 0.4, "attachment_scale": 0.3}
+    _, default = model_from_descriptor(desc)
+    _, linear = model_from_descriptor({**desc, "attachment": "linear"})
+    assert default.coeff_oracle(0) == linear.coeff_oracle(0)
+    x = np.linspace(0.0, 1.0, default.n)
+    assert np.array_equal(default.evaluate(x, 0), linear.evaluate(x, 0))
+
+
+def test_graph_descriptor_rejects_unknown_key():
+    with pytest.raises(SchemaError, match="'atachment'"):
+        model_from_descriptor({"type": "graph", "v": 5, "q": 0.4, "atachment": "linear"})

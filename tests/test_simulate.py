@@ -4,11 +4,12 @@ import pytest
 import occlab as ol
 from occlab.errors import SplitRequiredError, TooLargeError
 from occlab.models import DomanyKinzel, dk_rule, mean_field, spreading_rule
-from occlab.models import random_product_rule
+from occlab.models import dk_device_time, dk_exact_mean_zeta2, random_product_rule
 from occlab.deterministic import det_trajectory
+from occlab.rules import evaluate_rule
 from occlab.simulate import (empirical_law, exact_law, law_mean,
                              simulate_ensemble, simulate_projections,
-                             total_variation)
+                             state_index, state_table, total_variation)
 
 
 def test_absorbing_rule_keeps_state():
@@ -120,6 +121,53 @@ def test_exact_law_cap():
     rule = ol.constant_rule(13, 0.5)
     with pytest.raises(TooLargeError):
         exact_law(rule, np.zeros(13, dtype=np.uint8), 1)
+
+
+def _dense_exact_law(rule, X0, T):
+    """Reference law from the full 2^n x 2^n kernel K[x, y] = prod_i P(y_i | x)."""
+    n = rule.n
+    states = state_table(n)
+    laws = np.zeros((T + 1, 2 ** n))
+    laws[0, state_index(X0)] = 1.0
+    for t in range(T):
+        p = evaluate_rule(rule, states, t)
+        K = np.ones((2 ** n, 2 ** n))
+        for i in range(n):
+            K *= np.where(states[None, :, i] == 1.0, p[:, None, i], 1.0 - p[:, None, i])
+        laws[t + 1] = laws[t] @ K
+        laws[t + 1] /= laws[t + 1].sum()
+    return laws
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 8, 11])
+def test_exact_law_matches_dense_kernel(n):
+    g = np.random.default_rng(n)
+    A = g.random((n, n))
+    A /= 1.25 * A.sum(axis=1, keepdims=True)
+    rules = [random_product_rule(n, seed=30 + n),
+             ol.linear_rule(A),
+             ol.constant_rule(n, np.linspace(0.1, 0.9, n)),
+             spreading_rule(mean_field(n, rbar=0.6, mu=0.4, reinfection=True))]
+    if n >= 3:  # the torus needs three sites; its iid start makes it inhomogeneous
+        rules.append(dk_rule(DomanyKinzel(n=n, q1=0.3, q2=0.8, p0=0.4), iid_start=True))
+    X0 = (np.arange(n) % 2).astype(np.uint8)
+    for rule in rules:
+        laws = exact_law(rule, X0, 2)
+        assert np.abs(laws - _dense_exact_law(rule, X0, 2)).max() <= 1e-14
+        assert np.abs(laws.sum(axis=1) - 1.0).max() <= 1e-12
+
+
+def test_exact_law_torus_closed_form_at_n14():
+    n = 14
+    model = DomanyKinzel(n=n, q1=0.35, q2=0.75, p0=0.4)
+    rule = dk_rule(model, iid_start=True)
+    X0 = np.zeros(n, dtype=np.uint8)
+    t = dk_device_time(2)
+    with pytest.warns(UserWarning, match="expensive"):
+        laws = exact_law(rule, X0, t, n_cap=n)
+    traj = det_trajectory(rule, X0.astype(float), t)
+    gap = (law_mean(laws[t], n) - traj.p[t]).sum() / np.sqrt(n)
+    assert abs(gap - dk_exact_mean_zeta2(model)) <= 1e-10
 
 
 def test_exact_law_matches_monte_carlo_tv():
