@@ -6,7 +6,6 @@ bootstrap standard errors, and the convergence sweeps that tabulate
 distance versus system size against the closed-form bounds.
 """
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -19,7 +18,7 @@ from .bounds import (clt_rate_bound, concentration_bound,
                      concentration_threshold, rademacher_mc)
 from .deterministic import det_trajectory
 from .gaussian import GaussianApprox
-from .rules import coefficient_schedule
+from .rules import coefficient_schedule, state_table
 from .simulate import simulate_ensemble, simulate_projections
 
 BOOTSTRAP_RESAMPLES = 200
@@ -75,13 +74,16 @@ def _ks_one_sample(sorted_x, target):
     return float(max((grid - F).max(), (F - (grid - 1 / m)).max(), 0.0))
 
 
+def _cdf_gap(x, y):
+    """The sorted pooled points and |F_x - F_y| at each of them."""
+    x, y = np.sort(x), np.sort(y)
+    pooled = np.sort(np.concatenate([x, y]))
+    return pooled, np.abs(np.searchsorted(x, pooled, side="right") / len(x)
+                          - np.searchsorted(y, pooled, side="right") / len(y))
+
+
 def _ks_two_sample(x, y):
-    x = np.sort(x)
-    y = np.sort(y)
-    pooled = np.concatenate([x, y])
-    f1 = np.searchsorted(x, pooled, side="right") / len(x)
-    f2 = np.searchsorted(y, pooled, side="right") / len(y)
-    return float(np.abs(f1 - f2).max())
+    return float(_cdf_gap(x, y)[1].max())
 
 
 def _w1_one_sample(sorted_x, target):
@@ -112,13 +114,8 @@ def _w1_one_sample(sorted_x, target):
 
 
 def _w1_two_sample(x, y):
-    x = np.sort(x)
-    y = np.sort(y)
-    pooled = np.sort(np.concatenate([x, y]))
-    gaps = np.diff(pooled)
-    f1 = np.searchsorted(x, pooled[:-1], side="right") / len(x)
-    f2 = np.searchsorted(y, pooled[:-1], side="right") / len(y)
-    return float((np.abs(f1 - f2) * gaps).sum())
+    pooled, gap = _cdf_gap(x, y)
+    return float((gap[:-1] * np.diff(pooled)).sum())
 
 
 def _bootstrap(sample, stat, seed):
@@ -130,40 +127,33 @@ def _bootstrap(sample, stat, seed):
     return float(vals.std(ddof=1))
 
 
-def ks_distance(sample, target, seed=0):
-    """Exact sup gap between the empirical CDF and the target CDF."""
+def _distance(metric, stats, sample, target, seed):
+    """``metric`` of the sample against a normal target or a second sample;
+    ``stats`` is the (one-sample, two-sample) statistic pair, each taking
+    the sorted sample first."""
+    one_sample, two_sample = stats
     sample = np.asarray(sample, dtype=np.float64)
     if sample.size < 2:
         raise ValueError("need at least two sample points")
     if isinstance(target, NormalTarget):
-        val = _ks_one_sample(np.sort(sample), target)
-        se = _bootstrap(sample, lambda s: _ks_one_sample(s, target), seed)
+        stat = lambda s: one_sample(s, target)
         label = f"normal(mean={target.mean:.6g}, var={target.variance:.6g})"
     else:
         other = np.asarray(target, dtype=np.float64)
-        val = _ks_two_sample(sample, other)
-        se = _bootstrap(sample, lambda s: _ks_two_sample(s, other), seed)
+        stat = lambda s: two_sample(s, other)
         label = f"sample(size={len(other)})"
-    return DistanceReport(metric="kolmogorov", sample_size=len(sample),
-                          target=label, value=val, stderr=se)
+    return DistanceReport(metric=metric, sample_size=len(sample), target=label,
+                          value=stat(np.sort(sample)), stderr=_bootstrap(sample, stat, seed))
+
+
+def ks_distance(sample, target, seed=0):
+    """Exact sup gap between the empirical CDF and the target CDF."""
+    return _distance("kolmogorov", (_ks_one_sample, _ks_two_sample), sample, target, seed)
 
 
 def wasserstein1(sample, target, seed=0):
     """Exact integral of |F_emp - F_target| (area between the CDFs)."""
-    sample = np.asarray(sample, dtype=np.float64)
-    if sample.size < 2:
-        raise ValueError("need at least two sample points")
-    if isinstance(target, NormalTarget):
-        val = _w1_one_sample(np.sort(sample), target)
-        se = _bootstrap(sample, lambda s: _w1_one_sample(s, target), seed)
-        label = f"normal(mean={target.mean:.6g}, var={target.variance:.6g})"
-    else:
-        other = np.asarray(target, dtype=np.float64)
-        val = _w1_two_sample(sample, other)
-        se = _bootstrap(sample, lambda s: _w1_two_sample(s, other), seed)
-        label = f"sample(size={len(other)})"
-    return DistanceReport(metric="wasserstein1", sample_size=len(sample),
-                          target=label, value=val, stderr=se)
+    return _distance("wasserstein1", (_w1_one_sample, _w1_two_sample), sample, target, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -184,9 +174,6 @@ def ks_null_quantiles(sample_size, n_sims=400, seed=2024):
 # convergence sweeps
 # ---------------------------------------------------------------------------
 
-SWEEP_HEADER = ["model_id", "n", "t", "q", "metric", "value", "stderr", "bound_c1"]
-
-
 def _loglog_slope(ns, values):
     if len(ns) < 2:
         return float("nan")
@@ -201,8 +188,8 @@ def clt_sweep(family, h_family, t, q, n_list, R, seed, model_id="model"):
 
     ``family(n)`` returns (rule, X0); ``h_family(n)`` the projection vector.
     ``q`` selects the metric: 1 for Wasserstein, inf for Kolmogorov.  Rows
-    follow SWEEP_HEADER; the summary carries the log-log slope and a
-    monotonicity flag.
+    have the keys model_id, n, t, q, metric, value, stderr and bound_c1; the
+    summary carries the log-log slope and a monotonicity flag.
     """
     rows = []
     for n in n_list:
@@ -240,7 +227,7 @@ def sign_class(k, n):
     if 2 ** k > 10 ** 6:
         raise TooLargeError("projection class exceeds 1e6 vectors")
     H = np.zeros((2 ** k, n))
-    H[:, :k] = 1.0 - 2.0 * ((np.arange(2 ** k)[:, None] >> np.arange(k)[None, :]) & 1)
+    H[:, :k] = 1.0 - 2.0 * state_table(k)
     return H
 
 
@@ -292,19 +279,3 @@ def lln_sweep(family, class_family, t, n_list, R, seed, x=math.e ** 2,
             row[f"q{int(qq * 100)}"] = float(np.quantile(sups, qq))
         rows.append(row)
     return rows
-
-
-def rows_to_csv(rows, path, header=None):
-    """Write a list of dicts as CSV with 17-significant-digit floats."""
-    if not rows:
-        raise ValueError("no rows to write")
-    header = header or list(rows[0].keys())
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(header)
-        for row in rows:
-            out = []
-            for key in header:
-                v = row.get(key, "")
-                out.append(f"{v:.17g}" if isinstance(v, float) else v)
-            wr.writerow(out)

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import rng
 from .errors import DegenerateSigmaError, DomainError
-from .rules import CoefficientSchedule, kappa
+from .rules import CoefficientSchedule, kappa, state_table
 from .gaussian import sigma_form
 
 
@@ -260,7 +260,7 @@ def rademacher_exact(H_set):
     m, n = H.shape
     if n > 20:
         raise DomainError("exact enumeration is capped at n = 20")
-    signs = 1.0 - 2.0 * (((np.arange(2 ** n)[:, None] >> np.arange(n)[None, :]) & 1))
+    signs = 1.0 - 2.0 * state_table(n)
     return float((signs @ H.T).max(axis=1).mean() / n)
 
 

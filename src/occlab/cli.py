@@ -2,10 +2,11 @@
 
 ``occlab run --config exp.json [--out DIR] [--seed N] [--workers N]``
 validates the config against a strict schema, dispatches to the library,
-and writes CSV/JSON artifacts plus a manifest with the resolved config,
-config hash and per-file checksums.  Outputs are deterministic given
-(config, seed) at any worker count.  ``occlab verify`` runs the full
-acceptance suite and prints one pass/fail line per criterion.
+and writes the CSV/JSON artifacts its tasks return (their formats live
+only here) plus a manifest with the resolved config, config hash and
+per-file checksums.  Outputs are deterministic given (config, seed) at any
+worker count.  ``occlab verify`` runs the full acceptance suite and prints
+one pass/fail line per criterion.
 """
 
 import argparse
@@ -21,18 +22,20 @@ import jsonschema
 
 from . import __version__
 from .acceptance import run_all
-from .analysis import SWEEP_HEADER, clt_sweep, lln_sweep, rows_to_csv, sign_class
+from .analysis import clt_sweep, lln_sweep, sign_class
 from .bounds import (clt_rate_bound, jbar_moment_bound, lqr_error_bound,
                      mean_functional_norms)
-from .deterministic import (det_trajectory, find_equilibrium, smith_check,
-                            trajectory_to_csv)
+from .deterministic import det_trajectory, find_equilibrium, smith_check
 from .errors import OcclabError, SchemaError
-from .gaussian import GaussianApprox, variance_to_csv
+from .gaussian import GaussianApprox
 from .models import graphdyn as gd
 from .models import hanski_limit
 from .models.descriptors import model_from_descriptor
 from .rules import coefficient_schedule
-from .simulate import ensemble_to_csv, simulate_ensemble, summary_to_csv
+from .simulate import simulate_ensemble
+
+#: rows formatted per write; bounds the text held in memory for big tables
+_CSV_ROWS = 1 << 12
 
 
 def _canonical(obj):
@@ -54,85 +57,109 @@ def _write_json(path, payload):
     return path
 
 
-def _write_rows(path, rows, header=None):
-    rows_to_csv(rows, path, header=header)
+def _cells(col):
+    """A non-empty CSV column, flattened, as cell strings: ``%.17g`` for
+    floats, ``str`` for ints and text (so ``""`` is an empty cell)."""
+    col = np.asarray(col).reshape(-1)
+    if col.dtype.kind == "f":
+        return np.array(["%.17g" % v for v in col.tolist()])
+    if col.dtype.kind in "iu":
+        lo, hi = int(col.min()), int(col.max())
+        if hi - lo < col.size:   # gather from a table of the values' strings
+            return np.array([str(k) for k in range(lo, hi + 1)])[col - lo]
+    return col.astype(str)
+
+
+def _write_csv(path, header, columns):
+    """Write same-shape columns under ``header``, one row per entry in C
+    order, about ``_CSV_ROWS`` rows per write.  Text cells are written
+    unquoted, so they must hold no comma, quote or line break."""
+    step = max(1, _CSV_ROWS * len(columns[0]) // np.size(columns[0]))
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for lo in range(0, len(columns[0]), step):
+            line = _cells(columns[0][lo:lo + step])
+            for col in columns[1:]:
+                line = np.char.add(np.char.add(line, ","), _cells(col[lo:lo + step]))
+            fh.write("\r\n".join(line.tolist()) + "\r\n")
     return path
 
 
-def _x0(spec, n):
-    if spec is None or spec == "zeros":
-        return np.zeros(n, dtype=np.uint8)
-    if spec == "ones":
-        return np.ones(n, dtype=np.uint8)
-    if spec == "half":
-        x = np.zeros(n, dtype=np.uint8)
-        x[: n // 2] = 1
-        return x
-    x = np.asarray(spec, dtype=np.uint8)
-    if x.shape != (n,):
-        raise SchemaError(f"x0 must have length {n}")
-    return x
+def _table(rows):
+    """A list of dicts with the same keys as a ``(header, columns)`` table."""
+    return list(rows[0]), [[row[key] for row in rows] for key in rows[0]]
 
 
-def _h(spec, n):
-    if spec is None or spec == "ones":
-        return np.ones(n)
-    h = np.asarray(spec, dtype=np.float64)
-    if h.shape != (n,):
-        raise SchemaError(f"h must have length {n}")
-    return h
+def _long_table(header, values):
+    """An array as one row per entry: its indices, then its value (the index
+    columns are broadcast views, so they take no memory)."""
+    return header, np.broadcast_arrays(*np.ogrid[tuple(map(slice, values.shape))], values)
+
+
+def _vector(params, name, default, n, dtype):
+    """Parameter ``name`` as a length-n vector: a list, one number for every
+    coordinate, or "zeros", "ones" or "half" (the first n // 2 coordinates one)."""
+    spec = params.get(name, default)
+    if isinstance(spec, str):
+        spec = np.arange(n) < {"zeros": 0, "ones": n, "half": n // 2}[spec]
+    elif np.isscalar(spec):
+        return np.full(n, spec, dtype=dtype)
+    v = np.asarray(spec, dtype=dtype)
+    if v.shape != (n,):
+        raise SchemaError(f"{name} must have length {n}")
+    return v
 
 
 def _q(spec):
     return float("inf") if spec in ("inf", "infinity") else float(spec)
 
 
-def _p0(params, n):
-    p0 = params.get("p0", 0.5)
-    return np.full(n, float(p0)) if np.isscalar(p0) else np.asarray(p0)
-
-
-def _family(config, params):
+def _family(task, config, params):
     """``n -> (rule, X0)`` for the sweeps: the model descriptor at size n."""
+    desc = config["model"]
+    if desc.get("type") in ("linear", "graph") or {"R_csv", "patch_csv"} & set(desc):
+        raise SchemaError(f"task {task!r} sizes its model by n, which this "
+                          f"{desc['type']!r} model does not take")
+
     def family(n):
-        _, rule = model_from_descriptor({**config["model"], "n": n})
-        return rule, _x0(params.get("x0", "half"), n)
+        _, rule = model_from_descriptor({**desc, "n": n})
+        return rule, _vector(params, "x0", "half", n, np.uint8)
     return family
 
 
-def _simulate(config, params, seed, workers, out):
+def _simulate(config, params, seed, workers):
     _, rule = model_from_descriptor(config["model"])
     T = int(params.get("T", 10))
     R = int(params.get("R", 100))
-    X0 = _x0(params.get("x0"), rule.n)
+    X0 = _vector(params, "x0", "zeros", rule.n, np.uint8)
     couple = bool(params.get("couple", False))
     p_traj = det_trajectory(rule, X0.astype(float), T).p if couple else None
     ens = simulate_ensemble(rule, X0, T, R, seed, couple=couple,
                             p_traj=p_traj, workers=workers)
-    files = [out / "summary.csv"]
-    summary_to_csv(ens, files[0])
+    jbar = ens.jbar().mean(axis=0) if couple else [""] * (T + 1)
+    files = {"summary.csv": (["t", "mean_occupancy", "jbar_mean"],
+                             [np.arange(T + 1), ens.occupancy_mean(), jbar])}
     if params.get("full_states"):
-        files.append(out / "states.csv")
-        ensemble_to_csv(ens, files[1])
+        files["states.csv"] = _long_table(["replicate", "t", "node", "bit"], ens.states)
     return files
 
 
-def _deterministic(config, params, seed, workers, out):
+def _deterministic(config, params, seed, workers):
     _, rule = model_from_descriptor(config["model"])
-    traj = det_trajectory(rule, _p0(params, rule.n), int(params.get("T", 10)))
-    path = out / "trajectory.csv"
-    trajectory_to_csv(traj, path)
-    return [path]
+    p0 = _vector(params, "p0", 0.5, rule.n, np.float64)
+    traj = det_trajectory(rule, p0, int(params.get("T", 10)))
+    return {"trajectory.csv": _long_table(["t", "node", "p"], traj.p)}
 
 
-def _equilibrium(config, params, seed, workers, out):
+def _equilibrium(config, params, seed, workers):
     _, rule = model_from_descriptor(config["model"])
     if not rule.homogeneous:
         raise SchemaError("task 'equilibrium' needs a time-homogeneous model")
-    eq = find_equilibrium(rule, _p0(params, rule.n), tol=float(params.get("tol", 1e-12)),
+    eq = find_equilibrium(rule, _vector(params, "p0", 0.5, rule.n, np.float64),
+                          tol=float(params.get("tol", 1e-12)),
                           max_iter=int(params.get("max_iter", 10 ** 6)))
     screen = smith_check(rule, sample_budget=64, seed=seed)
-    return [_write_json(out / "equilibrium.json", {
+    return {"equilibrium.json": {
         "converged": eq.converged, "iterations": eq.iterations,
         "residual": eq.residual, "p_inf": [f"{v:.17g}" for v in eq.p_inf],
         "monotone_screen": {
@@ -140,16 +167,16 @@ def _equilibrium(config, params, seed, workers, out):
             "jacobian_monotonicity": screen.jacobian_monotonicity,
             "not_all_absorbing": screen.not_all_absorbing,
             "spectral_radius_origin": screen.spectral_radius_origin,
-        }})]
+        }}}
 
 
-def _gaussian(config, params, seed, workers, out):
+def _gaussian(config, params, seed, workers):
     _, rule = model_from_descriptor(config["model"])
-    h = _h(params.get("h"), rule.n)
-    approx = GaussianApprox.from_rule(rule, _p0(params, rule.n), int(params.get("T", 10)))
-    path = out / "projected_variance.csv"
-    variance_to_csv(approx, h, path)
-    return [path]
+    h = _vector(params, "h", "ones", rule.n, np.float64)
+    p0 = _vector(params, "p0", 0.5, rule.n, np.float64)
+    approx = GaussianApprox.from_rule(rule, p0, int(params.get("T", 10)))
+    var = np.array([approx.projected_variance(h, t) for t in range(approx.T + 1)])
+    return {"projected_variance.csv": _long_table(["t", "projected_variance"], var)}
 
 
 def _report(rep):
@@ -157,15 +184,15 @@ def _report(rep):
             "inputs": rep.inputs, "caveats": rep.caveats}
 
 
-def _bounds(config, params, seed, workers, out):
+def _bounds(config, params, seed, workers):
     _, rule = model_from_descriptor(config["model"])
     n = rule.n
     t = int(params.get("t", 5))
     q = _q(params.get("q", 1))
     r = float(params.get("r", 1))
-    h = _h(params.get("h"), n)
+    h = _vector(params, "h", "ones", n, np.float64)
     coeffs = coefficient_schedule(rule, t)
-    approx = GaussianApprox.from_rule(rule, _p0(params, n), t)
+    approx = GaussianApprox.from_rule(rule, _vector(params, "p0", 0.5, n, np.float64), t)
     payload = {
         "discrepancy_moment": _report(jbar_moment_bound(coeffs, q, t, n)),
         "mean_functional_error": _report(lqr_error_bound(
@@ -175,30 +202,30 @@ def _bounds(config, params, seed, workers, out):
         payload["projection_rate"] = _report(clt_rate_bound(coeffs, h, q, approx, t))
     except OcclabError as exc:
         payload["projection_rate"] = {"error": str(exc)}
-    return [_write_json(out / "bounds.json", payload)]
+    return {"bounds.json": payload}
 
 
-def _clt_sweep(config, params, seed, workers, out):
-    rows, summary = clt_sweep(_family(config, params), lambda n: np.ones(n),
+def _clt_sweep(config, params, seed, workers):
+    rows, summary = clt_sweep(_family("clt-sweep", config, params), lambda n: np.ones(n),
                               int(params.get("t", 3)), _q(params.get("q", "inf")),
                               params.get("n_list", [100, 400]),
                               int(params.get("R", 20000)), seed,
                               model_id=config["model"].get("type", "model"))
-    return [_write_rows(out / "clt_sweep.csv", rows, header=SWEEP_HEADER),
-            _write_json(out / "clt_summary.json", summary)]
+    return {"clt_sweep.csv": _table(rows), "clt_summary.json": summary}
 
 
-def _lln_sweep(config, params, seed, workers, out):
+def _lln_sweep(config, params, seed, workers):
     k = int(params.get("class_coords", 10))
-    rows = lln_sweep(_family(config, params), lambda n: sign_class(min(k, n), n),
+    rows = lln_sweep(_family("lln-sweep", config, params),
+                     lambda n: sign_class(min(k, n), n),
                      int(params.get("t", 3)), params.get("n_list", [100, 400]),
                      int(params.get("R", 2000)), seed,
                      x=float(params.get("x", float(np.e) ** 2)),
                      model_id=config["model"].get("type", "model"))
-    return [_write_rows(out / "lln_sweep.csv", rows)]
+    return {"lln_sweep.csv": _table(rows)}
 
 
-def _graphon(config, params, seed, workers, out):
+def _graphon(config, params, seed, workers):
     T = int(params.get("T", 3))
     rows = []
     for v in params.get("v_list", [8, 16]):
@@ -208,23 +235,22 @@ def _graphon(config, params, seed, workers, out):
         rows.append({"v": v, "edges": gmodel.n_edges,
                      "triangle_density_T": gd.triangle_density(P_seq[T]),
                      "clt_variance_T": gd.triangle_clt_variance(gmodel, A0, T)})
-    return [_write_rows(out / "graphon.csv", rows)]
+    return {"graphon.csv": _table(rows)}
 
 
-def _hanski_limit(config, params, seed, workers, out):
+def _hanski_limit(config, params, seed, workers):
     T = int(params.get("T", 5))
     rho0 = float(params.get("rho0", 0.5))
     model, _ = model_from_descriptor(config["model"])
     limit = hanski_limit(model, lambda z: np.full_like(z, rho0), T,
                          G=int(params.get("grid", 512)))
-    rows = [{"t": t, "mean_density": float((limit.weights * limit.rho[t]).sum()),
-             "mean_variance_density": float((limit.weights * limit.variance[t]).sum())}
-            for t in range(T + 1)]
-    return [_write_rows(out / "hanski_limit.csv", rows)]
+    return {"hanski_limit.csv": (["t", "mean_density", "mean_variance_density"], [
+        np.arange(T + 1), (limit.weights * limit.rho).sum(axis=1),
+        (limit.weights * limit.variance).sum(axis=1)])}
 
 
-#: task name -> function(config, params, seed, workers, out) returning the
-#: paths it wrote
+#: task name -> function(config, params, seed, workers) returning the
+#: artifacts in write order, ``{file name: JSON payload or (header, columns)}``
 TASKS = {
     "simulate": _simulate,
     "deterministic": _deterministic,
@@ -261,7 +287,8 @@ CONFIG_SCHEMA = {
                 "p0": {"type": ["number", "array"], "items": {"type": "number"}},
                 "h": {"anyOf": [{"enum": ["ones"]},
                                 {"type": "array", "items": {"type": "number"}}]},
-                "n_list": {"type": "array", "items": {"type": "integer"}},
+                "n_list": {"type": "array", "minItems": 1,
+                           "items": {"type": "integer", "minimum": 1}},
                 "grid": {"type": "integer", "minimum": 2},
                 "rho0": {"type": "number"},
                 "couple": {"type": "boolean"},
@@ -269,7 +296,8 @@ CONFIG_SCHEMA = {
                 "tol": {"type": "number"},
                 "max_iter": {"type": "integer"},
                 "class_coords": {"type": "integer", "minimum": 1},
-                "v_list": {"type": "array", "items": {"type": "integer"}},
+                "v_list": {"type": "array", "minItems": 1,
+                           "items": {"type": "integer", "minimum": 2}},
             },
         },
     },
@@ -287,13 +315,15 @@ def run_config(config, out_dir, seed_override=None, workers=1):
     params = dict(config.get("parameters", {}))
     if seed_override is not None:
         params["seed"] = seed_override
+    artifacts = TASKS[config["task"]](config, params, int(params.get("seed", 0)), workers)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    return TASKS[config["task"]](config, params, int(params.get("seed", 0)),
-                                 workers, out)
+    return [_write_csv(out / name, *content) if isinstance(content, tuple)
+            else _write_json(out / name, content)
+            for name, content in artifacts.items()]
 
 
-def _manifest(config, files, out, elapsed, workers):
+def _manifest(config, files, elapsed, workers):
     return {
         "config": config,
         "config_sha256": hashlib.sha256(_canonical(config).encode()).hexdigest(),
@@ -340,8 +370,7 @@ def main(argv=None):
     except OcclabError as exc:
         print(f"model error: {exc}", file=sys.stderr)
         return 3
-    manifest = _manifest(config, files, out_dir, time.time() - started,
-                         args.workers)
+    manifest = _manifest(config, files, time.time() - started, args.workers)
     _write_json(Path(out_dir) / "manifest.json", manifest)
     for f in files:
         print(f)

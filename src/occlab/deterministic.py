@@ -170,14 +170,3 @@ def spectral_radius(A, tol=1e-10, max_iter=10 ** 5, seed=0):
             x = g.random(n) + 0.5
             x /= np.linalg.norm(x)
     raise NotConvergedError("power iteration did not stabilize")
-
-
-def trajectory_to_csv(traj, path):
-    """CSV export (t, node, p) with full precision."""
-    import csv
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["t", "node", "p"])
-        for t in range(traj.p.shape[0]):
-            for i in range(traj.p.shape[1]):
-                wr.writerow([t, i, f"{traj.p[t, i]:.17g}"])

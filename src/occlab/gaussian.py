@@ -228,13 +228,3 @@ def lyapunov_solve(J, V, method="auto", tol=1e-12, max_iter=10 ** 6):
         raise NotConvergedError("Lyapunov fixed-point iteration exhausted budget")
 
     raise ValueError(f"unknown method {method!r}")
-
-
-def variance_to_csv(approx, h, path):
-    """CSV of (t, projected variance of <xi_t, h>)."""
-    import csv
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["t", "projected_variance"])
-        for t in range(approx.T + 1):
-            wr.writerow([t, f"{approx.projected_variance(h, t):.17g}"])

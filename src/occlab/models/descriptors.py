@@ -4,7 +4,8 @@ A descriptor is a JSON object with a ``type`` tag plus parameters; file
 references (reaction matrices as dense CSV, edge lists as two-column CSV,
 patch tables as CSV with columns z, a, s) are resolved relative to the
 descriptor's base directory.  Each type accepts only the keys listed in
-``_KEYS``; any other key (a misspelling, say) raises ``SchemaError``.  A
+``_KEYS``; any other key (a misspelling, say), a missing required key or
+a value the model rejects raises ``SchemaError``.  A
 ``graph`` descriptor without ``attachment`` uses the ``"linear"`` curve
 f(y) = attachment_scale * y.
 """
@@ -70,6 +71,8 @@ def model_from_descriptor(desc, base_dir="."):
     except KeyError as exc:
         raise SchemaError(f"{kind!r} descriptor is missing key "
                           f"{exc.args[0]!r}") from None
+    except ValueError as exc:
+        raise SchemaError(f"{kind!r} descriptor: {exc}") from None
 
 
 def _build(desc, base):

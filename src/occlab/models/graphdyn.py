@@ -28,7 +28,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from ..errors import TooLargeError
-from ..rules import CoefficientSet, OccupancyRule
+from ..rules import CoefficientSet, OccupancyRule, state_table
 
 
 @dataclass(frozen=True)
@@ -168,8 +168,7 @@ def cut_norm_exact(M):
     m = M.shape[0]
     if m > CUT_NORM_EXACT_CAP:
         raise TooLargeError(f"exact cut norm is capped at {CUT_NORM_EXACT_CAP} cells")
-    codes = np.arange(1, 2 ** m, dtype=np.int64)   # skip the empty set
-    U = ((codes[:, None] >> np.arange(m)[None, :]) & 1).astype(np.float64)
+    U = state_table(m)[1:]                          # skip the empty set
     S = U @ M                                       # column sums per subset
     pos = np.clip(S, 0.0, None).sum(axis=1)
     neg = np.clip(-S, 0.0, None).sum(axis=1)

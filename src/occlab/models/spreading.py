@@ -146,22 +146,15 @@ def spreading_rule(model):
 
     def jacobian(x, t=0):
         x = np.asarray(x, dtype=np.float64)
+        pf = prod_factor(x)
+        # inner[i, j] = -d_j prod_factor_i
         if model.domain_form == "exponential":
-            pf = prod_factor(x)
-            inner = S_mat / n * pf[:, None]          # -d_j prod_factor
-            if model.reinfection:
-                jac = (mu * x[:, None] + (1.0 - x)[:, None]) * inner
-                diag = (1.0 - mu * pf) - (1.0 - pf)
-            else:
-                jac = (1.0 - x)[:, None] * inner
-                diag = (1.0 - mu) - (1.0 - pf)
-            jac[np.arange(n), np.arange(n)] = diag
-            return jac
-        # product form: d_j prod_{k != i}(1 - r_ik x_k) = -r_ij * deleted product
-        # (1 - r_ij x_j >= 1 - r_ij > 0, so dividing the factor out is safe)
-        pf = _survive_product(model, x)
-        partial = pf[:, None] / (1.0 - R * x[None, :])
-        inner = R * partial                           # -d_j prod_factor, (i, j)
+            inner = S_mat / n * pf[:, None]
+        else:
+            # product form: d_j prod_{k != i}(1 - r_ik x_k) = -r_ij * deleted product
+            # (1 - r_ij x_j >= 1 - r_ij > 0, so dividing the factor out is safe)
+            partial = pf[:, None] / (1.0 - R * x[None, :])
+            inner = R * partial
         if model.reinfection:
             jac = (mu * x[:, None] + (1.0 - x)[:, None]) * inner
             diag = (1.0 - mu * pf) - (1.0 - pf)

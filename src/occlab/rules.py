@@ -204,6 +204,13 @@ def injected_variance(rule, p_prev, t_prev=0):
     return p_prev * s * (1.0 - s) + (1.0 - p_prev) * c * (1.0 - c)
 
 
+def state_table(n):
+    """All 2^n binary states as a (2^n, n) float array; row index is the
+    little-endian integer encoding (bit i of the index is node i)."""
+    codes = np.arange(2 ** n, dtype=np.int64)
+    return ((codes[:, None] >> np.arange(n)[None, :]) & 1).astype(np.float64)
+
+
 # ---------------------------------------------------------------------------
 # coefficient estimation
 # ---------------------------------------------------------------------------
@@ -230,8 +237,7 @@ def _corner_points(n, seed):
                           tag=rng.TAG_SAMPLER)[0]
     coords = np.argsort(pick_u)[:k]
     corners = np.repeat(base[None, :], 2 ** k, axis=0)
-    bits = (np.arange(2 ** k)[:, None] >> np.arange(k)[None, :]) & 1
-    corners[:, coords] = bits
+    corners[:, coords] = state_table(k)
     return corners
 
 

@@ -11,7 +11,6 @@ independent with mean exactly p_t.  The discrepancy bit J_{i,t} records
 whether node i has ever disagreed between the two chains up to time t.
 """
 
-import csv
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -21,7 +20,7 @@ import numpy as np
 
 from . import rng
 from .errors import SplitRequiredError, TooLargeError
-from .rules import evaluate_rule
+from .rules import evaluate_rule, state_table
 
 EXACT_LAW_CAP = 12
 EXACT_LAW_HARD_CAP = 16
@@ -183,13 +182,6 @@ def simulate_projections(rule, X0, T, R, seed, h, p_traj, keep_nodes=None,
 # exact small-n law
 # ---------------------------------------------------------------------------
 
-def state_table(n):
-    """All 2^n binary states as a (2^n, n) float array; row index is the
-    little-endian integer encoding (bit i of the index is node i)."""
-    codes = np.arange(2 ** n, dtype=np.int64)
-    return ((codes[:, None] >> np.arange(n)[None, :]) & 1).astype(np.float64)
-
-
 def state_index(x):
     x = np.asarray(x)
     return int((x.astype(np.int64) << np.arange(x.shape[-1])).sum())
@@ -260,30 +252,3 @@ def empirical_law(states_at_t, n):
 
 def total_variation(law_a, law_b):
     return 0.5 * float(np.abs(np.asarray(law_a) - np.asarray(law_b)).sum())
-
-
-# ---------------------------------------------------------------------------
-# exports
-# ---------------------------------------------------------------------------
-
-def ensemble_to_csv(ensemble, path):
-    """Columnar bit dump (replicate, t, node, bit); large for big ensembles."""
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["replicate", "t", "node", "bit"])
-        for r in range(ensemble.R):
-            for t in range(ensemble.T + 1):
-                row = ensemble.states[r, t]
-                for i in range(ensemble.n):
-                    wr.writerow([r, t, i, int(row[i])])
-
-
-def summary_to_csv(ensemble, path):
-    """Per-step summary: mean occupancy and, when coupled, mean discrepancy."""
-    occ = ensemble.occupancy_mean()
-    jb = ensemble.jbar().mean(axis=0) if ensemble.discrepancy is not None else None
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["t", "mean_occupancy", "jbar_mean"])
-        for t in range(ensemble.T + 1):
-            wr.writerow([t, f"{occ[t]:.17g}", "" if jb is None else f"{jb[t]:.17g}"])

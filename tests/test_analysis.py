@@ -5,7 +5,7 @@ from scipy import stats
 import occlab as ol
 from occlab.analysis import (NormalTarget, clt_sweep, ks_distance,
                              ks_null_quantiles, lln_sweep, project,
-                             rows_to_csv, sign_class, wasserstein1)
+                             sign_class, wasserstein1)
 from occlab.deterministic import det_trajectory
 from occlab.errors import TooLargeError
 from occlab.models import mean_field, spreading_rule
@@ -153,12 +153,3 @@ def test_singleton_class_reduces_to_mean_deviation():
     # the sup over a singleton is |mean occupancy deviation|: order n^{-1/2}
     assert 0 < rows[0]["q50"] <= 5 / np.sqrt(128)
     assert rows[0]["class_size"] == 1
-
-
-def test_rows_to_csv_roundtrip(tmp_path):
-    rows = [{"a": 1, "b": 0.5, "c": "x"}, {"a": 2, "b": 1.0 / 3.0, "c": "y"}]
-    path = tmp_path / "t.csv"
-    rows_to_csv(rows, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "a,b,c"
-    assert lines[2].startswith("2,0.33333333333333331,")

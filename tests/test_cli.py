@@ -1,11 +1,15 @@
+import csv
 import json
 import hashlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from occlab import cli
 from occlab.errors import SchemaError
+from occlab.models import mean_field, spreading_rule
+from occlab.simulate import simulate_ensemble
 
 
 def write_config(tmp_path, payload, name="cfg.json"):
@@ -39,6 +43,10 @@ def test_exit_codes(tmp_path, capsys):
                      "--out", str(tmp_path / "o2")]) == 2
 
 
+SPREADING = {"type": "spreading", "n": 8, "rbar": 0.5, "mu": 0.5}
+GRAPH = {"type": "graph", "q": 0.5, "attachment": "linear", "attachment_scale": 0.5, "v": 6}
+
+
 @pytest.mark.parametrize("model,task,params", [
     ({"type": "constant", "n": 3, "c": 0.4}, "simulate", {"x0": "bogus"}),
     ({"type": "constant", "n": 3, "c": 0.4}, "gaussian", {"h": "zeros"}),
@@ -47,6 +55,22 @@ def test_exit_codes(tmp_path, capsys):
     ({"type": "constant", "c": 0.4}, "deterministic", {}),
     ({"type": "spreading", "n": 8, "rbar": 0.5, "mu": 0.5, "reinfecton": True},
      "deterministic", {}),
+    # the sweeps size their model by n, which these models do not take
+    (GRAPH, "clt-sweep", {"n_list": [8]}),
+    ({"type": "linear", "A": [[0.1, 0.2], [0.3, 0.1]]}, "lln-sweep", {"n_list": [8]}),
+    ({"type": "spreading", "R_csv": "R.csv", "mu": 0.5}, "clt-sweep", {"n_list": [8]}),
+    ({"type": "hanski", "patch_csv": "patches.csv"}, "lln-sweep", {"n_list": [8]}),
+    # empty or out-of-range size lists
+    (SPREADING, "clt-sweep", {"n_list": []}),
+    (GRAPH, "graphon", {"v_list": []}),
+    (SPREADING, "clt-sweep", {"n_list": [0]}),
+    (SPREADING, "lln-sweep", {"n_list": [-3]}),
+    (GRAPH, "graphon", {"v_list": [1]}),
+    # values a model constructor rejects
+    ({"type": "domany_kinzel", "n": 2, "q1": 0.4, "q2": 0.7}, "deterministic", {}),
+    ({"type": "spreading", "n": 8, "rbar": 0.5, "mu": 1.5}, "deterministic", {}),
+    # a p0 list of the wrong length
+    ({"type": "constant", "n": 3, "c": 0.4}, "deterministic", {"p0": [0.1, 0.2]}),
 ])
 def test_bad_input_exits_2_without_traceback(tmp_path, capsys, model, task, params):
     path = write_config(tmp_path, {"model": model, "task": task, "parameters": params})
@@ -54,6 +78,45 @@ def test_bad_input_exits_2_without_traceback(tmp_path, capsys, model, task, para
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "Traceback" not in err
     assert not (tmp_path / "o" / "manifest.json").exists()
+
+
+def test_sweep_rejection_names_task_and_model(tmp_path):
+    cfg = {"model": GRAPH, "task": "clt-sweep", "parameters": {"n_list": [8]}}
+    with pytest.raises(SchemaError, match="'clt-sweep'.*'graph'"):
+        cli.run_config(cfg, tmp_path / "o")
+
+
+def test_write_csv_formats_cells(tmp_path):
+    path = cli._write_csv(tmp_path / "t.csv", ["a", "b", "c", "d"],
+                          [[1, 2, 30], [0.5, 1.0 / 3.0, float("inf")], ["x", "y", "z"],
+                           ["", "", ""]])
+    raw = path.read_bytes()
+    assert raw == (b"a,b,c,d\r\n1,0.5,x,\r\n2,0.33333333333333331,y,\r\n"
+                   b"30,inf,z,\r\n")
+    # a float column round-trips through its 17 significant digits
+    vals = np.random.default_rng(0).normal(size=50) * 10.0 ** np.arange(-25, 25)
+    cli._write_csv(path, ["v"], [vals])
+    assert [float(v) for v in path.read_text().split()[1:]] == vals.tolist()
+
+
+def test_states_csv_parses_back_to_ensemble(tmp_path, monkeypatch):
+    # a tiny write size: the table goes out one replicate per write
+    monkeypatch.setattr(cli, "_CSV_ROWS", 7)
+    cfg = {"model": {"type": "spreading", "n": 5, "rbar": 0.8, "mu": 0.3},
+           "task": "simulate",
+           "parameters": {"T": 2, "R": 11, "seed": 4, "x0": "half", "full_states": True}}
+    files = cli.run_config(cfg, tmp_path / "out")
+    assert [f.name for f in files] == ["summary.csv", "states.csv"]
+    ens = simulate_ensemble(spreading_rule(mean_field(5, 0.8, 0.3)),
+                            np.array([1, 1, 0, 0, 0], dtype=np.uint8), 2, 11, 4)
+    with open(files[1], newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["replicate", "t", "node", "bit"]
+    states = np.zeros_like(ens.states)
+    for r, t, i, bit in rows[1:]:
+        states[int(r), int(t), int(i)] = int(bit)
+    assert len(rows) == 1 + ens.states.size
+    assert np.array_equal(states, ens.states)
 
 
 def test_simulate_trivial_single_row(tmp_path):

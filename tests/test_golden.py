@@ -42,6 +42,8 @@ GOLDEN = {
         "b5487753aeda4442b89743ae20b63d7e2abc090c73f4c86012b93ea658a8f871",
     "simulate":
         "8057ccb941ed9679e5ae9471cc386b7b728474260ccb928a7fcc86b95619adac",
+    "simulate-uncoupled":
+        "92e8559a99337b28cf496beed9c3cbe3f9ac460b8256f96a2996bf75f5e3018b",
     "deterministic":
         "4f936d4842aead3ecce2264de39686ed18d21db8dcda59d212a9c4e107f5fba5",
     "equilibrium":
@@ -108,6 +110,10 @@ CONFIGS = {
     "simulate": {"model": SPREADING, "task": "simulate",
                  "parameters": {"T": 3, "R": 300, "seed": 3, "x0": "half",
                                 "couple": True, "full_states": True}},
+    # uncoupled: the summary's jbar_mean column is empty
+    "simulate-uncoupled": {"model": SPREADING, "task": "simulate",
+                           "parameters": {"T": 3, "R": 300, "seed": 3, "x0": "half",
+                                          "full_states": True}},
     "deterministic": {"model": HANSKI, "task": "deterministic",
                       "parameters": {"T": 6, "p0": 0.3}},
     "equilibrium": {"model": SPREADING, "task": "equilibrium",
