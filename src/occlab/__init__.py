@@ -27,6 +27,6 @@ from .bounds import (BoundReport, clt_rate_bound, concentration_bound,
                      lqr_error_bound, matrix_qr_norm, mean_functional_norms,
                      rademacher_exact, rademacher_mc)
 from .analysis import (DistanceReport, NormalTarget, clt_sweep, ks_distance,
-                       lln_sweep, project, sign_class, wasserstein1)
+                       lln_sweep, sign_class, wasserstein1)
 
 __version__ = "0.1.0"

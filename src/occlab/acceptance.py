@@ -20,10 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .analysis import NormalTarget, ks_distance, sign_class, _loglog_slope
-from .bounds import (concentration_bound, concentration_threshold,
-                     jbar_moment_bound, lqr_error_bound, mean_functional_norms,
-                     rademacher_mc)
+from .analysis import clt_point, lln_point, rate_summary, sign_class
+from .bounds import jbar_moment_bound, lqr_error_bound, mean_functional_norms
 from .deterministic import det_trajectory, find_equilibrium, spectral_radius
 from .gaussian import GaussianApprox, lyapunov_solve
 from .models import (DomanyKinzel, complete_host, dk_device_time, dk_rule,
@@ -166,17 +164,12 @@ def criterion_4(fast=False):
     values = []
     for n in n_list:
         rule = spreading_rule(mean_field(n, rbar=0.5, mu=0.5))
-        X0 = _half_start(n)
-        traj = det_trajectory(rule, X0.astype(float), t, want_jacobians=True)
-        ga = GaussianApprox(rule, traj)
-        res = simulate_projections(rule, X0, t, R,
-                                   rng.derive_seed(MASTER_SEED, f"c4-{n}"),
-                                   h=np.ones(n), p_traj=traj.p)
-        target = NormalTarget(0.0, ga.projected_variance(np.ones(n), t))
-        values.append(ks_distance(res["proj"][:, t], target,
-                                  seed=rng.derive_seed(MASTER_SEED, f"c4ks{n}")).value)
-    decreasing = all(a > b for a, b in zip(values, values[1:]))
-    slope = _loglog_slope(n_list, values)
+        rep, _ = clt_point(rule, _half_start(n), np.ones(n), t, math.inf, R,
+                           rng.derive_seed(MASTER_SEED, f"c4-{n}"),
+                           rng.derive_seed(MASTER_SEED, f"c4ks{n}"))
+        values.append(rep.value)
+    summary = rate_summary(n_list, values)
+    decreasing, slope = summary["strictly_decreasing"], summary["slope"]
     passed = decreasing and -0.75 <= slope <= -0.30
     detail = (f"KS distances {['%.4f' % v for v in values]}, slope {slope:.3f} "
               f"(window [-0.75, -0.30]), strictly decreasing: {decreasing}")
@@ -300,22 +293,10 @@ def criterion_8(fast=False):
     n = 10 ** 4
     R = 2000 if fast else 10 ** 4
     t, k = 3, 10
-    x = math.e ** 2
     rule = spreading_rule(mean_field(n, rbar=0.5, mu=0.5))
-    X0 = _half_start(n)
-    traj = det_trajectory(rule, X0.astype(float), t)
-    support = np.arange(k)
-    res = simulate_projections(rule, X0, t, R,
-                               rng.derive_seed(MASTER_SEED, "c8"),
-                               h=np.ones(n), p_traj=traj.p, keep_nodes=support)
-    dev = (res["nodes"][:, t, :].astype(float) - traj.p[t][support][None, :]) / n
-    H = sign_class(k, n)
-    sups = np.abs(dev @ H[:, support].T).max(axis=1)
-
-    coeffs = coefficient_schedule(rule, t)
-    rad, _ = rademacher_mc(H, 20000, rng.derive_seed(MASTER_SEED, "c8rad"))
-    rep = concentration_bound(coeffs, 1.0, rad, t, n, x)
-    thresh = concentration_threshold(coeffs, 1.0, rad, t, n, x)
+    sups, _, _, rep, thresh = lln_point(rule, _half_start(n), sign_class(k, n), t, R,
+                                        rng.derive_seed(MASTER_SEED, "c8"),
+                                        rng.derive_seed(MASTER_SEED, "c8rad"), math.e ** 2)
     exceed = float((sups > thresh).mean())
     se = math.sqrt(max(rep.value * (1 - rep.value), 1e-12) / R)
     passed = exceed <= rep.value + 2 * se

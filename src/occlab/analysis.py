@@ -1,9 +1,10 @@
 """Distributional diagnostics against the Gaussian companion.
 
-Projections of simulated ensembles, exact empirical Kolmogorov and
-1-Wasserstein distances to a normal target (or a second sample) with
-bootstrap standard errors, and the convergence sweeps that tabulate
-distance versus system size against the closed-form bounds.
+Exact empirical Kolmogorov and 1-Wasserstein distances to a normal target
+(or a second sample) with bootstrap standard errors, the per-size checks
+of the CLT (:func:`clt_point`) and of the uniform law of large numbers
+(:func:`lln_point`), and the convergence sweeps that tabulate them versus
+system size against the closed-form bounds.
 """
 
 import math
@@ -13,13 +14,13 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from . import rng
-from .errors import TooLargeError
+from .errors import OcclabError, TooLargeError
 from .bounds import (clt_rate_bound, concentration_bound,
                      concentration_threshold, rademacher_mc)
 from .deterministic import det_trajectory
 from .gaussian import GaussianApprox
 from .rules import coefficient_schedule, state_table
-from .simulate import simulate_ensemble, simulate_projections
+from .simulate import simulate_projections
 
 BOOTSTRAP_RESAMPLES = 200
 
@@ -52,19 +53,6 @@ class DistanceReport:
             raise ValueError("distances are nonnegative")
         if self.metric == "kolmogorov" and self.value > 1 + 1e-12:
             raise ValueError("a Kolmogorov distance cannot exceed 1")
-
-
-def project(states, det_p, h, t):
-    """Per-replicate projections n^{-1/2} sum_i h_i (X_{i,t} - p_{i,t}).
-
-    ``states`` is an ensemble bit tensor (R, T+1, n) or an object exposing
-    one as ``.states``.
-    """
-    arr = getattr(states, "states", states)
-    h = np.asarray(h, dtype=np.float64)
-    n = arr.shape[-1]
-    dev = arr[:, t, :].astype(np.float64) - np.asarray(det_p)[t][None, :]
-    return dev @ h / math.sqrt(n)
 
 
 def _ks_one_sample(sorted_x, target):
@@ -157,30 +145,34 @@ def wasserstein1(sample, target, seed=0):
 
 
 # ---------------------------------------------------------------------------
-# null calibration of the Kolmogorov statistic
-# ---------------------------------------------------------------------------
-
-def ks_null_quantiles(sample_size, n_sims=400, seed=2024):
-    """Null quantiles of the one-sample Kolmogorov statistic by simulation."""
-    g = np.random.Generator(np.random.Philox(key=rng.derive_seed(seed, "ks-null")))
-    target = NormalTarget(0.0, 1.0)
-    vals = np.empty(n_sims)
-    for i in range(n_sims):
-        vals[i] = _ks_one_sample(np.sort(g.standard_normal(sample_size)), target)
-    return {q: float(np.quantile(vals, q)) for q in (0.01, 0.5, 0.95, 0.99)}
-
-
-# ---------------------------------------------------------------------------
 # convergence sweeps
 # ---------------------------------------------------------------------------
 
-def _loglog_slope(ns, values):
-    if len(ns) < 2:
-        return float("nan")
-    lx = np.log(np.asarray(ns, dtype=np.float64))
-    ly = np.log(np.asarray(values, dtype=np.float64))
-    slope, _ = np.polyfit(lx, ly, 1)
-    return float(slope)
+
+def rate_summary(ns, values):
+    """Log-log slope of ``values`` against ``ns`` (NaN for one size) and
+    whether the values strictly decrease."""
+    slope = float("nan")
+    if len(ns) >= 2:
+        slope = float(np.polyfit(np.log(np.asarray(ns, dtype=np.float64)),
+                                 np.log(np.asarray(values, dtype=np.float64)), 1)[0])
+    return {"slope": slope,
+            "strictly_decreasing": all(a > b for a, b in zip(values, values[1:]))}
+
+
+def clt_point(rule, X0, h, t, q, R, sim_seed, dist_seed):
+    """Distance of <xi_t, h> over R replicates to its Gaussian limit.
+
+    Returns the :class:`DistanceReport` (Kolmogorov for q = inf, else
+    1-Wasserstein, bootstrapped from ``dist_seed``) and the
+    :class:`GaussianApprox` whose projected variance set the target.
+    """
+    traj = det_trajectory(rule, X0.astype(np.float64), t, want_jacobians=True)
+    approx = GaussianApprox(rule, traj)
+    res = simulate_projections(rule, X0, t, R, sim_seed, h=h, p_traj=traj.p)
+    target = NormalTarget(0.0, approx.projected_variance(h, t))
+    distance = ks_distance if math.isinf(q) else wasserstein1
+    return distance(res["proj"][:, t], target, seed=dist_seed), approx
 
 
 def clt_sweep(family, h_family, t, q, n_list, R, seed, model_id="model"):
@@ -189,33 +181,24 @@ def clt_sweep(family, h_family, t, q, n_list, R, seed, model_id="model"):
     ``family(n)`` returns (rule, X0); ``h_family(n)`` the projection vector.
     ``q`` selects the metric: 1 for Wasserstein, inf for Kolmogorov.  Rows
     have the keys model_id, n, t, q, metric, value, stderr and bound_c1; the
-    summary carries the log-log slope and a monotonicity flag.
+    summary is the :func:`rate_summary` of the distances.
     """
-    rows = []
-    for n in n_list:
+    def row(n):
+        # a function, so one size's approximation is freed before the next is built
         rule, X0 = family(n)
         h = np.asarray(h_family(n), dtype=np.float64)
-        traj = det_trajectory(rule, X0.astype(np.float64), t, want_jacobians=True)
-        approx = GaussianApprox(rule, traj)
-        res = simulate_projections(rule, X0, t, R, rng.derive_seed(seed, f"clt{n}"),
-                                   h=h, p_traj=traj.p)
-        sample = res["proj"][:, t]
-        target = NormalTarget(0.0, approx.projected_variance(h, t))
-        rep = (ks_distance if math.isinf(q) else wasserstein1)(sample, target, seed=seed)
+        rep, approx = clt_point(rule, X0, h, t, q, R,
+                                rng.derive_seed(seed, f"clt{n}"), seed)
         coeffs = coefficient_schedule(rule, t)
         try:
             bound = clt_rate_bound(coeffs, h, q, approx, t).value
-        except Exception:
+        except OcclabError:
             bound = float("nan")
-        rows.append({"model_id": model_id, "n": n, "t": t, "q": q,
-                     "metric": rep.metric, "value": rep.value,
-                     "stderr": rep.stderr, "bound_c1": bound})
-    values = [r["value"] for r in rows]
-    summary = {
-        "slope": _loglog_slope(n_list, values),
-        "strictly_decreasing": all(a > b for a, b in zip(values, values[1:])),
-    }
-    return rows, summary
+        return {"model_id": model_id, "n": n, "t": t, "q": q, "metric": rep.metric,
+                "value": rep.value, "stderr": rep.stderr, "bound_c1": bound}
+
+    rows = [row(n) for n in n_list]
+    return rows, rate_summary(n_list, [r["value"] for r in rows])
 
 
 def sign_class(k, n):
@@ -229,6 +212,34 @@ def sign_class(k, n):
     H = np.zeros((2 ** k, n))
     H[:, :k] = 1.0 - 2.0 * state_table(k)
     return H
+
+
+def lln_point(rule, X0, H, t, R, sim_seed, rad_seed, x):
+    """Class-uniform deviation at step t over R replicates.
+
+    ``H`` is the (m, n) projection class.  Only the nodes in its support
+    are kept, and a support wider than 64 nodes is limited to n <= 4096.
+    Returns the per-replicate exact suprema of |<Xbar_t - pbar_t, h>| over
+    the class, the Rademacher estimate (from ``rad_seed``) and its standard
+    error, the concentration report at ``x`` and the threshold it guards.
+    """
+    n = rule.n
+    support = np.nonzero(np.abs(H).sum(axis=0))[0]
+    if len(support) > 64 and n > 4096:
+        raise TooLargeError("dense projection classes are limited to n <= 4096")
+    traj = det_trajectory(rule, X0.astype(np.float64), t)
+    res = simulate_projections(rule, X0, t, R, sim_seed, h=np.ones(n),
+                               p_traj=traj.p, keep_nodes=support)
+    dev = (res["nodes"][:, t, :].astype(np.float64)
+           - traj.p[t][support][None, :]) / n
+    sups = np.abs(dev @ H[:, support].T).max(axis=1)
+
+    coeffs = coefficient_schedule(rule, t)
+    H_sup = float(np.abs(H).max())
+    rad, rad_se = rademacher_mc(H, 20000, rad_seed)
+    rep = concentration_bound(coeffs, H_sup, rad, t, n, x)
+    thresh = concentration_threshold(coeffs, H_sup, rad, t, n, x)
+    return sups, rad, rad_se, rep, thresh
 
 
 def lln_sweep(family, class_family, t, n_list, R, seed, x=math.e ** 2,
@@ -247,34 +258,13 @@ def lln_sweep(family, class_family, t, n_list, R, seed, x=math.e ** 2,
         H = np.atleast_2d(np.asarray(class_family(n), dtype=np.float64))
         if H.shape[0] > 10 ** 6:
             raise TooLargeError("projection class exceeds 1e6 vectors")
-        support = np.nonzero(np.abs(H).sum(axis=0))[0]
-        traj = det_trajectory(rule, X0.astype(np.float64), t)
-        sub_seed = rng.derive_seed(seed, f"lln{n}")
-        if len(support) <= 64:
-            res = simulate_projections(rule, X0, t, R, sub_seed,
-                                       h=np.ones(n), p_traj=traj.p,
-                                       keep_nodes=support)
-            dev = (res["nodes"][:, t, :].astype(np.float64)
-                   - traj.p[t][support][None, :]) / n
-            sups = np.abs(dev @ H[:, support].T).max(axis=1)
-        else:
-            if n > 4096:
-                raise TooLargeError(
-                    "dense projection classes are limited to n <= 4096")
-            ens = simulate_ensemble(rule, X0, t, R, sub_seed)
-            dev = (ens.states[:, t, :].astype(np.float64) - traj.p[t][None, :]) / n
-            sups = np.abs(dev @ H.T).max(axis=1)
-
-        coeffs = coefficient_schedule(rule, t)
-        H_sup = float(np.abs(H).max())
-        rad, rad_se = rademacher_mc(H, 20000, rng.derive_seed(seed, f"rad{n}"))
-        rep = concentration_bound(coeffs, H_sup, rad, t, n, x)
-        thresh = concentration_threshold(coeffs, H_sup, rad, t, n, x)
-        exceed = float((sups > thresh).mean())
+        sups, rad, rad_se, rep, thresh = lln_point(
+            rule, X0, H, t, R, rng.derive_seed(seed, f"lln{n}"),
+            rng.derive_seed(seed, f"rad{n}"), x)
         row = {"model_id": model_id, "n": n, "t": t, "x": x,
                "class_size": H.shape[0], "rademacher": rad,
                "rademacher_se": rad_se, "threshold": thresh,
-               "bound_c1": rep.value, "exceedance": exceed}
+               "bound_c1": rep.value, "exceedance": float((sups > thresh).mean())}
         for qq in quantiles:
             row[f"q{int(qq * 100)}"] = float(np.quantile(sups, qq))
         rows.append(row)

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import rng
 from .errors import DegenerateSigmaError, DomainError
-from .rules import CoefficientSchedule, kappa, state_table
+from .rules import CoefficientSchedule, _exp, kappa, state_table
 from .gaussian import sigma_form
 
 
@@ -36,12 +36,16 @@ def _schedule(coeffs):
     return coeffs if isinstance(coeffs, CoefficientSchedule) else CoefficientSchedule(coeffs)
 
 
-def _base_caveats(sched, with_constant):
+def _base_caveats(sched, with_constant, growth=0.0):
+    """``growth`` is the bound's sum of exponentials: inf when one overflowed,
+    which makes the bound vacuous."""
     out = []
     if with_constant:
         out.append("modulo universal constant C := 1")
     if sched.provenance == "sampled":
         out.append("lower-estimate inputs (sampled coefficients)")
+    if math.isinf(growth):
+        out.append("vacuous (an exponential overflowed to inf)")
     return out
 
 
@@ -98,7 +102,7 @@ def clt_rate_bound(coeffs, h, q, approx, t):
     """
     sched = _schedule(coeffs)
     if t < 1:
-        raise ValueError("rate bound is defined for t >= 1")
+        raise DomainError("rate bound is defined for t >= 1")
     if not (1 <= q):
         raise DomainError("q must lie in [1, inf]")
     h = np.asarray(h, dtype=np.float64)
@@ -111,13 +115,12 @@ def clt_rate_bound(coeffs, h, q, approx, t):
     for s in range(t - 1, -1, -1):
         sig = math.sqrt(max(sigma_form(approx.base.p[s + 1], g), 0.0))
         k_s = kappa(sched, s, n)
-        if sig < SIGMA_FLOOR:
-            if k_s > 0.0:
+        # kappa_s = 0 makes the term zero, whatever sigma and the exponential are
+        if k_s > 0.0:
+            if sig < SIGMA_FLOOR:
                 raise DegenerateSigmaError(
                     f"projected one-step deviation vanishes at step {s + 1}")
-            # numerator kappa_s = 0: the term is zero regardless
-        else:
-            total += (k_s * math.exp((4.0 - inv_q) * sched.alpha_window(s, t))
+            total += (k_s * _exp((4.0 - inv_q) * sched.alpha_window(s, t))
                       / sig ** (4.0 - 2.0 * inv_q))
         if s > 0:
             g = approx.jac(s).T @ g
@@ -126,7 +129,7 @@ def clt_rate_bound(coeffs, h, q, approx, t):
         value=value, formula_id="projection-rate",
         inputs={"q": q, "t": t, "n": n, "h_sup": hsup,
                 "provenance": sched.provenance},
-        caveats=_base_caveats(sched, with_constant=True))
+        caveats=_base_caveats(sched, with_constant=True, growth=total))
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +157,7 @@ def lqr_error_bound(df_norms, coeffs, q, r, t, n):
     df1 = float(df_norms["df_1"])
     df2q = float(df_norms["df_2q"])
     d2f1q = float(df_norms["d2f_1q"])
-    s_total = sum((1.0 / n + sched[s].psi) * math.exp(4.0 * r * sched.alpha_window(s, t))
+    s_total = sum((1.0 / n + sched[s].psi) * _exp(4.0 * r * sched.alpha_window(s, t))
                   for s in range(t))
     value = (6.0 * math.sqrt(math.pi) * n * r ** 1.5 * df1 * s_total
              + math.sqrt(math.pi * (q + r)) * df2q + 0.5 * d2f1q)
@@ -162,7 +165,7 @@ def lqr_error_bound(df_norms, coeffs, q, r, t, n):
         value=value, formula_id="functional-error",
         inputs={"q": q, "r": r, "t": t, "n": n, **{k: float(v) for k, v in df_norms.items()},
                 "provenance": sched.provenance},
-        caveats=_base_caveats(sched, with_constant=False))
+        caveats=_base_caveats(sched, with_constant=False, growth=s_total))
 
 
 def jbar_moment_bound(coeffs, q, t, n):
@@ -173,14 +176,14 @@ def jbar_moment_bound(coeffs, q, t, n):
     sched = _schedule(coeffs)
     if q < 1:
         raise DomainError("q must be >= 1")
-    value = 2.0 * q * sum(
+    growth = sum(
         (2.0 / n + 3.0 * sched[s].beta * math.sqrt(math.pi * q) + sched[s].gamma)
-        * math.exp(4.0 * q * sched.alpha_window(s, t))
+        * _exp(4.0 * q * sched.alpha_window(s, t))
         for s in range(t))
     return BoundReport(
-        value=value, formula_id="discrepancy-moment",
+        value=2.0 * q * growth, formula_id="discrepancy-moment",
         inputs={"q": q, "t": t, "n": n, "provenance": sched.provenance},
-        caveats=_base_caveats(sched, with_constant=False))
+        caveats=_base_caveats(sched, with_constant=False, growth=growth))
 
 
 # ---------------------------------------------------------------------------
@@ -215,8 +218,8 @@ def concentration_bound(coeffs, H, rad, t, n, x):
     first = math.exp(-0.5 * n * t ** 2 * x ** 2 * psi_t ** 2)
     denom = (1.0 + 4.0 * sched.alpha_window(0, t)) ** 2
     second = sum(
-        math.exp(-4.0 * sched.alpha_window(0, s) * math.log(x) ** 2 / denom
-                 + 4.0 * sched.alpha_window(0, s))
+        _exp(-4.0 * sched.alpha_window(0, s) * math.log(x) ** 2 / denom
+             + 4.0 * sched.alpha_window(0, s))
         for s in range(1, t + 1))
     raw = first + second
     caveats = _base_caveats(sched, with_constant=False)
@@ -244,11 +247,15 @@ def rademacher_mc(H_set, R, seed):
     """
     H = np.atleast_2d(np.asarray(H_set, dtype=np.float64))
     m, n = H.shape
+    # the class is zero off its support, so only those columns of the sign
+    # table (rng.signs' mapping of the whole-row draws) enter the sums
+    support = np.nonzero(np.abs(H).sum(axis=0))[0]
+    H = H[:, support]
     sups = np.empty(R)
     for r0 in range(0, R, rng.BLOCK):
         rows = min(rng.BLOCK, R - r0)
-        s = rng.signs(seed, 0, n, r0=r0, rows=rows)
-        sups[r0:r0 + rows] = (s @ H.T).max(axis=1) / n
+        u = rng.uniforms(seed, 0, n, r0=r0, rows=rows, tag=rng.TAG_RADEMACHER)[:, support]
+        sups[r0:r0 + rows] = (np.where(u < 0.5, -1.0, 1.0) @ H.T).max(axis=1) / n
     est = float(sups.mean())
     se = float(sups.std(ddof=1) / math.sqrt(R)) if R > 1 else float("inf")
     return est, se
@@ -284,7 +291,7 @@ def linearization_error_bound(d2_max, d3_row_max, coeffs, t, n):
     """
     sched = _schedule(coeffs)
     inner = 1.0 + sum((1.0 / n + n * sched[s].psi ** 2) * t
-                      * math.exp(16.0 * sched.alpha_window(s, t))
+                      * _exp(16.0 * sched.alpha_window(s, t))
                       for s in range(t))
     value = (math.sqrt(1.0 + math.log(n)) * inner
              * (n * d2_max + math.sqrt(n) * d3_row_max))
@@ -292,4 +299,4 @@ def linearization_error_bound(d2_max, d3_row_max, coeffs, t, n):
         value=value, formula_id="linearization-error",
         inputs={"t": t, "n": n, "d2_max": float(d2_max),
                 "d3_row_max": float(d3_row_max), "provenance": sched.provenance},
-        caveats=_base_caveats(sched, with_constant=True))
+        caveats=_base_caveats(sched, with_constant=True, growth=inner))

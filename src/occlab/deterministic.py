@@ -15,6 +15,13 @@ from . import rng
 from .errors import NotConvergedError
 from .rules import _check_domain, evaluate_rule, rule_jacobian
 
+#: smith_check takes the Jacobian "at the origin" this far inside the cube
+ORIGIN_EPS = 1e-8
+#: spectral_radius's power iteration (n > 2048): tolerance, step budget, seed
+POWER_TOL = 1e-10
+POWER_MAX_ITER = 10 ** 5
+POWER_SEED = 0
+
 
 @dataclass
 class EquilibriumResult:
@@ -28,7 +35,6 @@ class EquilibriumResult:
 class DeterministicTrajectory:
     p: np.ndarray                       # (T+1, n)
     jacobians: Optional[np.ndarray] = None  # (T, n, n), step t maps p_t -> p_{t+1}
-    equilibrium: Optional[EquilibriumResult] = None
 
     @property
     def T(self):
@@ -99,7 +105,7 @@ class SmithReport:
         return self.positivity and self.jacobian_monotonicity and self.not_all_absorbing
 
 
-def smith_check(rule, sample_budget=64, seed=0, eps_origin=1e-8):
+def smith_check(rule, sample_budget=64, seed=0):
     """Screen the uniqueness/attraction conditions on sampled ordered pairs."""
     if not rule.homogeneous:
         raise ValueError("the stability screen applies to homogeneous rules")
@@ -125,7 +131,7 @@ def smith_check(rule, sample_budget=64, seed=0, eps_origin=1e-8):
 
     p_at_one = evaluate_rule(rule, np.ones(n), 0)
     not_absorbing = bool((p_at_one < 1 - 1e-12).any())
-    j0 = rule_jacobian(rule, np.full(n, eps_origin), 0)
+    j0 = rule_jacobian(rule, np.full(n, ORIGIN_EPS), 0)
     return SmithReport(positivity=positivity, jacobian_monotonicity=monotone,
                        not_all_absorbing=not_absorbing,
                        spectral_radius_origin=spectral_radius(j0),
@@ -135,7 +141,7 @@ def smith_check(rule, sample_budget=64, seed=0, eps_origin=1e-8):
 _EIG_CAP = 2048
 
 
-def spectral_radius(A, tol=1e-10, max_iter=10 ** 5, seed=0):
+def spectral_radius(A):
     """Largest eigenvalue modulus of a square matrix.
 
     Dense eigenvalue computation up to n = 2048 (exact to machine
@@ -153,17 +159,17 @@ def spectral_radius(A, tol=1e-10, max_iter=10 ** 5, seed=0):
         return float(np.abs(np.linalg.eigvals(A)).max())
 
     B = np.abs(A)
-    g = np.random.Generator(np.random.Philox(key=rng.derive_seed(seed, "power")))
+    g = np.random.Generator(np.random.Philox(key=rng.derive_seed(POWER_SEED, "power")))
     x = g.random(n) + 0.5
     x /= np.linalg.norm(x)
     est = 0.0
-    for it in range(max_iter):
+    for it in range(POWER_MAX_ITER):
         y = B @ x
         norm = np.linalg.norm(y)
-        if norm <= tol:
+        if norm <= POWER_TOL:
             return 0.0
         x = y / norm
-        if abs(norm - est) <= tol * max(1.0, norm):
+        if abs(norm - est) <= POWER_TOL * max(1.0, norm):
             return float(norm)
         est = norm
         if it > 0 and it % 5000 == 0:   # stagnation: restart from fresh vector

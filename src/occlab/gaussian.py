@@ -59,15 +59,13 @@ class GaussianApprox:
                 p=base.p,
                 jacobians=np.stack([rule_jacobian(rule, base.p[t], t)
                                     for t in range(base.T)]) if base.T else
-                np.zeros((0, rule.n, rule.n)),
-                equilibrium=base.equilibrium)
+                np.zeros((0, rule.n, rule.n)))
         self.rule = rule
         self.base = base
         # noise actually injected per step (row 0 is zero: the start is fixed)
         self.V = np.zeros_like(base.p)
         for t in range(1, base.T + 1):
             self.V[t] = injected_variance(rule, base.p[t - 1], t - 1)
-        self.bernoulli_var = base.p * (1.0 - base.p)   # marginal form, for bounds
         self._sigma = None
 
     @classmethod
@@ -165,6 +163,10 @@ def simulate_gaussian(approx, R, seed):
 
 _DIRECT_N_CAP = 64
 
+#: iterative Lyapunov solver: step tolerance (max norm) and step budget
+LYAPUNOV_TOL = 1e-12
+LYAPUNOV_MAX_ITER = 10 ** 6
+
 
 @dataclass
 class LyapunovResult:
@@ -174,13 +176,13 @@ class LyapunovResult:
     iterations: int = 0
 
 
-def lyapunov_solve(J, V, method="auto", tol=1e-12, max_iter=10 ** 6):
+def lyapunov_solve(J, V, method="auto"):
     """Solve Q = J Q J^T + V.
 
     method 'direct' vectorizes to an n^2 x n^2 linear solve (default for
-    n <= 64); 'iterative' runs the fixed-point recursion to a max-norm
-    residual of ``tol`` (default above).  A solution exists iff no pair of
-    eigenvalues of J multiplies to one; the practical precondition is
+    n <= 64); 'iterative' runs the fixed-point recursion until a step moves
+    Q by at most ``LYAPUNOV_TOL`` (default above).  A solution exists iff
+    no pair of eigenvalues of J multiplies to one; the practical precondition is
     spectral radius < 1, which the iterative path effectively requires.
     """
     J = np.asarray(J, dtype=np.float64)
@@ -217,11 +219,11 @@ def lyapunov_solve(J, V, method="auto", tol=1e-12, max_iter=10 ** 6):
             raise NotConvergedError(
                 f"fixed-point iteration needs spectral radius < 1 (got {r:.6g})")
         Q = V.copy()
-        for it in range(1, max_iter + 1):
+        for it in range(1, LYAPUNOV_MAX_ITER + 1):
             Qn = J @ Q @ J.T + V
             gap = float(np.abs(Qn - Q).max())
             Q = Qn
-            if gap <= tol:
+            if gap <= LYAPUNOV_TOL:
                 res = float(np.abs(Q - J @ Q @ J.T - V).max())
                 return LyapunovResult(Q=Q, residual=res, method="iterative",
                                       iterations=it)

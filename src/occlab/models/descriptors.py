@@ -5,9 +5,9 @@ references (reaction matrices as dense CSV, edge lists as two-column CSV,
 patch tables as CSV with columns z, a, s) are resolved relative to the
 descriptor's base directory.  Each type accepts only the keys listed in
 ``_KEYS``; any other key (a misspelling, say), a missing required key or
-a value the model rejects raises ``SchemaError``.  A
-``graph`` descriptor without ``attachment`` uses the ``"linear"`` curve
-f(y) = attachment_scale * y.
+a value the model rejects, a size ``n`` below 1 or a ``graph`` vertex count
+``v`` below 2 raises ``SchemaError``.  A ``graph`` descriptor without
+``attachment`` uses the ``"linear"`` curve f(y) = attachment_scale * y.
 """
 
 import json
@@ -67,6 +67,9 @@ def model_from_descriptor(desc, base_dir="."):
     if unknown:
         raise SchemaError(f"{kind!r} descriptor has unknown key {unknown[0]!r}")
     try:
+        for key, least in (("n", 1), ("v", 2)):
+            if key in desc and int(desc[key]) < least:
+                raise SchemaError(f"{kind!r} descriptor needs {key} >= {least}")
         return _build(desc, Path(base_dir))
     except KeyError as exc:
         raise SchemaError(f"{kind!r} descriptor is missing key "

@@ -15,10 +15,10 @@ follows
 with d_t the degree function of W_t.  The same recursion on the host's own
 step partition reproduces the finite deterministic trajectory exactly.
 
-Graph functionals: cut norms (exact by enumeration up to 16 vertices,
-random-restart heuristic beyond), homomorphism densities for small simple
-graphs, and the variance functionals that govern the normal limit of the
-triangle density along the chain.
+Graph functionals: cut norms (exact by enumeration up to 16 vertices),
+homomorphism densities for small simple graphs, and the variance
+functionals that govern the normal limit of the triangle density along
+the chain.
 """
 
 import math
@@ -173,34 +173,6 @@ def cut_norm_exact(M):
     pos = np.clip(S, 0.0, None).sum(axis=1)
     neg = np.clip(-S, 0.0, None).sum(axis=1)
     return float(max(pos.max(), neg.max()) / m ** 2)
-
-
-def cut_norm_heuristic(M, restarts=200, seed=0):
-    """Alternating-ascent lower bound on the cut norm (random restarts)."""
-    M = np.asarray(M, dtype=np.float64)
-    m = M.shape[0]
-    g = np.random.Generator(np.random.Philox(key=seed))
-    best = 0.0
-    for sign in (1.0, -1.0):
-        A = sign * M
-        for _ in range(restarts // 2):
-            vset = (g.random(m) < 0.5).astype(np.float64)
-            for _ in range(64):
-                uset = (A @ vset > 0).astype(np.float64)
-                vnew = (uset @ A > 0).astype(np.float64)
-                if (vnew == vset).all():
-                    break
-                vset = vnew
-            best = max(best, float(uset @ A @ vset))
-    return best / m ** 2
-
-
-def cut_norm(M, exact_cap=CUT_NORM_EXACT_CAP, restarts=200, seed=0):
-    """Cut norm: exact when the grid is small, else a labeled lower bound."""
-    M = np.asarray(M, dtype=np.float64)
-    if M.shape[0] <= exact_cap:
-        return cut_norm_exact(M), "exact"
-    return cut_norm_heuristic(M, restarts=restarts, seed=seed), "lower-bound"
 
 
 def triangle_density(W):

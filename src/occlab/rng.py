@@ -18,6 +18,10 @@ import numpy as np
 # every stream, so it is part of the reproducibility contract.
 BLOCK = 4096
 
+# Rows one (seed, tag, t) can address: the generator key packs the block
+# index into the 20 bits below t, so a block index of 2**20 reuses a key.
+MAX_ROWS = BLOCK * 2 ** 20
+
 # Stream tags keep distinct uses of the same (seed, t) from colliding.
 TAG_CHAIN = 0       # U_{i,t} shared by the chain and its coupling
 TAG_GAUSS = 1       # standard normals for the autoregressive approximation
@@ -53,9 +57,10 @@ def _block_draw(draw, seed, tag, t, n, r0, rows):
         r = r0 + filled
         block, offset = divmod(r, BLOCK)
         take = min(BLOCK - offset, rows - filled)
+        # Philox fills a block in order, so its first offset + take rows
+        # are the same whichever number of rows is drawn
         g = _generator(seed, tag, t, block)
-        full = draw(g, (BLOCK, n))
-        out[filled:filled + take] = full[offset:offset + take]
+        out[filled:filled + take] = draw(g, (offset + take, n))[offset:]
         filled += take
     return out
 

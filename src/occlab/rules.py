@@ -217,6 +217,10 @@ def state_table(n):
 
 _SAMPLED_N_CAP = 64
 
+#: sampled points and sampler seed behind coefficients of rules without an oracle
+ESTIMATOR_BUDGET = 128
+ESTIMATOR_SEED = 0
+
 
 def _latin_hypercube(n_points, n_dims, seed):
     u = rng.uniforms(rng.derive_seed(seed, "lhs"), 0, n_dims, rows=n_points,
@@ -241,7 +245,7 @@ def _corner_points(n, seed):
     return corners
 
 
-def estimate_coefficients(rule, t=0, budget=128, seed=0):
+def estimate_coefficients(rule, t=0, budget=ESTIMATOR_BUDGET, seed=ESTIMATOR_SEED):
     """Sampled coefficient estimation by finite differences.
 
     Maximizes absolute finite-difference derivatives over ``budget``
@@ -319,22 +323,29 @@ def estimate_coefficients(rule, t=0, budget=128, seed=0):
                           gamma=gamma, delta=delta, provenance="sampled")
 
 
-def coefficients(rule, t=0, estimator_budget=128, seed=0):
+def coefficients(rule, t=0):
     """Coefficient set at step t: analytic oracle if available, else sampled."""
     if rule.coeff_oracle is not None:
         cs = rule.coeff_oracle(t)
         if not isinstance(cs, CoefficientSet):
             raise TypeError("coefficient oracle must return a CoefficientSet")
         return cs
-    return estimate_coefficients(rule, t, budget=estimator_budget, seed=seed)
+    return estimate_coefficients(rule, t)
 
 
-def coefficient_schedule(rule, t_max, estimator_budget=128, seed=0):
+def coefficient_schedule(rule, t_max):
     """Schedule covering steps 0..t_max (single broadcast set if homogeneous)."""
     if rule.homogeneous:
-        return CoefficientSchedule(coefficients(rule, 0, estimator_budget, seed))
-    return CoefficientSchedule(
-        [coefficients(rule, t, estimator_budget, seed) for t in range(t_max + 1)])
+        return CoefficientSchedule(coefficients(rule, 0))
+    return CoefficientSchedule([coefficients(rule, t) for t in range(t_max + 1)])
+
+
+def _exp(x):
+    """``math.exp``, but ``inf`` where the result overflows a float."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
 
 
 def kappa(coeffs, t, n):
@@ -354,7 +365,7 @@ def kappa(coeffs, t, n):
     total = 0.0
     for s in range(t):
         pscale = coeffs[s].psi * math.sqrt(n)
-        total += (1.0 + pscale * (1.0 + pscale)) * t * math.exp(16.0 * coeffs.alpha_window(s, t))
+        total += (1.0 + pscale * (1.0 + pscale)) * t * _exp(16.0 * coeffs.alpha_window(s, t))
     return lead * total
 
 

@@ -76,6 +76,9 @@ def _checked(rule, X0, T, R, couple, p_traj):
     """Validated (X0, p_traj); raises before the caller allocates anything."""
     if R < 1:
         raise ValueError("R must be >= 1")
+    if R > rng.MAX_ROWS:
+        raise TooLargeError(f"R = {R} exceeds the {rng.MAX_ROWS} replicates "
+                            "the keyed streams address")
     X0 = np.asarray(X0, dtype=np.uint8)
     if X0.shape != (rule.n,):
         raise ValueError(f"X0 must have shape ({rule.n},)")

@@ -2,23 +2,11 @@ import numpy as np
 import pytest
 from scipy import stats
 
-import occlab as ol
-from occlab.analysis import (NormalTarget, clt_sweep, ks_distance,
-                             ks_null_quantiles, lln_sweep, project,
+from occlab import analysis
+from occlab.analysis import (NormalTarget, clt_sweep, ks_distance, lln_sweep,
                              sign_class, wasserstein1)
-from occlab.deterministic import det_trajectory
 from occlab.errors import TooLargeError
 from occlab.models import mean_field, spreading_rule
-from occlab.simulate import simulate_ensemble
-
-
-def test_project_trivia():
-    rule = ol.constant_rule(5, 0.4)
-    ens = simulate_ensemble(rule, np.zeros(5, dtype=np.uint8), 2, 100, seed=0)
-    traj = det_trajectory(rule, np.zeros(5), 2)
-    assert np.allclose(project(ens, traj.p, np.zeros(5), 2), 0.0)
-    vals = project(ens, traj.p, np.ones(5), 1)
-    assert abs(vals.mean()) <= 4 * vals.std(ddof=1) / 10 + 1e-12
 
 
 def test_ks_against_scipy():
@@ -90,17 +78,6 @@ def test_w1_one_sample_against_quadrature():
     assert wasserstein1(s, target).value == pytest.approx(quad, abs=1e-5)
 
 
-def test_ks_null_calibration():
-    qs = ks_null_quantiles(10 ** 4, n_sims=120, seed=7)
-    # distribution-free null: statistic concentrates near 0.43 / sqrt(m)
-    assert 0.002 <= qs[0.5] <= 0.02
-    g = np.random.default_rng(8)
-    observed = ks_distance(g.standard_normal(10 ** 4), NormalTarget(0, 1)).value
-    assert qs[0.01] * 0.2 <= observed <= qs[0.99] * 2.0
-    # the calibration is a pure function of its arguments
-    assert ks_null_quantiles(10 ** 4, n_sims=120, seed=7) == qs
-
-
 def family(n):
     rule = spreading_rule(mean_field(n, rbar=0.5, mu=0.5))
     X0 = np.zeros(n, dtype=np.uint8)
@@ -117,6 +94,16 @@ def test_clt_sweep_distances_shrink():
     assert summary["slope"] < -0.2
     for r in rows:
         assert np.isfinite(r["bound_c1"])
+
+
+def test_clt_sweep_lets_programming_errors_through(monkeypatch):
+    # only occlab's own errors turn a bound into NaN; anything else is a bug
+    def broken(*args):
+        raise RuntimeError("bug in the bound")
+
+    monkeypatch.setattr(analysis, "clt_rate_bound", broken)
+    with pytest.raises(RuntimeError, match="bug in the bound"):
+        clt_sweep(family, lambda n: np.ones(n), t=1, q=1, n_list=[20], R=50, seed=1)
 
 
 def test_clt_sweep_bootstrap_scaling():

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import occlab as ol
+from occlab import rng
+from occlab.analysis import sign_class
 from occlab.bounds import (clt_rate_bound, concentration_bound, finite_class_bound,
                            induced_l1, jbar_moment_bound, linearization_error_bound,
                            lqr_error_bound, matrix_qr_norm, mean_functional_norms,
@@ -216,6 +218,17 @@ def test_rademacher_sign_pair_matches_enumeration():
     g = np.random.default_rng(2)
     brute = np.abs(np.where(g.random((200000, n)) < 0.5, -1, 1).mean(axis=1)).mean()
     assert exact == pytest.approx(brute, abs=0.002)
+
+
+def test_rademacher_matches_full_row_sums():
+    # a sign class on 3 of 40 coordinates: sums over its support columns equal
+    # the sums over whole rows of the sign table, across a block boundary
+    n, R = 40, rng.BLOCK + 100
+    H = sign_class(3, n)
+    sups = np.concatenate([
+        (rng.signs(5, 0, n, r0=r0, rows=min(rng.BLOCK, R - r0)) @ H.T).max(axis=1) / n
+        for r0 in range(0, R, rng.BLOCK)])
+    assert rademacher_mc(H, R, 5) == (sups.mean(), sups.std(ddof=1) / math.sqrt(R))
 
 
 def test_rademacher_finite_class_bound():

@@ -71,6 +71,10 @@ GRAPH = {"type": "graph", "q": 0.5, "attachment": "linear", "attachment_scale": 
     ({"type": "spreading", "n": 8, "rbar": 0.5, "mu": 1.5}, "deterministic", {}),
     # a p0 list of the wrong length
     ({"type": "constant", "n": 3, "c": 0.4}, "deterministic", {"p0": [0.1, 0.2]}),
+    # sizes below the least a model takes
+    ({"type": "random_product", "n": 0}, "simulate", {}),
+    ({"type": "spreading", "n": 0, "rbar": 0.5, "mu": 0.5}, "simulate", {}),
+    ({**GRAPH, "v": 1}, "deterministic", {}),
 ])
 def test_bad_input_exits_2_without_traceback(tmp_path, capsys, model, task, params):
     path = write_config(tmp_path, {"model": model, "task": task, "parameters": params})
@@ -78,6 +82,37 @@ def test_bad_input_exits_2_without_traceback(tmp_path, capsys, model, task, para
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "Traceback" not in err
     assert not (tmp_path / "o" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("model,task,params", [
+    # more replicates than the keyed streams address
+    ({"type": "constant", "n": 3, "c": 0.4}, "simulate", {"R": 5_000_000_000}),
+])
+def test_model_error_exits_3_without_traceback(tmp_path, capsys, model, task, params):
+    path = write_config(tmp_path, {"model": model, "task": task, "parameters": params})
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("model error:") and "Traceback" not in err
+    assert not (tmp_path / "o" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("model,t,failed", [
+    # the rate bound needs t >= 1: recorded as an error
+    (SPREADING, 0, "projection_rate"),
+    # the rate bound's exponential leaves the float range: inf, flagged vacuous
+    ({**SPREADING, "n": 40, "rbar": 20}, 5, None),
+])
+def test_bounds_edge_inputs_exit_0(tmp_path, capsys, model, t, failed):
+    path = write_config(tmp_path, {"model": model, "task": "bounds", "parameters": {"t": t}})
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    payload = json.loads((tmp_path / "o" / "bounds.json").read_text())
+    if failed:
+        assert "t >= 1" in payload[failed]["error"]
+    else:
+        rate = payload["projection_rate"]
+        assert rate["value"] == float("inf")
+        assert any("vacuous" in c for c in rate["caveats"])
 
 
 def test_sweep_rejection_names_task_and_model(tmp_path):

@@ -9,8 +9,7 @@ from occlab.models import (complete_host, graph_rule, graphon_step,
                            graphon_trajectory, homomorphism_density,
                            lambda_kernel, model_from_descriptor,
                            triangle_clt_variance, triangle_density)
-from occlab.models.graphdyn import (clt_functionals, cut_norm,
-                                    cut_norm_exact, cut_norm_heuristic,
+from occlab.models.graphdyn import (clt_functionals, cut_norm_exact,
                                     deterministic_edge_matrices,
                                     edge_state_to_adjacency, injected_noise_matrix,
                                     variance_density)
@@ -47,22 +46,6 @@ def test_homomorphism_density_vertex_cap():
 def test_cut_norm_exact_cap():
     with pytest.raises(TooLargeError):
         cut_norm_exact(np.ones((17, 17)))
-    val, label = cut_norm(np.full((20, 20), 0.2))
-    assert label == "lower-bound"
-    assert val <= 0.2 + 1e-12
-
-
-def test_cut_norm_heuristic_bounded_by_exact():
-    g = np.random.default_rng(0)
-    hits = 0
-    for k in range(100):
-        M = g.standard_normal((12, 12)) * 0.3
-        M = 0.5 * (M + M.T)
-        exact = cut_norm_exact(M)
-        heur = cut_norm_heuristic(M, restarts=200, seed=k)
-        assert heur <= exact + 1e-10
-        hits += heur >= exact - 1e-10
-    assert hits >= 95
 
 
 def test_graphon_step_range_and_symmetry():

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from occlab import rng
 
@@ -13,6 +14,16 @@ def test_reproducible_and_prefix_stable():
     # crossing a block boundary changes nothing about earlier rows
     wide = rng.uniforms(123, t=4, n=7, r0=0, rows=rng.BLOCK + 5)
     assert np.array_equal(wide[:100], a)
+
+
+@pytest.mark.parametrize("table", [rng.uniforms, rng.normals, rng.signs])
+def test_partial_rows_match_full_block_tables(table):
+    # rows=BLOCK from a block start draws each block's whole table
+    full = np.vstack([table(17, 2, 3, r0=b * rng.BLOCK, rows=rng.BLOCK) for b in (0, 1)])
+    for r0 in (0, 1, rng.BLOCK - 1):
+        assert np.array_equal(table(17, 2, 3, r0=r0, rows=1), full[r0:r0 + 1])
+    span = slice(rng.BLOCK - 5, rng.BLOCK + 7)
+    assert np.array_equal(table(17, 2, 3, r0=span.start, rows=12), full[span])
 
 
 def test_streams_distinct():

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import occlab as ol
+from occlab import rng
 from occlab.errors import SplitRequiredError, TooLargeError
 from occlab.models import DomanyKinzel, dk_rule, mean_field, spreading_rule
 from occlab.models import dk_device_time, dk_exact_mean_zeta2, random_product_rule
@@ -77,6 +80,21 @@ def test_coupled_requires_split():
     with pytest.raises(SplitRequiredError):
         simulate_ensemble(rule, np.zeros(2, dtype=np.uint8), 1, 2, seed=0,
                           couple=True, p_traj=np.full((2, 2), 0.5))
+
+
+def test_replicates_beyond_stream_keys_rejected_before_allocation():
+    # block indices of 2^20 and up would reuse the generator keys of step t + 1
+    rule = ol.constant_rule(3, 0.5)
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLargeError):
+            simulate_projections(rule, np.zeros(3, dtype=np.uint8), 1,
+                                 rng.BLOCK * 2 ** 20 + 1, 0, h=np.ones(3),
+                                 p_traj=np.full((2, 3), 0.5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def test_coupling_state_independent_rule_never_disagrees():
