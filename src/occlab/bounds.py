@@ -152,7 +152,7 @@ def lqr_error_bound(df_norms, coeffs, q, r, t, n):
             + sqrt(pi (q+r)) df_2q + d2f_1q / 2
     """
     sched = _schedule(coeffs)
-    if q < 1 or r < 1:
+    if not (1 <= q < math.inf and 1 <= r < math.inf):
         raise DomainError("q and r must lie in [1, inf)")
     df1 = float(df_norms["df_1"])
     df2q = float(df_norms["df_2q"])
@@ -174,8 +174,8 @@ def jbar_moment_bound(coeffs, q, t, n):
     value = 2q sum_{s<t} (2/n + 3 beta_s sqrt(pi q) + gamma_s) e^{4 q alpha_{s,t}}
     """
     sched = _schedule(coeffs)
-    if q < 1:
-        raise DomainError("q must be >= 1")
+    if not 1 <= q < math.inf:
+        raise DomainError("q must lie in [1, inf)")
     growth = sum(
         (2.0 / n + 3.0 * sched[s].beta * math.sqrt(math.pi * q) + sched[s].gamma)
         * _exp(4.0 * q * sched.alpha_window(s, t))

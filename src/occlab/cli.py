@@ -179,7 +179,13 @@ def _gaussian(config, params, seed, workers):
     return {"projected_variance.csv": _long_table(["t", "projected_variance"], var)}
 
 
-def _report(rep):
+def _report(bound, *args):
+    """``bound(*args)`` as a JSON record, or ``{"error": ...}`` if its inputs
+    are outside its domain."""
+    try:
+        rep = bound(*args)
+    except OcclabError as exc:
+        return {"error": str(exc)}
     return {"value": rep.value, "formula": rep.formula_id,
             "inputs": rep.inputs, "caveats": rep.caveats}
 
@@ -193,16 +199,12 @@ def _bounds(config, params, seed, workers):
     h = _vector(params, "h", "ones", n, np.float64)
     coeffs = coefficient_schedule(rule, t)
     approx = GaussianApprox.from_rule(rule, _vector(params, "p0", 0.5, n, np.float64), t)
-    payload = {
-        "discrepancy_moment": _report(jbar_moment_bound(coeffs, q, t, n)),
-        "mean_functional_error": _report(lqr_error_bound(
-            mean_functional_norms(n), coeffs, q, r, t, n)),
-    }
-    try:
-        payload["projection_rate"] = _report(clt_rate_bound(coeffs, h, q, approx, t))
-    except OcclabError as exc:
-        payload["projection_rate"] = {"error": str(exc)}
-    return {"bounds.json": payload}
+    return {"bounds.json": {
+        "discrepancy_moment": _report(jbar_moment_bound, coeffs, q, t, n),
+        "mean_functional_error": _report(lqr_error_bound, mean_functional_norms(n),
+                                         coeffs, q, r, t, n),
+        "projection_rate": _report(clt_rate_bound, coeffs, h, q, approx, t),
+    }}
 
 
 def _clt_sweep(config, params, seed, workers):
@@ -304,11 +306,14 @@ CONFIG_SCHEMA = {
 }
 
 
+#: built once: ``jsonschema.validate`` would check the schema itself on every run
+_VALIDATOR = jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
+
+
 def run_config(config, out_dir, seed_override=None, workers=1):
     """Execute one experiment; returns the list of files written."""
-    try:
-        jsonschema.validate(config, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
+    exc = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(config))
+    if exc is not None:
         raise SchemaError(f"config invalid at /{'/'.join(map(str, exc.path))}: "
                           f"{exc.message}") from exc
 

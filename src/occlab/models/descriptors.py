@@ -4,10 +4,11 @@ A descriptor is a JSON object with a ``type`` tag plus parameters; file
 references (reaction matrices as dense CSV, edge lists as two-column CSV,
 patch tables as CSV with columns z, a, s) are resolved relative to the
 descriptor's base directory.  Each type accepts only the keys listed in
-``_KEYS``; any other key (a misspelling, say), a missing required key or
-a value the model rejects, a size ``n`` below 1 or a ``graph`` vertex count
-``v`` below 2 raises ``SchemaError``.  A ``graph`` descriptor without
-``attachment`` uses the ``"linear"`` curve f(y) = attachment_scale * y.
+``_KEYS``; any other key (a misspelling, say), a missing required key, a
+value of the wrong type or one the model rejects, a size ``n`` below 1 or
+a ``graph`` vertex count ``v`` below 2 raises ``SchemaError``.  A
+``graph`` descriptor without ``attachment`` uses the ``"linear"`` curve
+f(y) = attachment_scale * y.
 """
 
 import json
@@ -74,7 +75,7 @@ def model_from_descriptor(desc, base_dir="."):
     except KeyError as exc:
         raise SchemaError(f"{kind!r} descriptor is missing key "
                           f"{exc.args[0]!r}") from None
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:   # e.g. "n": null or "mu": 1.5
         raise SchemaError(f"{kind!r} descriptor: {exc}") from None
 
 

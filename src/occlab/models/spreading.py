@@ -15,8 +15,12 @@ product form on binary states and exposes rank-one second derivatives.
 
 Analytic coefficient summaries: alpha is the max column sum of R, the
 mean-square coefficient is ||R||_F / sqrt(n), the mixed-second budget is
-the largest element of (R+I)^T (R+I) - I, the pure-second and third
-budgets vanish (each local rule is multilinear).
+the largest element of the Gram matrix G = (R+I)^T (R+I) - I, the
+pure-second and third budgets vanish (each local rule is multilinear).
+For uniform reactions r_ij = r (i != j) these are closed forms, computed
+in O(1) without R: alpha = (n-1) r, beta = r sqrt(n-1), and G has
+diagonal (n-1) r^2 and off-diagonal 2r + (n-2) r^2, the larger of which
+is big_gamma.
 """
 
 import math
@@ -49,9 +53,17 @@ class SpreadingModel:
             raise ValueError("recovery probability must lie in [0, 1]")
         if self.domain_form not in ("product", "exponential"):
             raise ValueError("domain_form must be 'product' or 'exponential'")
-        # uniform all-to-all reactions admit an O(n) update; detect once
-        off = R[~np.eye(R.shape[0], dtype=bool)]
-        uniform = float(off[0]) if off.size and (off == off[0]).all() else None
+        # uniform all-to-all reactions admit an O(n) update; detect once.
+        # The diagonal is zero, so R is uniform iff n^2 - n entries equal R[0, 1]
+        # (or all n^2 when that is 0); counting row blocks copies no n x n array.
+        n = R.shape[0]
+        uniform = None
+        if n > 1:
+            r = float(R[0, 1])
+            hits = sum(int(np.count_nonzero(R[lo:lo + 256] == r))
+                       for lo in range(0, n, 256))
+            if hits == (n * n if r == 0.0 else n * n - n):
+                uniform = r
         object.__setattr__(self, "_uniform_r", uniform)
 
     @property
@@ -165,6 +177,14 @@ def spreading_rule(model):
         return jac
 
     def coeff_oracle(t):
+        r = model._uniform_r
+        if r is not None:   # set only for n >= 2; G is never formed
+            return CoefficientSet(
+                alpha=(n - 1) * r,
+                beta=r * math.sqrt(n - 1),
+                big_gamma=max(2 * r + (n - 2) * r * r, (n - 1) * r * r),
+                gamma=0.0,
+                delta=0.0)
         off = ~np.eye(n, dtype=bool)
         G = (R + np.eye(n)).T @ (R + np.eye(n)) - np.eye(n)
         return CoefficientSet(

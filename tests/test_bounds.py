@@ -147,6 +147,17 @@ def test_jbar_moment_trivial():
     assert rep.value == pytest.approx(4 * 2 * 3 / 50)
 
 
+def test_lq_bounds_reject_infinite_q():
+    norms = {"df_1": 0.1, "df_2q": 0.1, "d2f_1q": 0.0}
+    for q in (INF, float("nan")):
+        with pytest.raises(DomainError):
+            jbar_moment_bound(zero_coeffs(), q=q, t=3, n=50)
+        with pytest.raises(DomainError):
+            lqr_error_bound(norms, zero_coeffs(), q=q, r=1, t=3, n=50)
+    with pytest.raises(DomainError):
+        lqr_error_bound(norms, zero_coeffs(), q=1, r=INF, t=3, n=50)
+
+
 def test_jbar_moment_increasing_in_q():
     vals = [jbar_moment_bound(generic_coeffs(), q, 4, 100).value
             for q in (1, 1.5, 2, 4, 8)]

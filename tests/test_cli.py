@@ -3,6 +3,7 @@ import json
 import hashlib
 from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 
@@ -75,6 +76,8 @@ GRAPH = {"type": "graph", "q": 0.5, "attachment": "linear", "attachment_scale": 
     ({"type": "random_product", "n": 0}, "simulate", {}),
     ({"type": "spreading", "n": 0, "rbar": 0.5, "mu": 0.5}, "simulate", {}),
     ({**GRAPH, "v": 1}, "deterministic", {}),
+    # a size of the wrong JSON type
+    ({"type": "constant", "n": None, "c": 0.5}, "simulate", {}),
 ])
 def test_bad_input_exits_2_without_traceback(tmp_path, capsys, model, task, params):
     path = write_config(tmp_path, {"model": model, "task": task, "parameters": params})
@@ -113,6 +116,35 @@ def test_bounds_edge_inputs_exit_0(tmp_path, capsys, model, t, failed):
         rate = payload["projection_rate"]
         assert rate["value"] == float("inf")
         assert any("vacuous" in c for c in rate["caveats"])
+
+
+def test_bounds_task_records_lq_bounds_errors_at_q_inf(tmp_path):
+    cfg = {"model": SPREADING, "task": "bounds", "parameters": {"t": 3, "q": "inf"}}
+    files = cli.run_config(cfg, tmp_path / "o")
+    payload = json.loads(files[0].read_text())
+    assert "[1, inf)" in payload["discrepancy_moment"]["error"]
+    assert "[1, inf)" in payload["mean_functional_error"]["error"]
+    # the Kolmogorov rate bound is defined at q = inf
+    assert 0 < payload["projection_rate"]["value"] < float("inf")
+
+
+def test_config_errors_match_jsonschema_validate(tmp_path):
+    jsonschema.validators.validator_for(cli.CONFIG_SCHEMA).check_schema(cli.CONFIG_SCHEMA)
+    model = {"type": "constant", "n": 3, "c": 0.4}
+    bad = [{"model": model},
+           {"model": model, "task": "nope"},
+           {"model": model, "task": "simulate", "parameters": {"T": -1, "R": 0}},
+           {"model": model, "task": "simulate", "parameters": {"x0": [0, 2]}},
+           {"model": model, "task": "clt-sweep", "parameters": {"n_list": [8, "a"]}},
+           {"model": 3, "task": "simulate", "bogus": 1}]
+    for cfg in bad:
+        with pytest.raises(jsonschema.ValidationError) as want:
+            jsonschema.validate(cfg, cli.CONFIG_SCHEMA)
+        with pytest.raises(SchemaError) as got:
+            cli.run_config(cfg, tmp_path / "o")
+        exc = want.value
+        assert str(got.value) == (f"config invalid at /{'/'.join(map(str, exc.path))}: "
+                                  f"{exc.message}")
 
 
 def test_sweep_rejection_names_task_and_model(tmp_path):

@@ -51,9 +51,9 @@ GOLDEN = {
     "gaussian":
         "a6d4523453886ce605151c633e9486d7e2b663d2e7fd2eb61009f6b5c6039cb4",
     "bounds":
-        "dbc9d692c6ebeb244d6b3637bc9cf2f6346109de285360c369207c8cab2c8896",
+        "31f21954d8102c20325dc98988c38ab79305dde2bc7d34a59324789b225742cb",
     "clt-sweep":
-        "721572b707bbe86279a9c20da127ca3848daea65cb348bf2fa3fbf82b28d1fdc",
+        "0565b8f12914611180f42387a249fa5b556bb29348a6692d2fa127fa56dd9759",
     "lln-sweep":
         "02c7a803fac703724e9cd00a1c70ecc2f3937534e20ad22323c56bd4eb6125b0",
     "graphon":

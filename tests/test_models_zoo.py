@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -72,6 +74,61 @@ def test_mean_field_fast_path_matches_dense_path():
     assert np.abs(ra.evaluate(xs, 0) - rb.evaluate(xs, 0)).max() <= 1e-12
     bits = (xs > 0.5).astype(float)
     assert np.abs(ra.evaluate(bits, 0) - rb.evaluate(bits, 0)).max() <= 1e-12
+
+
+def gram_reference(model):
+    """The same model with uniform detection switched off: its oracle forms G."""
+    ref = SpreadingModel(R_matrix=model.R_matrix, mu=model.mu,
+                         reinfection=model.reinfection, domain_form=model.domain_form)
+    object.__setattr__(ref, "_uniform_r", None)
+    return ref
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 50, 3000])
+def test_uniform_coefficients_match_gram_reference(n):
+    R = mean_field(n, rbar=0.8, mu=0.4).R_matrix
+    for reinfection in (False, True):
+        for form in ("product", "exponential"):
+            model = SpreadingModel(R_matrix=R, mu=0.4, reinfection=reinfection,
+                                   domain_form=form)
+            got = spreading_rule(model).coeff_oracle(0)
+            want = spreading_rule(gram_reference(model)).coeff_oracle(0)
+            for key in ("alpha", "beta", "big_gamma", "gamma", "delta"):
+                a, b = getattr(got, key), getattr(want, key)
+                assert abs(a - b) <= 1e-13 * abs(b), (key, a, b)
+
+
+def test_uniform_coefficients_allocate_no_matrix():
+    rule = spreading_rule(mean_field(3000, rbar=0.8, mu=0.4))
+    tracemalloc.start()
+    try:
+        rule.coeff_oracle(0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+def test_uniform_detection_edge_cases():
+    def dense_detect(R):   # the detection by an off-diagonal copy it replaced
+        off = R[~np.eye(R.shape[0], dtype=bool)]
+        return float(off[0]) if off.size and (off == off[0]).all() else None
+
+    mf = mean_field(300, rbar=0.8, mu=0.4).R_matrix
+    cases = [np.zeros((4, 4)), np.zeros((1, 1)), np.array([[0.0, 0.2], [0.2, 0.0]]),
+             np.array([[0.0, 0.2], [0.3, 0.0]]), np.array([[0.0, 0.0], [0.3, 0.0]]), mf]
+    for i, j in [(0, 1), (1, 0), (299, 298), (150, 3)]:
+        for value in (0.0, 0.5):
+            R = mf.copy()
+            R[i, j] = value
+            cases.append(R)
+    Z = np.zeros((300, 300))
+    Z[299, 0] = 0.1
+    cases.append(Z)
+    for R in cases:
+        got = SpreadingModel(R_matrix=R, mu=0.4)._uniform_r
+        want = dense_detect(R)
+        assert got == want and type(got) is type(want)
 
 
 # ---------------------------------------------------------------------------
