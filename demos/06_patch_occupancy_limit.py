@@ -36,8 +36,7 @@ n = 800
 model = equidistributed(n)
 rule = hanski_rule(model)
 X0 = (np.arange(n) % 2).astype(np.uint8)
-traj = det_trajectory(rule, X0.astype(float), T, want_jacobians=True)
-ga = GaussianApprox(rule, traj)
+ga = GaussianApprox.from_rule(rule, X0.astype(float), T)
 grid_v = grid_projected_variance(model, lim, h_fn, T)
 print(f"\nfluctuation variance of sqrt(n) <mu_t - rho_t, h> at n = {n}:")
 print(f"  finite-chain recursion : {ga.projected_variance(h_fn(model.z), T):.5f}")

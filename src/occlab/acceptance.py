@@ -24,10 +24,9 @@ from .analysis import clt_point, lln_point, rate_summary, sign_class
 from .bounds import jbar_moment_bound, lqr_error_bound, mean_functional_norms
 from .deterministic import det_trajectory, find_equilibrium, spectral_radius
 from .gaussian import GaussianApprox, lyapunov_solve
-from .models import (DomanyKinzel, complete_host, dk_device_time, dk_rule,
-                     equidistributed, graph_rule, hanski_limit, hanski_rule,
-                     mean_field, random_product_rule, spreading_rule,
-                     SpreadingModel)
+from .models import (DomanyKinzel, dk_device_time, dk_rule, equidistributed,
+                     hanski_limit, hanski_rule, mean_field, model_from_descriptor,
+                     random_product_rule, spreading_rule, SpreadingModel)
 from .models import graphdyn as gd
 from .rules import coefficient_schedule, injected_variance, rule_jacobian
 from .simulate import (empirical_law, exact_law, law_mean, simulate_ensemble,
@@ -140,11 +139,10 @@ def criterion_3(fast=False):
     R = 2 * 10 ** 4 if fast else 10 ** 5
     rule = spreading_rule(mean_field(n, rbar=0.5, mu=0.5))
     X0 = _half_start(n)
-    traj = det_trajectory(rule, X0.astype(float), 5, want_jacobians=True)
-    ga = GaussianApprox(rule, traj)
+    ga = GaussianApprox.from_rule(rule, X0.astype(float), 5)
     res = simulate_projections(rule, X0, 5, R,
                                rng.derive_seed(MASTER_SEED, "c3"),
-                               h=np.ones(n), p_traj=traj.p)
+                               h=np.ones(n), p_traj=ga.base.p)
     worst = 0.0
     gaps = []
     for t in range(1, 6):
@@ -185,11 +183,8 @@ def criterion_5(fast=False):
     zoo.append(("spreading-reinfection",
                 spreading_rule(mean_field(500, rbar=0.5, mu=0.5, reinfection=True))))
     zoo.append(("patch-occupancy", hanski_rule(equidistributed(256))))
-    v = 24
-    f = (lambda y: 0.5 * np.asarray(y, dtype=np.float64))
-    fp = (lambda y: np.full_like(np.asarray(y, dtype=np.float64), 0.5))
-    zoo.append(("graph", graph_rule(complete_host(
-        v, q=0.6, f=f, f_prime=fp, f_derivative_sups=(0.5, 0.0, 0.0)))))
+    zoo.append(("graph", model_from_descriptor(
+        {"type": "graph", "v": 24, "q": 0.6, "attachment_scale": 0.5})[1]))
 
     details = []
     ok = True
@@ -236,8 +231,8 @@ def criterion_6(fast=False):
     J_inf = rule_jacobian(rule, eq.p_inf)
     V_inf = np.diag(injected_variance(rule, eq.p_inf))
     Q = lyapunov_solve(J_inf, V_inf).Q
-    traj = det_trajectory(rule, eq.p_inf, 200, want_jacobians=True)
-    drift = float(np.abs(GaussianApprox(rule, traj).covariance(200) - Q).max())
+    approx = GaussianApprox.from_rule(rule, eq.p_inf, 200)
+    drift = float(np.abs(approx.covariance(200) - Q).max())
 
     # extinct equilibrium: the origin is an exact binary fixed point (zero
     # colonization pressure), iteration is attracted to it, and the
@@ -321,22 +316,19 @@ def criterion_9(fast=False):
         worst = max(worst, abs(mine - brute))
     tri_exact = gd.triangle_density(np.ones((3, 3)) - np.eye(3))
 
-    q, slope = 0.6, 0.5
-    f = (lambda y: slope * np.asarray(y, dtype=np.float64))
-    fp = (lambda y: np.full_like(np.asarray(y, dtype=np.float64), slope))
+    # complete hosts, linear attachment f(y) = 0.5 y
+    graph = {"type": "graph", "q": 0.6, "attachment_scale": 0.5}
 
     # cut distance of the simulated graph to the limit kernel across sizes
     def cut_distance(v, reps):
-        model = complete_host(v, q=q, f=f, f_prime=fp,
-                              f_derivative_sups=(slope, 0.0, 0.0))
-        rule = graph_rule(model)
+        model, rule = model_from_descriptor({**graph, "v": v})
         ea, eb = model.host_edges[:, 0], model.host_edges[:, 1]
         x0 = model.host_adjacency()[ea, eb].astype(np.uint8)
         ens = simulate_ensemble(rule, x0, 3, reps,
                                 rng.derive_seed(MASTER_SEED, f"c9v{v}"))
         c = 1.0
         for _ in range(3):
-            c = q * c + (1 - c) * f(c)
+            c = model.q * c + (1 - c) * model.f(c)
         vals = []
         for r in range(reps):
             A = gd.edge_state_to_adjacency(model, ens.states[r, 3, :].astype(float))
@@ -348,9 +340,7 @@ def criterion_9(fast=False):
 
     # desk-scale variance calibration at v = 64 on the complete host
     v = 64
-    model = complete_host(v, q=q, f=f, f_prime=fp,
-                          f_derivative_sups=(slope, 0.0, 0.0))
-    rule = graph_rule(model)
+    model, rule = model_from_descriptor({**graph, "v": v})
     A0 = model.host_adjacency()
     ea, eb = model.host_edges[:, 0], model.host_edges[:, 1]
     x0 = A0[ea, eb].astype(np.uint8)

@@ -167,9 +167,8 @@ def clt_point(rule, X0, h, t, q, R, sim_seed, dist_seed):
     1-Wasserstein, bootstrapped from ``dist_seed``) and the
     :class:`GaussianApprox` whose projected variance set the target.
     """
-    traj = det_trajectory(rule, X0.astype(np.float64), t, want_jacobians=True)
-    approx = GaussianApprox(rule, traj)
-    res = simulate_projections(rule, X0, t, R, sim_seed, h=h, p_traj=traj.p)
+    approx = GaussianApprox.from_rule(rule, X0.astype(np.float64), t)
+    res = simulate_projections(rule, X0, t, R, sim_seed, h=h, p_traj=approx.base.p)
     target = NormalTarget(0.0, approx.projected_variance(h, t))
     distance = ks_distance if math.isinf(q) else wasserstein1
     return distance(res["proj"][:, t], target, seed=dist_seed), approx

@@ -111,8 +111,7 @@ def clt_rate_bound(coeffs, h, q, approx, t):
     hsup = float(np.abs(h).max())
 
     total = 0.0
-    g = h.copy()                      # holds D_{s+1,t} h while processing step s
-    for s in range(t - 1, -1, -1):
+    for s, g in zip(range(t - 1, -1, -1), approx.backward(h, t)):   # g = D_{s+1,t} h
         sig = math.sqrt(max(sigma_form(approx.base.p[s + 1], g), 0.0))
         k_s = kappa(sched, s, n)
         # kappa_s = 0 makes the term zero, whatever sigma and the exponential are
@@ -122,8 +121,6 @@ def clt_rate_bound(coeffs, h, q, approx, t):
                     f"projected one-step deviation vanishes at step {s + 1}")
             total += (k_s * _exp((4.0 - inv_q) * sched.alpha_window(s, t))
                       / sig ** (4.0 - 2.0 * inv_q))
-        if s > 0:
-            g = approx.jac(s).T @ g
     value = hsup ** (4.0 - inv_q) * math.sqrt((1.0 + math.log(n)) / n) * total
     return BoundReport(
         value=value, formula_id="projection-rate",

@@ -208,10 +208,12 @@ def _bounds(config, params, seed, workers):
 
 
 def _clt_sweep(config, params, seed, workers):
+    R = int(params.get("R", 20000))
+    if R < 2:   # a distance needs at least two replicates
+        raise SchemaError("task 'clt-sweep' needs R >= 2")
     rows, summary = clt_sweep(_family("clt-sweep", config, params), lambda n: np.ones(n),
                               int(params.get("t", 3)), _q(params.get("q", "inf")),
-                              params.get("n_list", [100, 400]),
-                              int(params.get("R", 20000)), seed,
+                              params.get("n_list", [100, 400]), R, seed,
                               model_id=config["model"].get("type", "model"))
     return {"clt_sweep.csv": _table(rows), "clt_summary.json": summary}
 

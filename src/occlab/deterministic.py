@@ -7,7 +7,6 @@ and globally attracting, and computes spectral radii of linearizations.
 """
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -34,7 +33,6 @@ class EquilibriumResult:
 @dataclass
 class DeterministicTrajectory:
     p: np.ndarray                       # (T+1, n)
-    jacobians: Optional[np.ndarray] = None  # (T, n, n), step t maps p_t -> p_{t+1}
 
     @property
     def T(self):
@@ -45,16 +43,13 @@ class DeterministicTrajectory:
         return self.p.shape[1]
 
 
-def det_trajectory(rule, p0, T, want_jacobians=False):
+def det_trajectory(rule, p0, T):
     """Iterate p_{t+1} = P_t(p_t) for T steps from p0 in [0,1]^n."""
     p = np.empty((T + 1, rule.n))
     p[0] = _check_domain(np.asarray(p0, dtype=np.float64), rule.n)
-    jac = np.empty((T, rule.n, rule.n)) if want_jacobians else None
     for t in range(T):
-        if want_jacobians:
-            jac[t] = rule_jacobian(rule, p[t], t)
         p[t + 1] = evaluate_rule(rule, p[t], t)
-    return DeterministicTrajectory(p=p, jacobians=jac)
+    return DeterministicTrajectory(p=p)
 
 
 def find_equilibrium(rule, p0, tol=1e-12, max_iter=10 ** 6):

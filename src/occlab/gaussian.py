@@ -31,6 +31,7 @@ solution of the discrete Lyapunov equation Q = J Q J^T + V.
 """
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -51,26 +52,23 @@ def sigma_form(p, h, h2=None):
 
 
 class GaussianApprox:
-    """Deterministic path plus Jacobians and variance diagonals."""
+    """Deterministic path plus its Jacobians and variance diagonals."""
 
     def __init__(self, rule, base: DeterministicTrajectory):
-        if base.jacobians is None:
-            base = DeterministicTrajectory(
-                p=base.p,
-                jacobians=np.stack([rule_jacobian(rule, base.p[t], t)
-                                    for t in range(base.T)]) if base.T else
-                np.zeros((0, rule.n, rule.n)))
         self.rule = rule
         self.base = base
-        # noise actually injected per step (row 0 is zero: the start is fixed)
+        # jacobians[t] maps p_t -> p_{t+1}; V[t] is the noise the step into t
+        # injects (row 0 is zero: the start is fixed)
+        self.jacobians = np.empty((base.T, base.n, base.n))
         self.V = np.zeros_like(base.p)
-        for t in range(1, base.T + 1):
-            self.V[t] = injected_variance(rule, base.p[t - 1], t - 1)
+        for t in range(base.T):
+            self.jacobians[t] = rule_jacobian(rule, base.p[t], t)
+            self.V[t + 1] = injected_variance(rule, base.p[t], t)
         self._sigma = None
 
     @classmethod
     def from_rule(cls, rule, p0, T):
-        return cls(rule, det_trajectory(rule, p0, T, want_jacobians=True))
+        return cls(rule, det_trajectory(rule, p0, T))
 
     @property
     def n(self):
@@ -80,22 +78,27 @@ class GaussianApprox:
     def T(self):
         return self.base.T
 
-    def jac(self, t):
-        """Jacobian of the step p_t -> p_{t+1}."""
-        return self.base.jacobians[t]
+    def backward(self, h, t):
+        """Yield D_{r,t} h for r = t, t-1, ..., 0 (D_u = transposed Jacobian).
+
+        The walk g <- D_r g starts from a copy of h, and each product is
+        formed only when the next item is requested: a caller that stops at
+        r = s pays for t - s products.
+        """
+        if not 0 <= t <= self.T:
+            raise ValueError("need 0 <= t <= T")
+        g = np.asarray(h, dtype=np.float64).copy()
+        yield g
+        for r in range(t - 1, -1, -1):
+            g = self.jacobians[r].T @ g
+            yield g
 
     def propagate(self, h, s, t):
-        """Apply D_{s,t} = D_s ... D_{t-1} to h (D_u = transposed Jacobian).
-
-        Computed backwards as h <- D_u h for u = t-1 .. s; the empty window
-        s = t returns h unchanged.
-        """
+        """Apply D_{s,t} = D_s ... D_{t-1} to h; the empty window s = t
+        returns h unchanged."""
         if not 0 <= s <= t <= self.T:
             raise ValueError("need 0 <= s <= t <= T")
-        g = np.asarray(h, dtype=np.float64).copy()
-        for u in range(t - 1, s - 1, -1):
-            g = self.jac(u).T @ g
-        return g
+        return next(islice(self.backward(h, t), t - s, None))
 
     def noise_form(self, t, h, h2=None):
         """Injected-noise bilinear form n^{-1} sum_i h_i h'_i v_{i,t}."""
@@ -105,27 +108,20 @@ class GaussianApprox:
 
     def projected_variance(self, h, t):
         """Variance of <xi_t, h> via the propagated one-step sums."""
-        if t > self.T:
-            raise ValueError("t beyond trajectory horizon")
         total = 0.0
-        g = np.asarray(h, dtype=np.float64).copy()
-        for r in range(t, 0, -1):           # g holds D_{r,t} h at the top of the loop
+        for r, g in zip(range(t, 0, -1), self.backward(h, t)):   # g = D_{r,t} h
             total += self.noise_form(r, g)
-            g = self.jac(r - 1).T @ g
         return total
 
     def cross_covariance(self, s, t, h, h2):
         """Covariance of <xi_s, h> with <xi_t, h'>."""
-        if s > self.T or t > self.T:
-            raise ValueError("time beyond trajectory horizon")
+        if not (0 <= s <= self.T and 0 <= t <= self.T):
+            raise ValueError("times must lie in [0, T]")
         m = min(s, t)
         total = 0.0
-        gs = self.propagate(h, m, s)
-        gt = self.propagate(h2, m, t)
-        for r in range(m, 0, -1):
+        for r, gs, gt in zip(range(m, 0, -1), islice(self.backward(h, s), s - m, None),
+                              islice(self.backward(h2, t), t - m, None)):
             total += self.noise_form(r, gs, gt)
-            gs = self.jac(r - 1).T @ gs
-            gt = self.jac(r - 1).T @ gt
         return total
 
     def covariances(self):
@@ -134,7 +130,7 @@ class GaussianApprox:
             n = self.n
             sig = np.zeros((self.T + 1, n, n))
             for t in range(self.T):
-                J = self.jac(t)
+                J = self.jacobians[t]
                 sig[t + 1] = J @ sig[t] @ J.T + np.diag(self.V[t + 1])
             self._sigma = sig
         return self._sigma
@@ -155,7 +151,7 @@ def simulate_gaussian(approx, R, seed):
         out[r0:r0 + rows, 0] = z
         for t in range(1, T + 1):
             eps = rng.normals(seed, t, n, r0=r0, rows=rows)
-            z = p[t][None, :] + (z - p[t - 1][None, :]) @ approx.jac(t - 1).T \
+            z = p[t][None, :] + (z - p[t - 1][None, :]) @ approx.jacobians[t - 1].T \
                 + eps * sd[t][None, :]
             out[r0:r0 + rows, t] = z
     return out

@@ -15,4 +15,4 @@ from .graphdyn import (GraphDynModel, clt_functionals, complete_host,
                        injected_noise_matrix, lambda_kernel,
                        triangle_clt_variance, triangle_density)
 from .random_rules import random_product_rule
-from .descriptors import load_descriptor, model_from_descriptor
+from .descriptors import model_from_descriptor

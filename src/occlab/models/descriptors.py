@@ -2,17 +2,15 @@
 
 A descriptor is a JSON object with a ``type`` tag plus parameters; file
 references (reaction matrices as dense CSV, edge lists as two-column CSV,
-patch tables as CSV with columns z, a, s) are resolved relative to the
-descriptor's base directory.  Each type accepts only the keys listed in
-``_KEYS``; any other key (a misspelling, say), a missing required key, a
-value of the wrong type or one the model rejects, a size ``n`` below 1 or
-a ``graph`` vertex count ``v`` below 2 raises ``SchemaError``.  A
-``graph`` descriptor without ``attachment`` uses the ``"linear"`` curve
-f(y) = attachment_scale * y.
+patch tables as CSV with columns z, a, s) are paths resolved against the
+working directory.  Each type accepts only the keys listed in ``_KEYS``;
+any other key (a misspelling, say), a missing required key or file, a
+value of the wrong type or one the model rejects, a size ``n`` below 1, a
+``graph`` vertex count ``v`` below 2, or two sources for one quantity (a
+file next to the values it replaces, see ``_SOURCES``) raises
+``SchemaError``.  A ``graph`` descriptor without ``attachment`` uses the
+``"linear"`` curve f(y) = attachment_scale * y, with the scale in [0, 1].
 """
-
-import json
-from pathlib import Path
 
 import numpy as np
 
@@ -35,14 +33,22 @@ _KEYS = {
     "random_product": {"n", "seed", "strength"},
 }
 
+#: a file key and the keys giving what it replaces; a descriptor may not give both
+_SOURCES = {"A_csv": ("A",), "R_csv": ("rbar", "n"), "patch_csv": ("n",)}
+
 
 def _load_csv_matrix(path):
-    return np.loadtxt(path, delimiter=",", ndmin=2)
+    try:
+        return np.loadtxt(path, delimiter=",", ndmin=2)
+    except OSError as exc:
+        raise SchemaError(f"cannot read {path!r}: {exc.strerror or exc}") from None
 
 
 def _attachment(spec):
     kind = spec.get("attachment", "linear")
     scale = float(spec.get("attachment_scale", 0.5))
+    if not 0 <= scale <= 1:
+        raise SchemaError("attachment_scale must lie in [0, 1]")
     if kind == "constant":
         return (lambda y: np.full_like(np.asarray(y, dtype=np.float64), scale),
                 lambda y: np.zeros_like(np.asarray(y, dtype=np.float64)),
@@ -59,7 +65,7 @@ def _attachment(spec):
     raise SchemaError(f"unknown attachment curve {kind!r}")
 
 
-def model_from_descriptor(desc, base_dir="."):
+def model_from_descriptor(desc):
     """Build (model_object, rule) from a descriptor dict."""
     kind = desc.get("type")
     if kind not in _KEYS:
@@ -67,11 +73,16 @@ def model_from_descriptor(desc, base_dir="."):
     unknown = sorted(set(desc) - _KEYS[kind] - {"type"})
     if unknown:
         raise SchemaError(f"{kind!r} descriptor has unknown key {unknown[0]!r}")
+    for source, replaced in _SOURCES.items():
+        for key in replaced:
+            if source in desc and key in desc:
+                raise SchemaError(f"{kind!r} descriptor gives both {source!r} "
+                                  f"and {key!r}")
     try:
         for key, least in (("n", 1), ("v", 2)):
             if key in desc and int(desc[key]) < least:
                 raise SchemaError(f"{kind!r} descriptor needs {key} >= {least}")
-        return _build(desc, Path(base_dir))
+        return _build(desc)
     except KeyError as exc:
         raise SchemaError(f"{kind!r} descriptor is missing key "
                           f"{exc.args[0]!r}") from None
@@ -79,24 +90,25 @@ def model_from_descriptor(desc, base_dir="."):
         raise SchemaError(f"{kind!r} descriptor: {exc}") from None
 
 
-def _build(desc, base):
+def _build(desc):
     kind = desc.get("type")
     if kind == "constant":
         n = int(desc["n"])
         return None, constant_rule(n, float(desc["c"]))
     if kind == "linear":
-        A = _load_csv_matrix(base / desc["A_csv"]) if "A_csv" in desc \
+        A = _load_csv_matrix(desc["A_csv"]) if "A_csv" in desc \
             else np.asarray(desc["A"], dtype=np.float64)
         return None, linear_rule(A)
     if kind == "spreading":
         if "R_csv" in desc:
-            R = _load_csv_matrix(base / desc["R_csv"])
+            R = _load_csv_matrix(desc["R_csv"])
             model = SpreadingModel(R_matrix=R, mu=float(desc["mu"]),
                                    reinfection=bool(desc.get("reinfection", False)),
                                    domain_form=desc.get("domain_form", "product"))
         elif "rbar" in desc:
             model = mean_field(int(desc["n"]), float(desc["rbar"]), float(desc["mu"]),
-                               reinfection=bool(desc.get("reinfection", False)))
+                               reinfection=bool(desc.get("reinfection", False)),
+                               domain_form=desc.get("domain_form", "product"))
         else:
             raise SchemaError("spreading descriptor needs R_csv or rbar")
         return model, spreading_rule(model)
@@ -106,7 +118,7 @@ def _build(desc, base):
         return model, dk_rule(model, iid_start=bool(desc.get("iid_start", True)))
     if kind == "hanski":
         if "patch_csv" in desc:
-            tbl = _load_csv_matrix(base / desc["patch_csv"])
+            tbl = _load_csv_matrix(desc["patch_csv"])
             z, a_col, s_col = tbl[:, 0], tbl[:, 1], tbl[:, 2]
             model = HanskiModel(z=z,
                                 a=lambda zz: np.interp(zz, z, a_col),
@@ -120,7 +132,7 @@ def _build(desc, base):
         f, fp, sups = _attachment(desc)
         q = float(desc["q"])
         if "edges_csv" in desc:
-            edges = _load_csv_matrix(base / desc["edges_csv"]).astype(int)
+            edges = _load_csv_matrix(desc["edges_csv"]).astype(int)
             model = GraphDynModel(host_edges=edges, v=int(desc["v"]), q=q,
                                   f=f, f_prime=fp, f_derivative_sups=sups)
         else:
@@ -130,10 +142,3 @@ def _build(desc, base):
     if kind == "random_product":
         return None, random_product_rule(int(desc["n"]), int(desc.get("seed", 0)),
                                          strength=float(desc.get("strength", 0.8)))
-
-
-def load_descriptor(path):
-    path = Path(path)
-    with open(path) as fh:
-        desc = json.load(fh)
-    return model_from_descriptor(desc, base_dir=path.parent)

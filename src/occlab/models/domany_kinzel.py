@@ -58,10 +58,6 @@ def dk_rule(model, iid_start=True):
     def colonize_dk(x, t=0):
         return q1 * _right(np.asarray(x, dtype=np.float64))
 
-    def eval_dk(x, t=0):
-        x = np.asarray(x, dtype=np.float64)
-        return x * survive_dk(x) + (1.0 - x) * colonize_dk(x)
-
     def jac_dk(x, t=0):
         x = np.asarray(x, dtype=np.float64)
         J = np.zeros((n, n))
@@ -79,34 +75,30 @@ def dk_rule(model, iid_start=True):
         delta=0.0)
     zero_coeffs = CoefficientSet(0.0, 0.0, 0.0, 0.0, 0.0)
 
+    plain = OccupancyRule(
+        n=n, split=(survive_dk, colonize_dk),
+        jacobian=jac_dk, coeff_oracle=lambda t: dk_coeffs,
+        homogeneous=True, name=f"domany-kinzel(n={n},q1={q1},q2={q2})")
     if not iid_start:
-        return OccupancyRule(
-            n=n, evaluate=eval_dk, split=(survive_dk, colonize_dk),
-            jacobian=jac_dk, coeff_oracle=lambda t: dk_coeffs,
-            homogeneous=True, name=f"domany-kinzel(n={n},q1={q1},q2={q2})")
+        return plain
 
-    def survive(x, t=0):
-        if t == 0:
-            return np.full_like(np.asarray(x, dtype=np.float64), p0)
-        return survive_dk(x, t)
-
-    def colonize(x, t=0):
-        if t == 0:
-            return np.full_like(np.asarray(x, dtype=np.float64), p0)
-        return colonize_dk(x, t)
-
-    def evaluate(x, t=0):
-        if t == 0:
-            return np.full_like(np.asarray(x, dtype=np.float64), p0)
-        return eval_dk(x, t)
+    def iid_first(step):
+        """``step``, except that every node gets p0 at time 0."""
+        def at(x, t=0):
+            if t == 0:
+                return np.full_like(np.asarray(x, dtype=np.float64), p0)
+            return step(x, t)
+        return at
 
     def jacobian(x, t=0):
         if t == 0:
             return np.zeros((n, n))
         return jac_dk(x, t)
 
+    # evaluate is given, not derived: x * p0 + (1 - x) * p0 is not exactly p0
     return OccupancyRule(
-        n=n, evaluate=evaluate, split=(survive, colonize), jacobian=jacobian,
+        n=n, evaluate=iid_first(plain.evaluate),
+        split=(iid_first(survive_dk), iid_first(colonize_dk)), jacobian=jacobian,
         coeff_oracle=lambda t: zero_coeffs if t == 0 else dk_coeffs,
         homogeneous=False,
         name=f"domany-kinzel(n={n},q1={q1},q2={q2},p0={p0})")

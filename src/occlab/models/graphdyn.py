@@ -101,10 +101,6 @@ def graph_rule(model):
         x = np.asarray(x, dtype=np.float64)
         return model.f(args_of(x))
 
-    def evaluate(x, t=0):
-        x = np.asarray(x, dtype=np.float64)
-        return x * q + (1.0 - x) * colonize(x)
-
     def jacobian(x, t=0):
         if model.f_prime is None:
             raise ValueError("model lacks f_prime; use the finite-difference path")
@@ -133,7 +129,7 @@ def graph_rule(model):
                               gamma=gamma, delta=delta)
 
     return OccupancyRule(
-        n=n, evaluate=evaluate, split=(survive, colonize), jacobian=jacobian,
+        n=n, split=(survive, colonize), jacobian=jacobian,
         coeff_oracle=coeff_oracle, homogeneous=True,
         name=f"graphdyn(v={v},edges={n},q={q})")
 

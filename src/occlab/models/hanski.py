@@ -98,10 +98,6 @@ def hanski_rule(model):
         x = np.asarray(x, dtype=np.float64)
         return model.c(x @ M.T)
 
-    def evaluate(x, t=0):
-        x = np.asarray(x, dtype=np.float64)
-        return x * s_vec + (1.0 - x) * colonize(x)
-
     def jacobian(x, t=0):
         x = np.asarray(x, dtype=np.float64)
         conn = x @ M.T
@@ -128,7 +124,7 @@ def hanski_rule(model):
                               gamma=gamma, delta=delta)
 
     return OccupancyRule(
-        n=n, evaluate=evaluate, split=(survive, colonize), jacobian=jacobian,
+        n=n, split=(survive, colonize), jacobian=jacobian,
         coeff_oracle=coeff_oracle, homogeneous=True,
         name=f"hanski(n={n})")
 

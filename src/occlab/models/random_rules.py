@@ -10,10 +10,12 @@ def random_product_rule(n, seed, strength=0.8):
     """Random rule with multilinear survival/colonization products.
 
     S_i(x) = prod_{j != i} (1 - a_ij x_j),  C_i(x) = 1 - prod_{j != i} (1 - b_ij x_j)
-    with independent uniform coefficients scaled by ``strength``.  The split
-    identity and the affine-in-own-coordinate property hold by construction,
-    and the analytic Jacobian is a product-rule computation.
+    with independent uniform coefficients scaled by ``strength`` in [0, 1].
+    The split identity and the affine-in-own-coordinate property hold by
+    construction, and the analytic Jacobian is a product-rule computation.
     """
+    if not 0 <= strength <= 1:
+        raise ValueError("strength must lie in [0, 1]")
     a = strength * rng.uniforms(rng.derive_seed(seed, "rand-a"), 0, n, rows=n,
                                 tag=rng.TAG_SAMPLER)
     b = strength * rng.uniforms(rng.derive_seed(seed, "rand-b"), 1, n, rows=n,
@@ -33,10 +35,6 @@ def random_product_rule(n, seed, strength=0.8):
     def colonize(x, t=0):
         return 1.0 - prod(b, x)
 
-    def evaluate(x, t=0):
-        x = np.asarray(x, dtype=np.float64)
-        return x * survive(x) + (1.0 - x) * colonize(x)
-
     def jacobian(x, t=0):
         x = np.asarray(x, dtype=np.float64)
         pa = prod(a, x)
@@ -47,6 +45,6 @@ def random_product_rule(n, seed, strength=0.8):
         J[np.arange(n), np.arange(n)] = pa - (1.0 - pb)
         return J
 
-    return OccupancyRule(n=n, evaluate=evaluate, split=(survive, colonize),
+    return OccupancyRule(n=n, split=(survive, colonize),
                          jacobian=jacobian, homogeneous=True,
                          name=f"random-product(n={n},seed={seed})")

@@ -71,11 +71,12 @@ class SpreadingModel:
         return self.R_matrix.shape[0]
 
 
-def mean_field(n, rbar, mu, reinfection=False):
+def mean_field(n, rbar, mu, reinfection=False, domain_form="product"):
     """Uniform all-to-all reactions r_ij = rbar/n off the diagonal."""
     R = np.full((n, n), rbar / n)
     np.fill_diagonal(R, 0.0)
-    return SpreadingModel(R_matrix=R, mu=mu, reinfection=reinfection)
+    return SpreadingModel(R_matrix=R, mu=mu, reinfection=reinfection,
+                          domain_form=domain_form)
 
 
 def from_weighted_graph(W, contacts, mu, reinfection=False, prop_const=None):
@@ -152,10 +153,6 @@ def spreading_rule(model):
             x = np.asarray(x, dtype=np.float64)
             return np.broadcast_to(1.0 - mu, x.shape).copy()
 
-    def evaluate(x, t=0):
-        x = np.asarray(x, dtype=np.float64)
-        return x * survive(x) + (1.0 - x) * colonize(x)
-
     def jacobian(x, t=0):
         x = np.asarray(x, dtype=np.float64)
         pf = prod_factor(x)
@@ -195,7 +192,7 @@ def spreading_rule(model):
             delta=0.0)
 
     return OccupancyRule(
-        n=n, evaluate=evaluate, split=(survive, colonize), jacobian=jacobian,
+        n=n, split=(survive, colonize), jacobian=jacobian,
         coeff_oracle=coeff_oracle, homogeneous=True,
         name=f"spreading(n={n},mu={mu},reinf={model.reinfection},{model.domain_form})")
 

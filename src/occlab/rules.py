@@ -7,13 +7,14 @@ error bounds) consumes rules through this interface.
 
 Conventions
 -----------
+* A rule gives its survival/colonization split ``(S, C)``, from which
+  ``evaluate`` is derived as ``P_i(x) = x_i * S_i(x) + (1 - x_i) * C_i(x)``,
+  or it gives ``evaluate`` alone (or both, where the derived form rounds
+  differently).  Neither ``S_i`` nor ``C_i`` may depend on coordinate ``i``
+  (so ``P_i`` is affine in its own coordinate).
 * ``evaluate(x, t)`` must accept ``x`` of shape (n,) or (batch..., n) and
   return the per-node probabilities with the same leading shape.  It must
   be a pure function of its arguments (safe for concurrent callers).
-* When a survival/colonization split ``(S, C)`` is present, the identity
-  ``P_i(x) = x_i * S_i(x) + (1 - x_i) * C_i(x)`` must hold, and neither
-  ``S_i`` nor ``C_i`` may depend on coordinate ``i`` (so ``P_i`` is affine
-  in its own coordinate).
 * Jacobian entry (i, j) is the partial derivative of node i's probability
   with respect to coordinate j.
 """
@@ -42,12 +43,25 @@ class OccupancyRule:
     """A global transition rule for an n-node occupancy chain."""
 
     n: int
-    evaluate: Callable[[np.ndarray, int], np.ndarray]
+    evaluate: Optional[Callable[[np.ndarray, int], np.ndarray]] = None
     split: Optional[Tuple[Callable, Callable]] = None
     jacobian: Optional[Callable[[np.ndarray, int], np.ndarray]] = None
     coeff_oracle: Optional[Callable[[int], "CoefficientSet"]] = None
     homogeneous: bool = True
     name: str = "rule"
+
+    def __post_init__(self):
+        if self.evaluate is not None:
+            return
+        if self.split is None:
+            raise TypeError("a rule needs evaluate or a split (S, C)")
+        surv, col = self.split
+
+        def evaluate(x, t=0):
+            x = np.asarray(x, dtype=np.float64)
+            return x * surv(x, t) + (1.0 - x) * col(x, t)
+
+        object.__setattr__(self, "evaluate", evaluate)
 
 
 @dataclass(frozen=True)
@@ -116,7 +130,7 @@ def _check_domain(x, n):
     if x.shape[-1] != n:
         raise DomainError(f"state has {x.shape[-1]} coordinates, rule has n={n}")
     lo, hi = x.min(), x.max()
-    if lo < -EDGE_TOL or hi > 1 + EDGE_TOL:
+    if not (lo >= -EDGE_TOL and hi <= 1 + EDGE_TOL):   # NaN fails too
         raise DomainError(f"state leaves [0,1] by more than {EDGE_TOL:g} "
                           f"(min {lo:.3e}, max {hi:.3e})")
     return np.clip(x, 0.0, 1.0)
@@ -126,15 +140,16 @@ def evaluate_rule(rule, x, t=0):
     """Per-node transition probabilities P_t(x), validated and clamped.
 
     Tiny floating excursions outside [0,1] (within ``EDGE_TOL``) are clamped;
-    anything larger raises DomainError for the input or RangeError for the
-    output (the latter signals a malformed model, not bad data).
+    anything larger, and any NaN, raises DomainError for the input or
+    RangeError for the output (the latter signals a malformed model, not bad
+    data).
     """
     x = _check_domain(x, rule.n)
     p = np.asarray(rule.evaluate(x, t), dtype=np.float64)
     if p.shape != x.shape:
         raise RangeError(f"rule returned shape {p.shape} for input shape {x.shape}")
     lo, hi = p.min(), p.max()
-    if lo < -EDGE_TOL or hi > 1 + EDGE_TOL:
+    if not (lo >= -EDGE_TOL and hi <= 1 + EDGE_TOL):   # NaN fails too
         raise RangeError(f"rule value leaves [0,1] by more than {EDGE_TOL:g} "
                          f"(min {lo:.3e}, max {hi:.3e})")
     return np.clip(p, 0.0, 1.0)
@@ -379,13 +394,13 @@ def constant_rule(n, c):
     if c.min() < 0 or c.max() > 1:
         raise RangeError("constant rule probabilities must lie in [0,1]")
 
+    # given, not derived: x * c + (1 - x) * c is not exactly c
     def ev(x, t):
         return np.broadcast_to(c, np.shape(x)).copy()
 
     zero = np.zeros((n, n))
     return OccupancyRule(
-        n=n, evaluate=ev,
-        split=(lambda x, t: ev(x, t), lambda x, t: ev(x, t)),
+        n=n, evaluate=ev, split=(ev, ev),
         jacobian=lambda x, t: zero.copy(),
         coeff_oracle=lambda t: CoefficientSet(0.0, 0.0, 0.0, 0.0, 0.0),
         homogeneous=True, name=f"constant({n})")

@@ -99,7 +99,7 @@ def test_clt_rate_exponent_arithmetic():
             g = h.copy()
             for u in range(1, 2)[::-1]:
                 if u > s:
-                    g = ga.jac(u).T @ g
+                    g = ga.jacobians[u].T @ g
             sig = math.sqrt((g * g * ga.base.p[s + 1]
                              * (1 - ga.base.p[s + 1])).sum() / n)
             total += (ol.kappa(coeffs, s, n)

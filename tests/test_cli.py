@@ -42,6 +42,11 @@ def test_exit_codes(tmp_path, capsys):
                                      "task": "deterministic"}, "b.json")
     assert cli.main(["run", "--config", str(broken),
                      "--out", str(tmp_path / "o2")]) == 2
+    # a descriptor file that does not exist: named in the message
+    missing = write_config(tmp_path, {"model": {"type": "spreading", "R_csv": "no-such.csv",
+                                                "mu": 0.5}, "task": "deterministic"}, "m.json")
+    assert cli.main(["run", "--config", str(missing), "--out", str(tmp_path / "o3")]) == 2
+    assert "'no-such.csv'" in capsys.readouterr().err
 
 
 SPREADING = {"type": "spreading", "n": 8, "rbar": 0.5, "mu": 0.5}
@@ -78,6 +83,17 @@ GRAPH = {"type": "graph", "q": 0.5, "attachment": "linear", "attachment_scale": 
     ({**GRAPH, "v": 1}, "deterministic", {}),
     # a size of the wrong JSON type
     ({"type": "constant", "n": None, "c": 0.5}, "simulate", {}),
+    # parameters that would give NaN or probabilities above 1
+    ({"type": "random_product", "n": 4, "strength": 2}, "simulate", {}),
+    ({**GRAPH, "attachment_scale": 3}, "simulate", {}),
+    # keys a descriptor would otherwise ignore
+    ({**SPREADING, "domain_form": "bogus"}, "deterministic", {}),
+    ({"type": "spreading", "R_csv": "R.csv", "rbar": 0.5, "mu": 0.5}, "deterministic", {}),
+    ({"type": "spreading", "R_csv": "R.csv", "n": 8, "mu": 0.5}, "deterministic", {}),
+    ({"type": "hanski", "patch_csv": "patches.csv", "n": 8}, "deterministic", {}),
+    ({"type": "linear", "A_csv": "A.csv", "A": [[0.1]]}, "deterministic", {}),
+    # too few replicates for a distance
+    (SPREADING, "clt-sweep", {"R": 1, "n_list": [8]}),
 ])
 def test_bad_input_exits_2_without_traceback(tmp_path, capsys, model, task, params):
     path = write_config(tmp_path, {"model": model, "task": task, "parameters": params})

@@ -1,13 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 
 import occlab as ol
+from occlab.bounds import clt_rate_bound
 from occlab.errors import NotConvergedError, SingularMatrixError
-from occlab.deterministic import det_trajectory
 from occlab.gaussian import (GaussianApprox, lyapunov_solve, sigma_form,
                              simulate_gaussian)
-from occlab.models import mean_field, spreading_rule
-from occlab.rules import injected_variance
+from occlab.models import DomanyKinzel, dk_rule, mean_field, spreading_rule
+from occlab.rules import coefficient_schedule, injected_variance
 
 
 def make_approx(n=10, T=4, rbar=0.6, mu=0.4, seed=0):
@@ -59,7 +61,7 @@ def test_covariance_recursion_properties():
     sig = ga.covariances()
     assert np.abs(sig[0]).max() == 0.0
     for t in range(5):
-        J = ga.jac(t)
+        J = ga.jacobians[t]
         expect = J @ sig[t] @ J.T + np.diag(injected_variance(rule, ga.base.p[t], t))
         assert np.allclose(sig[t + 1], expect, atol=1e-12)
         eig = np.linalg.eigvalsh(sig[t + 1])
@@ -73,7 +75,7 @@ def test_propagator_cache_consistency():
         # D_{s,t} = D_s ... D_{t-1} with D_u the transposed Jacobian
         out = np.eye(ga.n)
         for u in range(s, t):
-            out = out @ ga.jac(u).T
+            out = out @ ga.jacobians[u].T
         return out
 
     for (s, t, u) in [(0, 2, 5), (1, 3, 6), (2, 2, 4), (0, 6, 6)]:
@@ -82,12 +84,65 @@ def test_propagator_cache_consistency():
     assert np.allclose(ga.propagate(h, 1, 5), D(1, 5) @ h)
 
 
+@pytest.mark.parametrize("label", ["dk-iid", "spreading-reinfection"])
+def test_backward_walks_match_hand_written_loops(label):
+    # propagate, projected_variance, cross_covariance and the rate bound each
+    # walked g <- J_u^T g by hand before they shared GaussianApprox.backward;
+    # those loops, copied here, are the references
+    g = np.random.default_rng(9)
+    if label == "dk-iid":   # not time-homogeneous: J_0 = 0, then the automaton
+        rule = dk_rule(DomanyKinzel(n=9, q1=0.4, q2=0.7, p0=0.6))
+    else:
+        rule = spreading_rule(mean_field(9, rbar=0.7, mu=0.4, reinfection=True))
+    n, T = 9, 4
+    ga = GaussianApprox.from_rule(rule, g.random(n) * 0.8 + 0.1, T)
+    J, sched = ga.jacobians, coefficient_schedule(rule, T)
+    h, h2 = g.standard_normal(n), g.standard_normal(n)
+
+    def propagate(h, s, t):
+        g = np.asarray(h, dtype=np.float64).copy()
+        for u in range(t - 1, s - 1, -1):
+            g = J[u].T @ g
+        return g
+
+    for t in range(T + 1):
+        total, gt = 0.0, h.copy()
+        for r in range(t, 0, -1):
+            total += ga.noise_form(r, gt)
+            gt = J[r - 1].T @ gt
+        assert ga.projected_variance(h, t) == total
+        for s in range(T + 1):
+            m, total = min(s, t), 0.0
+            gs, gt = propagate(h, m, s), propagate(h2, m, t)
+            for r in range(m, 0, -1):
+                total += ga.noise_form(r, gs, gt)
+                gs = J[r - 1].T @ gs
+                gt = J[r - 1].T @ gt
+            assert ga.cross_covariance(s, t, h, h2) == total
+            if s <= t:
+                assert np.array_equal(ga.propagate(h, s, t), propagate(h, s, t))
+        for q in (1.0, 2.0, math.inf) if t else ():
+            inv_q = 0.0 if math.isinf(q) else 1.0 / q
+            total, gt = 0.0, h.copy()
+            for s in range(t - 1, -1, -1):
+                sig = math.sqrt(max(sigma_form(ga.base.p[s + 1], gt), 0.0))
+                k_s = ol.kappa(sched, s, n)
+                if k_s > 0.0:
+                    total += (k_s * math.exp((4.0 - inv_q) * sched.alpha_window(s, t))
+                              / sig ** (4.0 - 2.0 * inv_q))
+                if s > 0:
+                    gt = J[s].T @ gt
+            value = (float(np.abs(h).max()) ** (4.0 - inv_q)
+                     * math.sqrt((1.0 + math.log(n)) / n) * total)
+            assert clt_rate_bound(sched, h, q, ga, t).value == value
+
+
 def test_transposed_jacobian_column_budget():
     # max column sum of the Jacobian is at most 1 + alpha
     rule, ga = make_approx(T=4)
     alpha = rule.coeff_oracle(0).alpha
     for t in range(4):
-        colsum = np.abs(ga.jac(t)).sum(axis=0).max()
+        colsum = np.abs(ga.jacobians[t]).sum(axis=0).max()
         assert colsum <= 1 + alpha + 1e-12
 
 
@@ -171,8 +226,7 @@ def test_covariance_converges_to_lyapunov_solution():
     J = ol.rule_jacobian(rule, eq.p_inf)
     V = np.diag(injected_variance(rule, eq.p_inf))
     Q = lyapunov_solve(J, V).Q
-    traj = det_trajectory(rule, eq.p_inf, 200, want_jacobians=True)
-    ga = GaussianApprox(rule, traj)
+    ga = GaussianApprox.from_rule(rule, eq.p_inf, 200)
     assert np.abs(ga.covariance(200) - Q).max() <= 1e-6
 
 

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 import occlab as ol
-from occlab.deterministic import det_trajectory
 from occlab.errors import SchemaError, TooLargeError
 from occlab.gaussian import GaussianApprox
 from occlab.models import (complete_host, graph_rule, graphon_step,
@@ -97,8 +96,7 @@ def test_clt_functionals_match_edge_chain_exactly():
     P_seq = deterministic_edge_matrices(model, A0, 3)
     U = (2.0 / model.v) * lambda_kernel(P_seq[3])
     grid_v = clt_functionals(model, P_seq, U, 3)["variance"]
-    traj = det_trajectory(rule, A0[ea, eb], 3, want_jacobians=True)
-    ga = GaussianApprox(rule, traj)
+    ga = GaussianApprox.from_rule(rule, A0[ea, eb], 3)
     assert grid_v == pytest.approx(ga.projected_variance(U[ea, eb], 3), rel=1e-12)
 
 

@@ -75,9 +75,9 @@ def test_transfer_operator_against_finite_jacobian():
     rho0 = lambda z: 0.3 + 0.4 * z
     lim = hanski_limit(model, rho0, T=2, G=G)
     p0 = rho0(model.z)
-    traj = det_trajectory(rule, p0, 2, want_jacobians=True)
+    ga = GaussianApprox.from_rule(rule, p0, 2)
     h = np.cos(2 * np.pi * model.z)
-    finite = traj.jacobians[1].T @ h                 # sum_i h_i dP_i/dx_j
+    finite = ga.jacobians[1].T @ h                 # sum_i h_i dP_i/dx_j
     grid_vals = transfer_apply(model, lim, np.cos(2 * np.pi * lim.grid), 1)
     # evaluate the grid answer at patch locations (same grid geometry)
     interp = np.interp(model.z, lim.grid, grid_vals)
@@ -89,15 +89,14 @@ def test_grid_projected_variance_matches_finite_chain():
     model = equidistributed(n)
     rule = hanski_rule(model)
     X0 = (np.arange(n) % 2).astype(np.uint8)     # alternating start, density 1/2
-    traj = det_trajectory(rule, X0.astype(float), 3, want_jacobians=True)
-    ga = GaussianApprox(rule, traj)
+    ga = GaussianApprox.from_rule(rule, X0.astype(float), 3)
     h_fn = lambda z: 1.0 + 0.5 * np.sin(2 * np.pi * z)
     h = h_fn(model.z)
     finite_v = ga.projected_variance(h, 3)
     lim = hanski_limit(model, lambda z: np.full_like(z, 0.5), T=3, G=512)
     grid_v = grid_projected_variance(model, lim, h_fn, 3)
     assert abs(finite_v - grid_v) <= 0.05 * grid_v
-    res = simulate_projections(rule, X0, 3, 30000, seed=3, h=h, p_traj=traj.p)
+    res = simulate_projections(rule, X0, 3, 30000, seed=3, h=h, p_traj=ga.base.p)
     emp = res["proj"][:, 3].var()
     assert abs(emp - grid_v) <= 0.08 * grid_v
 

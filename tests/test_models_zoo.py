@@ -7,7 +7,7 @@ import occlab as ol
 from occlab.deterministic import det_trajectory
 from occlab.models import (DomanyKinzel, dk_device_time, dk_exact_mean_zeta2,
                            dk_rule, from_weighted_graph, mean_field,
-                           spreading_rule, SpreadingModel)
+                           model_from_descriptor, spreading_rule, SpreadingModel)
 from occlab.simulate import exact_law, law_mean, simulate_projections, state_table
 
 
@@ -54,10 +54,10 @@ def test_weighted_graph_reactions():
 
 
 def test_exponential_and_product_forms_agree_on_binary():
-    R = mean_field(6, rbar=0.8, mu=0.4).R_matrix
-    prod = spreading_rule(SpreadingModel(R_matrix=R, mu=0.4, reinfection=True))
-    expf = spreading_rule(SpreadingModel(R_matrix=R, mu=0.4, reinfection=True,
-                                         domain_form="exponential"))
+    desc = {"type": "spreading", "n": 6, "rbar": 0.8, "mu": 0.4, "reinfection": True}
+    _, prod = model_from_descriptor(desc)
+    model, expf = model_from_descriptor({**desc, "domain_form": "exponential"})
+    assert model.domain_form == "exponential"
     corners = state_table(6)
     assert np.abs(prod.evaluate(corners, 0) - expf.evaluate(corners, 0)).max() <= 1e-12
 

@@ -5,8 +5,9 @@ import pytest
 
 import occlab as ol
 from occlab.errors import DomainError, RangeError
-from occlab.models import (DomanyKinzel, dk_rule, equidistributed, hanski_rule,
-                           mean_field, random_product_rule, spreading_rule)
+from occlab.models import (DomanyKinzel, SpreadingModel, dk_rule, equidistributed,
+                           hanski_rule, mean_field, model_from_descriptor,
+                           random_product_rule, spreading_rule)
 from occlab.rules import (CoefficientSet, coefficient_schedule, fd_jacobian,
                           estimate_coefficients)
 
@@ -30,12 +31,22 @@ def test_constant_rule_evaluation():
     rule = ol.constant_rule(4, 0.3)
     out = ol.evaluate_rule(rule, np.array([1.0, 0.0, 0.5, 0.25]))
     assert np.allclose(out, 0.3)
+    # exact at fractional states, where x * c + (1 - x) * c may round away
+    # from c; so is the iid start of the torus automaton
+    xs, c = sample_cube(5, 200, seed=4), sample_cube(5, 1, seed=5)[0]
+    assert not np.array_equal(xs * c + (1 - xs) * c, np.broadcast_to(c, xs.shape))
+    assert np.array_equal(ol.constant_rule(5, c).evaluate(xs, 0),
+                          np.broadcast_to(c, xs.shape))
+    dk = dk_rule(DomanyKinzel(n=5, q1=0.4, q2=0.7, p0=0.3))
+    assert np.array_equal(dk.evaluate(xs, 0), np.full(xs.shape, 0.3))
 
 
 def test_domain_error_outside_cube():
     rule = ol.constant_rule(3, 0.5)
     with pytest.raises(DomainError):
         ol.evaluate_rule(rule, np.array([0.5, 1.1, 0.0]))
+    with pytest.raises(DomainError):
+        ol.evaluate_rule(rule, np.array([0.5, np.nan, 0.0]))
     # tiny float excursions are clamped, not fatal
     out = ol.evaluate_rule(rule, np.array([0.5, 1.0 + 5e-13, 0.0]))
     assert out.shape == (3,)
@@ -45,16 +56,45 @@ def test_range_error_for_malformed_rule():
     bad = ol.OccupancyRule(n=2, evaluate=lambda x, t: np.asarray(x) * 1.5)
     with pytest.raises(RangeError):
         ol.evaluate_rule(bad, np.array([1.0, 1.0]))
+    # a NaN compares false with both bounds, so it must be caught on its own
+    nan = ol.OccupancyRule(n=2, evaluate=lambda x, t: np.asarray(x) * np.nan)
+    with pytest.raises(RangeError):
+        ol.evaluate_rule(nan, np.array([0.5, 0.5]))
+
+
+def test_rule_needs_evaluate_or_split():
+    with pytest.raises(TypeError):
+        ol.OccupancyRule(n=3)
 
 
 def test_split_identity_on_sampled_points():
-    for rule in zoo_rules():
+    # evaluate, derived from the split, is bit for bit the x * S + (1 - x) * C
+    # each model module once wrote out (hanski and graph wrote S's value)
+    R = sample_cube(7, 7, seed=3) * 0.4
+    np.fill_diagonal(R, 0.0)
+    patches = equidistributed(6)
+    graph, graph_rule = model_from_descriptor({"type": "graph", "v": 5, "q": 0.6})
+    dk = DomanyKinzel(n=6, q1=0.4, q2=0.7, p0=0.3)
+    cases = [
+        (spreading_rule(mean_field(6, rbar=0.5, mu=0.5)), None),
+        (spreading_rule(mean_field(5, rbar=0.8, mu=0.3, reinfection=True)), None),
+        (spreading_rule(SpreadingModel(R_matrix=R, mu=0.3)), None),
+        (spreading_rule(SpreadingModel(R_matrix=R, mu=0.3, reinfection=True,
+                                       domain_form="exponential")), None),
+        (hanski_rule(patches), np.asarray(patches.s(patches.z), dtype=np.float64)),
+        (graph_rule, graph.q),
+        (random_product_rule(5, seed=11), None),
+        (dk_rule(dk, iid_start=False), None),
+        (dk_rule(dk), None)]
+    for rule, s_value in cases:
         surv, col = rule.split
-        xs = sample_cube(rule.n, 200, seed=1)
-        p = rule.evaluate(xs, 0)
-        s, c = surv(xs, 0), col(xs, 0)
-        gap = np.abs(p - (xs * s + (1 - xs) * c)).max()
-        assert gap <= 1e-12, rule.name
+        xs = sample_cube(rule.n, 64, seed=1)
+        # the iid start's step 0 is given, not derived (see the constant rule)
+        for t in (0, 1, 2) if rule.homogeneous else (1, 2):
+            for x in (xs, xs[0]):
+                s = surv(x, t) if s_value is None else s_value
+                assert np.array_equal(rule.evaluate(x, t),
+                                      x * s + (1.0 - x) * col(x, t)), (rule.name, t)
 
 
 def test_own_coordinate_affineness():
