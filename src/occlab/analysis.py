@@ -23,6 +23,8 @@ from .rules import coefficient_schedule, state_table
 from .simulate import simulate_projections
 
 BOOTSTRAP_RESAMPLES = 200
+#: deviation quantiles of each ``lln_sweep`` row, reported as q50, q90, q99
+LLN_QUANTILES = (0.5, 0.9, 0.99)
 
 
 @dataclass(frozen=True)
@@ -242,13 +244,13 @@ def lln_point(rule, X0, H, t, R, sim_seed, rad_seed, x):
 
 
 def lln_sweep(family, class_family, t, n_list, R, seed, x=math.e ** 2,
-              quantiles=(0.5, 0.9, 0.99), model_id="model"):
+              model_id="model"):
     """Class-uniform deviation sweep against the concentration bound.
 
     ``class_family(n)`` returns the projection class as an (m, n) array
     (at most 1e6 vectors).  Per replicate the exact supremum of
     |<Xbar_t - pbar_t, h>| over the class is found by enumeration; the
-    table reports deviation quantiles, the guarded threshold and the
+    table reports the ``LLN_QUANTILES``, the guarded threshold and the
     bound value at the chosen x.
     """
     rows = []
@@ -264,7 +266,7 @@ def lln_sweep(family, class_family, t, n_list, R, seed, x=math.e ** 2,
                "class_size": H.shape[0], "rademacher": rad,
                "rademacher_se": rad_se, "threshold": thresh,
                "bound_c1": rep.value, "exceedance": float((sups > thresh).mean())}
-        for qq in quantiles:
+        for qq in LLN_QUANTILES:
             row[f"q{int(qq * 100)}"] = float(np.quantile(sups, qq))
         rows.append(row)
     return rows

@@ -51,6 +51,28 @@ def sigma_form(p, h, h2=None):
     return float((h * h2 * p * (1.0 - p)).sum() / len(p))
 
 
+def backward(step, h, t):
+    """Yield g_r for r = t, t-1, ..., 0, where g_t = h and g_r = step(r, g_{r+1}).
+
+    The walk starts from a copy of h, and each step is taken only when the
+    next item is requested: a caller that stops at r = s pays for t - s steps.
+    """
+    g = np.asarray(h, dtype=np.float64).copy()
+    yield g
+    for r in range(t - 1, -1, -1):
+        g = step(r, g)
+        yield g
+
+
+def accumulated_variance(noise, walk, t):
+    """sum_{r=t..1} noise(r, g_r) over the first t items g_t, ..., g_1 of
+    ``walk``; the step to g_0 is never taken."""
+    total = 0.0
+    for r, g in zip(range(t, 0, -1), walk):
+        total += noise(r, g)
+    return total
+
+
 class GaussianApprox:
     """Deterministic path plus its Jacobians and variance diagonals."""
 
@@ -79,19 +101,10 @@ class GaussianApprox:
         return self.base.T
 
     def backward(self, h, t):
-        """Yield D_{r,t} h for r = t, t-1, ..., 0 (D_u = transposed Jacobian).
-
-        The walk g <- D_r g starts from a copy of h, and each product is
-        formed only when the next item is requested: a caller that stops at
-        r = s pays for t - s products.
-        """
+        """Yield D_{r,t} h for r = t, t-1, ..., 0 (D_u = transposed Jacobian)."""
         if not 0 <= t <= self.T:
             raise ValueError("need 0 <= t <= T")
-        g = np.asarray(h, dtype=np.float64).copy()
-        yield g
-        for r in range(t - 1, -1, -1):
-            g = self.jacobians[r].T @ g
-            yield g
+        return backward(lambda r, g: self.jacobians[r].T @ g, h, t)
 
     def propagate(self, h, s, t):
         """Apply D_{s,t} = D_s ... D_{t-1} to h; the empty window s = t
@@ -108,21 +121,16 @@ class GaussianApprox:
 
     def projected_variance(self, h, t):
         """Variance of <xi_t, h> via the propagated one-step sums."""
-        total = 0.0
-        for r, g in zip(range(t, 0, -1), self.backward(h, t)):   # g = D_{r,t} h
-            total += self.noise_form(r, g)
-        return total
+        return accumulated_variance(self.noise_form, self.backward(h, t), t)
 
     def cross_covariance(self, s, t, h, h2):
         """Covariance of <xi_s, h> with <xi_t, h'>."""
         if not (0 <= s <= self.T and 0 <= t <= self.T):
             raise ValueError("times must lie in [0, T]")
         m = min(s, t)
-        total = 0.0
-        for r, gs, gt in zip(range(m, 0, -1), islice(self.backward(h, s), s - m, None),
-                              islice(self.backward(h2, t), t - m, None)):
-            total += self.noise_form(r, gs, gt)
-        return total
+        pairs = zip(islice(self.backward(h, s), s - m, None),
+                    islice(self.backward(h2, t), t - m, None))
+        return accumulated_variance(lambda r, gg: self.noise_form(r, *gg), pairs, m)
 
     def covariances(self):
         """Full covariance recursion Sigma_0..Sigma_T, cached; O(T n^2) memory."""

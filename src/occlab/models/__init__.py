@@ -8,11 +8,10 @@ from .hanski import (HanskiLimit, HanskiModel, equidistributed,
                      grid_projected_variance, hanski_limit, hanski_rule,
                      injected_noise_density as hanski_injected_noise_density,
                      transfer_apply as hanski_transfer_apply)
-from .graphdyn import (GraphDynModel, clt_functionals, complete_host,
-                       cut_norm_exact, deterministic_edge_matrices,
-                       edge_state_to_adjacency, graph_rule, graphon_step,
-                       graphon_trajectory, homomorphism_density,
-                       injected_noise_matrix, lambda_kernel,
-                       triangle_clt_variance, triangle_density)
+from .graphdyn import (GraphDynModel, complete_host, cut_norm_exact,
+                       deterministic_edge_matrices, edge_state_to_adjacency,
+                       graph_rule, graphon_step, graphon_trajectory,
+                       homomorphism_density, injected_noise_matrix,
+                       lambda_kernel, triangle_clt_variance, triangle_density)
 from .random_rules import random_product_rule
 from .descriptors import model_from_descriptor

@@ -16,9 +16,10 @@ with d_t the degree function of W_t.  The same recursion on the host's own
 step partition reproduces the finite deterministic trajectory exactly.
 
 Graph functionals: cut norms (exact by enumeration up to 16 vertices),
-homomorphism densities for small simple graphs, and the variance
-functionals that govern the normal limit of the triangle density along
-the chain.
+homomorphism densities for small simple graphs, and the edge-kernel
+transfer and noise forms that govern the normal limit of the triangle
+density along the chain; the limit variance is the finite chain's backward
+sweep (:func:`occlab.gaussian.accumulated_variance`) run on edge kernels.
 """
 
 import math
@@ -27,7 +28,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from ..deterministic import det_trajectory
 from ..errors import TooLargeError
+from ..gaussian import accumulated_variance, backward
 from ..rules import CoefficientSet, OccupancyRule, state_table
 
 
@@ -259,34 +262,8 @@ def variance_density(model, P_prev, var_prev):
             + (q - w) ** 2 * var_prev)
 
 
-def clt_functionals(model, P_seq, U, t):
-    """Variance functionals of the chain's kernel projections at time t.
-
-    Given the deterministic edge-state matrices P_0..P_t and a symmetric
-    test kernel U, returns the two-step connection kernel at time t, the
-    one-step variance of <xi_t, U>, the adjoint-propagated kernel, and the
-    accumulated variance
-        V_t[U] = sum_{r=1..t} sigma_r^2[ J_r ... J_{t-1} U ].
-    """
-    U_r = np.asarray(U, dtype=np.float64) * model.host_adjacency()
-    total = 0.0
-    for r in range(t, 0, -1):
-        total += sigma2_step(model, U_r, P_seq[r - 1])
-        if r > 1:
-            U_r = transfer_apply(model, U_r, P_seq[r - 1])
-    return {
-        "lambda": lambda_kernel(P_seq[t]),
-        "sigma2_t": sigma2_step(model, np.asarray(U, dtype=np.float64),
-                                P_seq[t - 1] if t >= 1 else P_seq[0]),
-        "transfer": transfer_apply(model, np.asarray(U, dtype=np.float64),
-                                   P_seq[t - 1] if t >= 1 else P_seq[0]),
-        "variance": total,
-    }
-
-
 def deterministic_edge_matrices(model, A0, T):
     """Finite deterministic recursion as symmetric v x v matrices."""
-    from ..deterministic import det_trajectory
     rule = graph_rule(model)
     ea, eb = model.host_edges[:, 0], model.host_edges[:, 1]
     x0 = np.asarray(A0, dtype=np.float64)[ea, eb]
@@ -298,9 +275,10 @@ def triangle_clt_variance(model, A0, t):
     """Predicted variance of v n^{-1/2} (triangle density - deterministic value).
 
     Linearizing the triangle density at the deterministic state gives the
-    edge projection with kernel (2/v) Lambda_t, whose accumulated variance
-    is returned.
+    edge projection with kernel U = (2/v) Lambda_t, whose accumulated
+    variance sum_{r=1..t} sigma_r^2[J_r ... J_{t-1} U] is the backward sweep.
     """
     P_seq = deterministic_edge_matrices(model, A0, t)
-    U = (2.0 / model.v) * lambda_kernel(P_seq[t])
-    return clt_functionals(model, P_seq, U, t)["variance"]
+    U = (2.0 / model.v) * lambda_kernel(P_seq[t]) * model.host_adjacency()
+    walk = backward(lambda r, g: transfer_apply(model, g, P_seq[r]), U, t)
+    return accumulated_variance(lambda r, g: sigma2_step(model, g, P_seq[r - 1]), walk, t)

@@ -17,7 +17,8 @@ measure) obeys
 
 with a companion variance density v_t and a linear transfer operator J_t
 acting on test functions; all three are advanced here on a quadrature grid
-(left-endpoint rectangles on [0, 1]).
+(left-endpoint rectangles on [0, 1]); projected limit variances walk J_t
+in the finite chain's sweep, :func:`occlab.gaussian.accumulated_variance`.
 
 Defaults (our choice, not canonical): habitat [0, 1] with uniform measure,
 c(y) = y / (1 + y), D(z, w) = exp(-|z - w| / ell).
@@ -30,6 +31,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from ..errors import DomainError
+from ..gaussian import accumulated_variance, backward
 from ..rules import CoefficientSet, OccupancyRule
 
 
@@ -207,18 +209,13 @@ def injected_noise_density(model, limit, t):
 def grid_projected_variance(model, limit, h, t):
     """Limit variance of sqrt(n) <empirical measure - rho_t, h>.
 
-    Accumulates the injected-noise quadratic forms of h propagated backwards
-    through the transfer operator, mirroring the finite-n recursion.
+    The finite-n backward sweep, stepping through the transfer operator.
     """
-    hg = h(limit.grid) if callable(h) else np.asarray(h, dtype=np.float64)
-    g = hg.copy()
-    total = 0.0
-    for r in range(t, 0, -1):
-        dens = injected_noise_density(model, limit, r)
-        total += limit.integrate(g * g * dens)
-        if r > 1:
-            g = transfer_apply(model, limit, g, r - 1)
-    return total
+    hg = h(limit.grid) if callable(h) else h
+    walk = backward(lambda r, g: transfer_apply(model, limit, g, r), hg, t)
+    return accumulated_variance(
+        lambda r, g: limit.integrate(g * g * injected_noise_density(model, limit, r)),
+        walk, t)
 
 
 def transfer_apply(model, limit, h, t):

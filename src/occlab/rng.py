@@ -27,7 +27,6 @@ TAG_CHAIN = 0       # U_{i,t} shared by the chain and its coupling
 TAG_GAUSS = 1       # standard normals for the autoregressive approximation
 TAG_RADEMACHER = 2  # sign draws for complexity estimates
 TAG_SAMPLER = 3     # Latin-hypercube / corner sampling in coefficient estimation
-TAG_USER = 8        # first tag free for ad-hoc use
 
 _GOLDEN = 0x9E3779B97F4A7C15
 _MASK = 0xFFFFFFFFFFFFFFFF

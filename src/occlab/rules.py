@@ -136,6 +136,16 @@ def _check_domain(x, n):
     return np.clip(x, 0.0, 1.0)
 
 
+def _check_range(p):
+    """p itself, after RangeError if it is NaN or leaves [0,1] by more than
+    ``EDGE_TOL``; two reductions, no copy."""
+    lo, hi = p.min(), p.max()
+    if not (lo >= -EDGE_TOL and hi <= 1 + EDGE_TOL):   # NaN fails too
+        raise RangeError(f"rule value leaves [0,1] by more than {EDGE_TOL:g} "
+                         f"(min {lo:.3e}, max {hi:.3e})")
+    return p
+
+
 def evaluate_rule(rule, x, t=0):
     """Per-node transition probabilities P_t(x), validated and clamped.
 
@@ -148,11 +158,7 @@ def evaluate_rule(rule, x, t=0):
     p = np.asarray(rule.evaluate(x, t), dtype=np.float64)
     if p.shape != x.shape:
         raise RangeError(f"rule returned shape {p.shape} for input shape {x.shape}")
-    lo, hi = p.min(), p.max()
-    if not (lo >= -EDGE_TOL and hi <= 1 + EDGE_TOL):   # NaN fails too
-        raise RangeError(f"rule value leaves [0,1] by more than {EDGE_TOL:g} "
-                         f"(min {lo:.3e}, max {hi:.3e})")
-    return np.clip(p, 0.0, 1.0)
+    return np.clip(_check_range(p), 0.0, 1.0)
 
 
 def fd_jacobian(rule, x, t=0, step=FD_STEP):

@@ -9,6 +9,9 @@ The companion W updates its thresholds at the deterministic trajectory
 p_t instead of the current random state, which makes its nodes mutually
 independent with mean exactly p_t.  The discrepancy bit J_{i,t} records
 whether node i has ever disagreed between the two chains up to time t.
+Both chains range-check, without clipping, the thresholds they compare
+the uniforms with, and raise RangeError as :func:`occlab.rules.evaluate_rule`
+does; W's thresholds at p_t are computed once per step.
 """
 
 import warnings
@@ -20,7 +23,7 @@ import numpy as np
 
 from . import rng
 from .errors import SplitRequiredError, TooLargeError
-from .rules import evaluate_rule, state_table
+from .rules import _check_range, evaluate_rule, rule_conditionals, state_table
 
 EXACT_LAW_CAP = 12
 EXACT_LAW_HARD_CAP = 16
@@ -59,21 +62,12 @@ def _draw_bits(rule, x, t, u):
         thresh = np.where(x == 1, s, c)
     else:
         thresh = np.asarray(rule.evaluate(xf, t), dtype=np.float64)
-    return (u <= thresh).astype(np.uint8)
-
-
-def _coupled_update(rule, x, w, j, p_det, t, u):
-    surv, col = rule.split
-    x2 = _draw_bits(rule, x, t, u)
-    sp = np.asarray(surv(p_det, t), dtype=np.float64)
-    cp = np.asarray(col(p_det, t), dtype=np.float64)
-    w2 = (u <= np.where(w == 1, sp, cp)).astype(np.uint8)
-    j2 = np.maximum(j, (x2 != w2).astype(np.uint8))
-    return x2, w2, j2
+    return (u <= _check_range(thresh)).astype(np.uint8)
 
 
 def _checked(rule, X0, T, R, couple, p_traj):
-    """Validated (X0, p_traj); raises before the caller allocates anything."""
+    """Validated (X0, p_traj, companion), with companion[t] = W's thresholds
+    (S_t, C_t) or None; raises before the caller allocates anything."""
     if R < 1:
         raise ValueError("R must be >= 1")
     if R > rng.MAX_ROWS:
@@ -92,18 +86,23 @@ def _checked(rule, X0, T, R, couple, p_traj):
         p_traj = np.asarray(p_traj, dtype=np.float64)
         if p_traj.shape[0] < T + 1:
             raise ValueError("p_traj must cover steps 0..T")
-    return X0, p_traj
+    companion = ([tuple(map(_check_range, rule_conditionals(rule, p_traj[t], t)))
+                  for t in range(T)] if couple else None)
+    return X0, p_traj, companion
 
 
-def _run_chunks(rule, X0, T, R, seed, couple, p_traj, workers, record):
+def _run_chunks(rule, X0, T, R, seed, companion, workers, record):
     """Run R replicates from X0 for T steps in chunks of ``rng.BLOCK`` rows.
 
     The chunk size is fixed, never the worker count, so results do not
     depend on ``workers``.  ``record(r0, t, x, w, j)`` receives the (rows, n)
     states of the chunk starting at replicate r0 after every step
-    t = 0..T; ``w`` and ``j`` are None unless ``couple``.  Chunks write
-    disjoint rows, so they may run on worker threads in any order.
+    t = 0..T; ``w`` and ``j`` are None when ``companion`` (from
+    :func:`_checked`) is.  Chunks write disjoint rows, so they may run on
+    worker threads in any order.
     """
+    couple = companion is not None
+
     def run_chunk(r0):
         rows = min(rng.BLOCK, R - r0)
         x = np.repeat(X0[None, :], rows, axis=0)
@@ -112,10 +111,10 @@ def _run_chunks(rule, X0, T, R, seed, couple, p_traj, workers, record):
         record(r0, 0, x, w, j)
         for t in range(T):
             u = rng.uniforms(seed, t, rule.n, r0=r0, rows=rows)
+            x = _draw_bits(rule, x, t, u)
             if couple:
-                x, w, j = _coupled_update(rule, x, w, j, p_traj[t], t, u)
-            else:
-                x = _draw_bits(rule, x, t, u)
+                w = (u <= np.where(w == 1, *companion[t])).astype(np.uint8)
+                j = np.maximum(j, (x != w).astype(np.uint8))
             record(r0, t + 1, x, w, j)
 
     starts = range(0, R, rng.BLOCK)
@@ -134,7 +133,7 @@ def simulate_ensemble(rule, X0, T, R, seed, couple=False, p_traj=None, workers=1
     at the supplied deterministic trajectory ``p_traj``) and the discrepancy
     indicators J are tracked alongside X.
     """
-    X0, p_traj = _checked(rule, X0, T, R, couple, p_traj)
+    X0, p_traj, companion = _checked(rule, X0, T, R, couple, p_traj)
     states = np.empty((R, T + 1, rule.n), dtype=np.uint8)
     coupled = np.empty_like(states) if couple else None
     disc = np.empty_like(states) if couple else None
@@ -145,7 +144,7 @@ def simulate_ensemble(rule, X0, T, R, seed, couple=False, p_traj=None, workers=1
             coupled[r0:r0 + len(x), t] = w
             disc[r0:r0 + len(x), t] = j
 
-    _run_chunks(rule, X0, T, R, seed, couple, p_traj, workers, record)
+    _run_chunks(rule, X0, T, R, seed, companion, workers, record)
     return BinaryEnsemble(n=rule.n, T=T, R=R, seed=seed, states=states,
                           coupled=coupled, discrepancy=disc)
 
@@ -160,7 +159,7 @@ def simulate_projections(rule, X0, T, R, seed, h, p_traj, keep_nodes=None,
     subset, plus ``jbar`` (R, T+1) when ``couple=True``.  Bit stream and
     update path match :func:`simulate_ensemble` exactly.
     """
-    X0, p_traj = _checked(rule, X0, T, R, couple, p_traj)
+    X0, p_traj, companion = _checked(rule, X0, T, R, couple, p_traj)
     h = np.asarray(h, dtype=np.float64)
     scale = 1.0 / np.sqrt(rule.n)
     out = {"proj": np.empty((R, T + 1), dtype=np.float64)}
@@ -177,7 +176,7 @@ def simulate_projections(rule, X0, T, R, seed, h, p_traj, keep_nodes=None,
         if couple:
             out["jbar"][rows, t] = j.mean(axis=1)
 
-    _run_chunks(rule, X0, T, R, seed, couple, p_traj, workers, record)
+    _run_chunks(rule, X0, T, R, seed, companion, workers, record)
     return out
 
 

@@ -8,10 +8,9 @@ from occlab.models import (complete_host, graph_rule, graphon_step,
                            graphon_trajectory, homomorphism_density,
                            lambda_kernel, model_from_descriptor,
                            triangle_clt_variance, triangle_density)
-from occlab.models.graphdyn import (clt_functionals, cut_norm_exact,
-                                    deterministic_edge_matrices,
+from occlab.models.graphdyn import (cut_norm_exact, deterministic_edge_matrices,
                                     edge_state_to_adjacency, injected_noise_matrix,
-                                    variance_density)
+                                    sigma2_step, transfer_apply, variance_density)
 from occlab.simulate import simulate_ensemble
 
 
@@ -95,9 +94,27 @@ def test_clt_functionals_match_edge_chain_exactly():
     ea, eb = model.host_edges[:, 0], model.host_edges[:, 1]
     P_seq = deterministic_edge_matrices(model, A0, 3)
     U = (2.0 / model.v) * lambda_kernel(P_seq[3])
-    grid_v = clt_functionals(model, P_seq, U, 3)["variance"]
+    grid_v = triangle_clt_variance(model, A0, 3)
     ga = GaussianApprox.from_rule(rule, A0[ea, eb], 3)
     assert grid_v == pytest.approx(ga.projected_variance(U[ea, eb], 3), rel=1e-12)
+
+
+def test_triangle_variance_matches_hand_written_loop():
+    # the edge-kernel sweep before it shared occlab.gaussian's backward walk,
+    # copied here as the reference
+    model = logistic_model(9, q=0.65, slope=0.45)
+    g = np.random.default_rng(4)
+    A0 = (g.random((9, 9)) < 0.5).astype(np.float64)
+    A0 = np.triu(A0, 1) + np.triu(A0, 1).T
+    for t in range(4):
+        P_seq = deterministic_edge_matrices(model, A0, t)
+        U_r = (2.0 / model.v) * lambda_kernel(P_seq[t]) * model.host_adjacency()
+        total = 0.0
+        for r in range(t, 0, -1):
+            total += sigma2_step(model, U_r, P_seq[r - 1])
+            if r > 1:
+                U_r = transfer_apply(model, U_r, P_seq[r - 1])
+        assert triangle_clt_variance(model, A0, t) == total
 
 
 def test_injected_noise_below_marginal():

@@ -101,6 +101,22 @@ def test_grid_projected_variance_matches_finite_chain():
     assert abs(emp - grid_v) <= 0.08 * grid_v
 
 
+def test_grid_projected_variance_matches_hand_written_loop():
+    # the grid sweep before it shared occlab.gaussian's backward walk,
+    # copied here as the reference
+    model = equidistributed(16, kernel_scale=0.3)
+    lim = hanski_limit(model, lambda z: 0.3 + 0.4 * z, T=4, G=128)
+    h_fn = lambda z: np.cos(3 * z) - 0.2
+    for t in range(5):
+        g, total = h_fn(lim.grid), 0.0
+        for r in range(t, 0, -1):
+            total += lim.integrate(g * g * injected_noise_density(model, lim, r))
+            if r > 1:
+                g = transfer_apply(model, lim, g, r - 1)
+        assert grid_projected_variance(model, lim, h_fn, t) == total
+        assert grid_projected_variance(model, lim, h_fn(lim.grid), t) == total
+
+
 def test_empirical_measure_converges_to_limit():
     # small-scale law-of-large-numbers check
     h_fn = lambda z: np.exp(-z)

@@ -5,7 +5,7 @@ import pytest
 
 import occlab as ol
 from occlab import rng
-from occlab.errors import SplitRequiredError, TooLargeError
+from occlab.errors import DomainError, RangeError, SplitRequiredError, TooLargeError
 from occlab.models import DomanyKinzel, dk_rule, mean_field, spreading_rule
 from occlab.models import dk_device_time, dk_exact_mean_zeta2, random_product_rule
 from occlab.deterministic import det_trajectory
@@ -80,6 +80,37 @@ def test_coupled_requires_split():
     with pytest.raises(SplitRequiredError):
         simulate_ensemble(rule, np.zeros(2, dtype=np.uint8), 1, 2, seed=0,
                           couple=True, p_traj=np.full((2, 2), 0.5))
+
+
+@pytest.mark.parametrize("couple", [False, True])
+@pytest.mark.parametrize("start", [0, 1])
+def test_simulators_range_check_thresholds(start, couple):
+    # an empty start compares the uniforms with colonisation 2.0 and an
+    # occupied one with NaN survival; the coupled companion reads both at p
+    malformed = ol.OccupancyRule(n=3, split=(lambda x, t: np.full(np.shape(x), np.nan),
+                                             lambda x, t: np.full(np.shape(x), 2.0)))
+    X0 = np.full(3, start, dtype=np.uint8)
+    p = np.full((3, 3), 0.5)
+    with pytest.raises(RangeError):
+        simulate_ensemble(malformed, X0, 2, 10, seed=0, couple=couple, p_traj=p)
+    with pytest.raises(RangeError):
+        simulate_projections(malformed, X0, 2, 10, 0, h=np.ones(3), p_traj=p, couple=couple)
+    if not couple:   # a rule without a split is compared with its evaluate
+        high = ol.OccupancyRule(n=3, evaluate=lambda x, t: np.full(np.shape(x), 1.5))
+        with pytest.raises(RangeError):
+            simulate_ensemble(high, X0, 2, 10, seed=0)
+
+
+@pytest.mark.parametrize("bad", [1.5, -0.5, np.nan])
+def test_coupled_companion_domain_checks_p_traj(bad):
+    rule = spreading_rule(mean_field(3, rbar=0.6, mu=0.4))
+    X0 = np.zeros(3, dtype=np.uint8)
+    p = np.full((3, 3), 0.5)
+    p[1, 2] = bad
+    with pytest.raises(DomainError):
+        simulate_ensemble(rule, X0, 2, 10, seed=0, couple=True, p_traj=p)
+    with pytest.raises(DomainError):
+        simulate_projections(rule, X0, 2, 10, 0, h=np.ones(3), p_traj=p, couple=True)
 
 
 def test_replicates_beyond_stream_keys_rejected_before_allocation():
