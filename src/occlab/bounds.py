@@ -50,43 +50,6 @@ def _base_caveats(sched, with_constant, growth=0.0):
 
 
 # ---------------------------------------------------------------------------
-# maximal (q, r) matrix norms
-# ---------------------------------------------------------------------------
-
-def _inner_outer(rows, inner, outer):
-    """Apply an l^inner norm along axis 1 then an l^outer norm to the result."""
-    rows = np.abs(rows)
-    if math.isinf(inner):
-        v = rows.max(axis=1)
-    else:
-        v = (rows ** inner).sum(axis=1) ** (1.0 / inner)
-    if math.isinf(outer):
-        return float(v.max())
-    return float((v ** outer).sum() ** (1.0 / outer))
-
-
-def matrix_qr_norm(A, q, r):
-    """Maximal L^{q,r} norm of a matrix.
-
-    Rows are reduced by an l^q norm and the results by an l^r norm when
-    q >= r; otherwise columns are reduced by l^r and the results by l^q.
-    Infinite exponents reduce by max.  Equal exponents give the entrywise
-    l^q norm.
-    """
-    if q < 1 or r < 1:
-        raise DomainError("matrix norm exponents must lie in [1, inf]")
-    A = np.atleast_2d(np.asarray(A, dtype=np.float64))
-    if q >= r:
-        return _inner_outer(A, q, r)
-    return _inner_outer(A.T, r, q)
-
-
-def induced_l1(A):
-    """Induced l^1 matrix norm (max absolute column sum)."""
-    return float(np.abs(np.atleast_2d(A)).sum(axis=0).max())
-
-
-# ---------------------------------------------------------------------------
 # distributional distance rate for projections
 # ---------------------------------------------------------------------------
 

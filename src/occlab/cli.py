@@ -32,7 +32,7 @@ from .models import graphdyn as gd
 from .models import hanski_limit
 from .models.descriptors import model_from_descriptor
 from .rules import coefficient_schedule
-from .simulate import simulate_ensemble
+from .simulate import require_bytes, simulate_counts
 
 #: rows formatted per write; bounds the text held in memory for big tables
 _CSV_ROWS = 1 << 12
@@ -133,14 +133,18 @@ def _simulate(config, params, seed, workers):
     R = int(params.get("R", 100))
     X0 = _vector(params, "x0", "zeros", rule.n, np.uint8)
     couple = bool(params.get("couple", False))
+    full = bool(params.get("full_states", False))
+    if couple:   # the deterministic path, checked before it is allocated
+        require_bytes(8 * (T + 1) * rule.n)
     p_traj = det_trajectory(rule, X0.astype(float), T).p if couple else None
-    ens = simulate_ensemble(rule, X0, T, R, seed, couple=couple,
-                            p_traj=p_traj, workers=workers)
-    jbar = ens.jbar().mean(axis=0) if couple else [""] * (T + 1)
+    out = simulate_counts(rule, X0, T, R, seed, couple=couple, p_traj=p_traj,
+                          workers=workers, keep_states=full)
+    jbar = out["jbar"].mean(axis=0) if couple else [""] * (T + 1)
     files = {"summary.csv": (["t", "mean_occupancy", "jbar_mean"],
-                             [np.arange(T + 1), ens.occupancy_mean(), jbar])}
-    if params.get("full_states"):
-        files["states.csv"] = _long_table(["replicate", "t", "node", "bit"], ens.states)
+                             [np.arange(T + 1), out["counts"].sum(axis=0) / (R * rule.n),
+                              jbar])}
+    if full:
+        files["states.csv"] = _long_table(["replicate", "t", "node", "bit"], out["states"])
     return files
 
 

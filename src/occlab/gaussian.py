@@ -34,6 +34,7 @@ from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
+import scipy.linalg
 
 from . import rng
 from .errors import NotConvergedError, SingularMatrixError
@@ -180,14 +181,44 @@ class LyapunovResult:
     iterations: int = 0
 
 
+def _schur_lyapunov(J, V):
+    """Q with Q = J Q J^T + V by complex-Schur back-substitution, O(n^3).
+
+    With J = Z T Z^H (T upper triangular) the equation becomes
+    Qt = T Qt T^H + Vt for Qt = Z^H Q Z and Vt = Z^H V Z, whose column j,
+    taken from the last to the first, solves the triangular system
+    (I - conj(t_jj) T) q_j = Vt[:, j] + T sum_{k>j} conj(T[j, k]) q_k
+    (Kitagawa 1977; Barraud 1977).
+    """
+    n = J.shape[0]
+    T, Z = scipy.linalg.schur(J, output="complex")
+    t = np.diag(T)
+    gap = np.abs(1.0 - t[:, None] * t.conj()[None, :]).min(initial=np.inf)
+    if gap <= n * np.finfo(np.float64).eps * max(1.0, np.abs(t).max(initial=0.0) ** 2):
+        raise SingularMatrixError(
+            "Lyapunov equation is singular: some eigenvalue pair of J "
+            "multiplies to one")
+    Vt = Z.conj().T @ V @ Z
+    Qt = np.zeros((n, n), dtype=np.complex128)
+    eye = np.eye(n)
+    for j in range(n - 1, -1, -1):
+        rhs = Vt[:, j] + T @ (Qt[:, j + 1:] @ T[j, j + 1:].conj())
+        Qt[:, j] = scipy.linalg.solve_triangular(
+            eye - t[j].conj() * T, rhs, check_finite=False)
+    return (Z @ Qt @ Z.conj().T).real
+
+
 def lyapunov_solve(J, V, method="auto"):
     """Solve Q = J Q J^T + V.
 
-    method 'direct' vectorizes to an n^2 x n^2 linear solve (default for
-    n <= 64); 'iterative' runs the fixed-point recursion until a step moves
-    Q by at most ``LYAPUNOV_TOL`` (default above).  A solution exists iff
-    no pair of eigenvalues of J multiplies to one; the practical precondition is
-    spectral radius < 1, which the iterative path effectively requires.
+    method 'direct' factors J = Z T Z^H (complex Schur) and back-substitutes
+    one column at a time: O(n^3) work and O(n^2) memory.  It is the default
+    for n <= 64; above that 'iterative' is, which runs the fixed-point
+    recursion until a step moves Q by at most ``LYAPUNOV_TOL``.  A solution
+    exists iff no pair of eigenvalues of J multiplies to one; 'direct'
+    raises SingularMatrixError when such a pair is at rounding level, and
+    the practical precondition is spectral radius < 1, which the iterative
+    path effectively requires.
     """
     J = np.asarray(J, dtype=np.float64)
     n = J.shape[0]
@@ -201,20 +232,13 @@ def lyapunov_solve(J, V, method="auto"):
         method = "direct" if n <= _DIRECT_N_CAP else "iterative"
 
     if method == "direct":
-        A = np.eye(n * n) - np.kron(J, J)
-        try:
-            q = np.linalg.solve(A, V.reshape(-1))
-        except np.linalg.LinAlgError as exc:
-            raise SingularMatrixError(
-                "vectorized system is singular: some eigenvalue pair of J "
-                "multiplies to one") from exc
-        Q = q.reshape(n, n)
+        Q = _schur_lyapunov(J, V)
         Q = 0.5 * (Q + Q.T)
         res = float(np.abs(Q - J @ Q @ J.T - V).max())
         scale = max(1.0, float(np.abs(Q).max()))
         if not np.isfinite(res) or res > 1e-8 * scale:
             raise SingularMatrixError(
-                f"vectorized system is numerically singular (residual {res:.3g})")
+                f"Lyapunov equation is numerically singular (residual {res:.3g})")
         return LyapunovResult(Q=Q, residual=res, method="direct")
 
     if method == "iterative":

@@ -1,7 +1,7 @@
 """Model zoo: concrete occupancy processes with analytic structure."""
 
 from .spreading import (SpreadingModel, ThresholdReport, epidemic_threshold,
-                        from_weighted_graph, mean_field, spreading_rule)
+                        mean_field, spreading_rule)
 from .domany_kinzel import (DomanyKinzel, dk_device_time, dk_exact_mean_zeta2,
                             dk_rule)
 from .hanski import (HanskiLimit, HanskiModel, equidistributed,

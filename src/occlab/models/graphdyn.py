@@ -215,13 +215,13 @@ def _edge_stats(model, P):
     return arg
 
 
-def transfer_apply(model, U, P):
+def transfer_apply(model, U, P, host):
     """Adjoint propagation of an edge kernel one step back along the chain.
 
     Matrix form of (J h)_j = sum_i h_i dP_i/dx_j at the deterministic edge
-    state P (a symmetric v x v matrix supported on host cells).
+    state P (a symmetric v x v matrix supported on host cells).  Here and
+    below ``host`` is ``model.host_adjacency()``, built once by the caller.
     """
-    host = model.host_adjacency()
     arg = _edge_stats(model, P)
     w = model.f(arg)
     K = host * (1.0 - P) * model.f_prime(arg) / (2.0 * model.v)
@@ -231,35 +231,22 @@ def transfer_apply(model, U, P):
     return host * out
 
 
-def injected_noise_matrix(model, P_prev):
+def injected_noise_matrix(model, P_prev, host):
     """Conditional-variance diagonal of one edge step, as a v x v matrix.
 
     q(1-q) P + host (1-P) w(1-w) at the previous deterministic state; the
     marginal form P'(1-P') exceeds it by (q - w)^2 P(1-P).
     """
-    host = model.host_adjacency()
     arg = _edge_stats(model, P_prev)
     w = model.f(arg)
     q = model.q
     return q * (1.0 - q) * P_prev + host * w * (1.0 - w) * (1.0 - P_prev)
 
 
-def sigma2_step(model, U, P_prev):
+def sigma2_step(model, U, P_prev, host):
     """Injected variance of the edge projection <xi, U> for one step from P_prev."""
-    var = injected_noise_matrix(model, P_prev) * model.host_adjacency()
+    var = injected_noise_matrix(model, P_prev, host) * host
     return float((U * U * var).sum() / (2.0 * model.n_edges))
-
-
-def variance_density(model, P_prev, var_prev):
-    """Displayed variance-density recursion; equals P(1-P) from a
-    deterministic start (kept as a cross-check of the decomposition)."""
-    host = model.host_adjacency()
-    arg = _edge_stats(model, P_prev)
-    w = model.f(arg)
-    q = model.q
-    return (q * (1.0 - q) * P_prev
-            + host * w * (1.0 - w) * (1.0 - P_prev)
-            + (q - w) ** 2 * var_prev)
 
 
 def deterministic_edge_matrices(model, A0, T):
@@ -279,6 +266,8 @@ def triangle_clt_variance(model, A0, t):
     variance sum_{r=1..t} sigma_r^2[J_r ... J_{t-1} U] is the backward sweep.
     """
     P_seq = deterministic_edge_matrices(model, A0, t)
-    U = (2.0 / model.v) * lambda_kernel(P_seq[t]) * model.host_adjacency()
-    walk = backward(lambda r, g: transfer_apply(model, g, P_seq[r]), U, t)
-    return accumulated_variance(lambda r, g: sigma2_step(model, g, P_seq[r - 1]), walk, t)
+    host = model.host_adjacency()
+    U = (2.0 / model.v) * lambda_kernel(P_seq[t]) * host
+    walk = backward(lambda r, g: transfer_apply(model, g, P_seq[r], host), U, t)
+    return accumulated_variance(lambda r, g: sigma2_step(model, g, P_seq[r - 1], host),
+                                walk, t)

@@ -142,6 +142,9 @@ class HanskiLimit:
     rho: np.ndarray           # (T+1, G) occupancy density
     variance: np.ndarray      # (T+1, G) variance density
     connectivity: np.ndarray  # (T+1, G) limiting connectivity C_t(z)
+    dispersal: np.ndarray     # (G, G) kernel D(z, w) between grid nodes
+    s: np.ndarray             # (G,) survival probability s(z) on the grid
+    a: np.ndarray             # (G,) weight density a(z) on the grid
 
     def integrate(self, values_on_grid):
         return float((self.weights * values_on_grid).sum())
@@ -186,7 +189,7 @@ def hanski_limit(model, rho0, T, G=512):
                       + (s_g - cg) ** 2 * var[t])
     conn[T] = D @ (weights * a_g * rho[T])
     return HanskiLimit(grid=nodes, weights=weights, rho=rho, variance=var,
-                       connectivity=conn)
+                       connectivity=conn, dispersal=D, s=s_g, a=a_g)
 
 
 def injected_noise_density(model, limit, t):
@@ -199,8 +202,7 @@ def injected_noise_density(model, limit, t):
     """
     if t < 1:
         return np.zeros_like(limit.grid)
-    nodes = limit.grid
-    s_g = model.s(nodes)
+    s_g = limit.s
     cg = model.c(limit.connectivity[t - 1])
     rho = limit.rho[t - 1]
     return s_g * (1.0 - s_g) * rho + cg * (1.0 - cg) * (1.0 - rho)
@@ -229,8 +231,5 @@ def transfer_apply(model, limit, h, t):
     hg = h(nodes) if callable(h) else np.asarray(h, dtype=np.float64)
     cg = model.c(limit.connectivity[t])
     cpg = model.c_prime(limit.connectivity[t])
-    s_g = model.s(nodes)
-    a_g = model.a(nodes)
-    D = model.dispersal(nodes[:, None], nodes[None, :])
-    integral = D @ (weights * hg * cpg * (1.0 - limit.rho[t]))
-    return (s_g - cg) * hg + a_g * integral
+    integral = limit.dispersal @ (weights * hg * cpg * (1.0 - limit.rho[t]))
+    return (limit.s - cg) * hg + limit.a * integral

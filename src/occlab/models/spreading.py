@@ -79,27 +79,6 @@ def mean_field(n, rbar, mu, reinfection=False, domain_form="product"):
                           domain_form=domain_form)
 
 
-def from_weighted_graph(W, contacts, mu, reinfection=False, prop_const=None):
-    """Reaction matrix from a weighted adjacency matrix and contact rates.
-
-    r_ij is proportional to 1 - (1 - w_ij / sum_k w_ik)^{lambda_i}; the
-    proportionality constant defaults to the value making max r_ij = 0.9.
-    """
-    W = np.asarray(W, dtype=np.float64)
-    lam = np.broadcast_to(np.asarray(contacts, dtype=np.float64), (W.shape[0],))
-    row = W.sum(axis=1, keepdims=True)
-    frac = np.divide(W, row, out=np.zeros_like(W), where=row > 0)
-    base = 1.0 - (1.0 - frac) ** lam[:, None]
-    np.fill_diagonal(base, 0.0)
-    if prop_const is None:
-        top = base.max()
-        prop_const = 0.9 / top if top > 0 else 1.0
-    R = prop_const * base
-    if R.max() >= 1:
-        raise ValueError("proportionality constant pushes reactions to 1 or above")
-    return SpreadingModel(R_matrix=R, mu=mu, reinfection=reinfection)
-
-
 def _is_binary(x):
     return bool(((x == 0.0) | (x == 1.0)).all())
 
@@ -153,6 +132,13 @@ def spreading_rule(model):
             x = np.asarray(x, dtype=np.float64)
             return np.broadcast_to(1.0 - mu, x.shape).copy()
 
+    def evaluate(x, t=0):
+        # the derived x * S + (1 - x) * C, with one product factor for S and C
+        x = np.asarray(x, dtype=np.float64)
+        pf = prod_factor(x)
+        s = 1.0 - mu * pf if model.reinfection else 1.0 - mu
+        return x * s + (1.0 - x) * (1.0 - pf)
+
     def jacobian(x, t=0):
         x = np.asarray(x, dtype=np.float64)
         pf = prod_factor(x)
@@ -192,7 +178,7 @@ def spreading_rule(model):
             delta=0.0)
 
     return OccupancyRule(
-        n=n, split=(survive, colonize), jacobian=jacobian,
+        n=n, evaluate=evaluate, split=(survive, colonize), jacobian=jacobian,
         coeff_oracle=coeff_oracle, homogeneous=True,
         name=f"spreading(n={n},mu={mu},reinf={model.reinfection},{model.domain_form})")
 

@@ -10,8 +10,8 @@ Conventions
 * A rule gives its survival/colonization split ``(S, C)``, from which
   ``evaluate`` is derived as ``P_i(x) = x_i * S_i(x) + (1 - x_i) * C_i(x)``,
   or it gives ``evaluate`` alone (or both, where the derived form rounds
-  differently).  Neither ``S_i`` nor ``C_i`` may depend on coordinate ``i``
-  (so ``P_i`` is affine in its own coordinate).
+  differently or costs more).  Neither ``S_i`` nor ``C_i`` may depend on
+  coordinate ``i`` (so ``P_i`` is affine in its own coordinate).
 * ``evaluate(x, t)`` must accept ``x`` of shape (n,) or (batch..., n) and
   return the per-node probabilities with the same leading shape.  It must
   be a pure function of its arguments (safe for concurrent callers).

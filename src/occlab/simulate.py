@@ -11,9 +11,12 @@ independent with mean exactly p_t.  The discrepancy bit J_{i,t} records
 whether node i has ever disagreed between the two chains up to time t.
 Both chains range-check, without clipping, the thresholds they compare
 the uniforms with, and raise RangeError as :func:`occlab.rules.evaluate_rule`
-does; W's thresholds at p_t are computed once per step.
+does; W's thresholds at p_t are computed once per step.  A call whose
+result arrays would exceed ``MAX_RESULT_BYTES`` raises TooLargeError
+before allocating them.
 """
 
+import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -28,6 +31,9 @@ from .rules import _check_range, evaluate_rule, rule_conditionals, state_table
 EXACT_LAW_CAP = 12
 EXACT_LAW_HARD_CAP = 16
 
+#: most bytes one simulation call may allocate for its results
+MAX_RESULT_BYTES = 2 ** 32
+
 
 @dataclass
 class BinaryEnsemble:
@@ -40,16 +46,6 @@ class BinaryEnsemble:
     states: np.ndarray                      # (R, T+1, n) uint8
     coupled: Optional[np.ndarray] = None    # (R, T+1, n) uint8
     discrepancy: Optional[np.ndarray] = None  # (R, T+1, n) uint8
-
-    def occupancy_mean(self):
-        """Mean occupancy per time step, averaged over replicates and nodes."""
-        return self.states.mean(axis=(0, 2))
-
-    def jbar(self):
-        """Mean discrepancy fraction per replicate and step, shape (R, T+1)."""
-        if self.discrepancy is None:
-            raise SplitRequiredError("ensemble was simulated without coupling")
-        return self.discrepancy.mean(axis=2)
 
 
 def _draw_bits(rule, x, t, u):
@@ -65,14 +61,25 @@ def _draw_bits(rule, x, t, u):
     return (u <= _check_range(thresh)).astype(np.uint8)
 
 
-def _checked(rule, X0, T, R, couple, p_traj):
-    """Validated (X0, p_traj, companion), with companion[t] = W's thresholds
-    (S_t, C_t) or None; raises before the caller allocates anything."""
+def require_bytes(nbytes):
+    """Raise TooLargeError, before anything is allocated, when ``nbytes``
+    exceeds ``MAX_RESULT_BYTES``."""
+    if nbytes > MAX_RESULT_BYTES:
+        raise TooLargeError(f"the results need {nbytes / 2 ** 30:.3g} GiB, above the "
+                            f"{MAX_RESULT_BYTES / 2 ** 30:.3g} GiB cap")
+
+
+def _checked(rule, X0, T, R, couple, p_traj, specs):
+    """Validated (X0, p_traj, companion) and the caller's result arrays, one
+    ``np.empty`` per (shape, dtype) in ``specs``, with companion[t] = W's
+    thresholds (S_t, C_t) or None; raises before allocating anything."""
     if R < 1:
         raise ValueError("R must be >= 1")
     if R > rng.MAX_ROWS:
         raise TooLargeError(f"R = {R} exceeds the {rng.MAX_ROWS} replicates "
                             "the keyed streams address")
+    require_bytes(sum(np.dtype(dtype).itemsize * math.prod(shape) for shape, dtype in specs)
+                  + (16 * T * rule.n if couple else 0))
     X0 = np.asarray(X0, dtype=np.uint8)
     if X0.shape != (rule.n,):
         raise ValueError(f"X0 must have shape ({rule.n},)")
@@ -88,7 +95,7 @@ def _checked(rule, X0, T, R, couple, p_traj):
             raise ValueError("p_traj must cover steps 0..T")
     companion = ([tuple(map(_check_range, rule_conditionals(rule, p_traj[t], t)))
                   for t in range(T)] if couple else None)
-    return X0, p_traj, companion
+    return X0, p_traj, companion, [np.empty(shape, dtype) for shape, dtype in specs]
 
 
 def _run_chunks(rule, X0, T, R, seed, companion, workers, record):
@@ -133,10 +140,9 @@ def simulate_ensemble(rule, X0, T, R, seed, couple=False, p_traj=None, workers=1
     at the supplied deterministic trajectory ``p_traj``) and the discrepancy
     indicators J are tracked alongside X.
     """
-    X0, p_traj, companion = _checked(rule, X0, T, R, couple, p_traj)
-    states = np.empty((R, T + 1, rule.n), dtype=np.uint8)
-    coupled = np.empty_like(states) if couple else None
-    disc = np.empty_like(states) if couple else None
+    specs = [((R, T + 1, rule.n), np.uint8)] * (3 if couple else 1)
+    X0, p_traj, companion, arrays = _checked(rule, X0, T, R, couple, p_traj, specs)
+    states, coupled, disc = arrays if couple else (arrays[0], None, None)
 
     def record(r0, t, x, w, j):
         states[r0:r0 + len(x), t] = x
@@ -159,14 +165,16 @@ def simulate_projections(rule, X0, T, R, seed, h, p_traj, keep_nodes=None,
     subset, plus ``jbar`` (R, T+1) when ``couple=True``.  Bit stream and
     update path match :func:`simulate_ensemble` exactly.
     """
-    X0, p_traj, companion = _checked(rule, X0, T, R, couple, p_traj)
+    specs = {"proj": ((R, T + 1), np.float64)}
+    if keep_nodes is not None:
+        specs["nodes"] = ((R, T + 1, len(keep_nodes)), np.uint8)
+    if couple:
+        specs["jbar"] = ((R, T + 1), np.float64)
+    X0, p_traj, companion, arrays = _checked(rule, X0, T, R, couple, p_traj,
+                                             list(specs.values()))
+    out = dict(zip(specs, arrays))
     h = np.asarray(h, dtype=np.float64)
     scale = 1.0 / np.sqrt(rule.n)
-    out = {"proj": np.empty((R, T + 1), dtype=np.float64)}
-    if keep_nodes is not None:
-        out["nodes"] = np.empty((R, T + 1, len(keep_nodes)), dtype=np.uint8)
-    if couple:
-        out["jbar"] = np.empty((R, T + 1), dtype=np.float64)
 
     def record(r0, t, x, w, j):
         rows = slice(r0, r0 + len(x))
@@ -175,6 +183,36 @@ def simulate_projections(rule, X0, T, R, seed, h, p_traj, keep_nodes=None,
             out["nodes"][rows, t] = x[:, keep_nodes]
         if couple:
             out["jbar"][rows, t] = j.mean(axis=1)
+
+    _run_chunks(rule, X0, T, R, seed, companion, workers, record)
+    return out
+
+
+def simulate_counts(rule, X0, T, R, seed, couple=False, p_traj=None, workers=1,
+                    keep_states=False):
+    """Streaming simulation keeping per-replicate occupied counts.
+
+    Returns a dict with ``counts`` of shape (R, T+1) holding sum_i X_{i,t}
+    per replicate, plus ``jbar`` (R, T+1) when ``couple=True`` and the raw
+    bits ``states`` (R, T+1, n) when ``keep_states=True``.  Bit stream and
+    update path match :func:`simulate_ensemble` exactly.
+    """
+    specs = {"counts": ((R, T + 1), np.int64)}
+    if couple:
+        specs["jbar"] = ((R, T + 1), np.float64)
+    if keep_states:
+        specs["states"] = ((R, T + 1, rule.n), np.uint8)
+    X0, p_traj, companion, arrays = _checked(rule, X0, T, R, couple, p_traj,
+                                             list(specs.values()))
+    out = dict(zip(specs, arrays))
+
+    def record(r0, t, x, w, j):
+        rows = slice(r0, r0 + len(x))
+        out["counts"][rows, t] = x.sum(axis=1)
+        if couple:
+            out["jbar"][rows, t] = j.mean(axis=1)
+        if keep_states:
+            out["states"][rows, t] = x
 
     _run_chunks(rule, X0, T, R, seed, companion, workers, record)
     return out
@@ -195,15 +233,16 @@ def _half_factor(p):
 
     Nodes update independently given x, so the kernel factors as
     K[x, y_A + 2^a y_B] = F_A[x, y_A] F_B[x, y_B] for the low a nodes A and
-    the rest B.
+    the rest B.  The factor is built y-major, so every slice written is
+    contiguous, and returned x-major.
     """
-    F = np.empty((p.shape[0], 2 ** p.shape[1]))
-    F[:, 0] = 1.0
-    for i in range(p.shape[1]):
+    Ft = np.empty((2 ** p.shape[1], p.shape[0]))
+    Ft[0] = 1.0
+    for i, col in enumerate(p.T):
         w = 2 ** i
-        np.multiply(F[:, :w], p[:, i:i + 1], out=F[:, w:2 * w])
-        F[:, :w] *= 1.0 - p[:, i:i + 1]
-    return F
+        np.multiply(Ft[:w], col, out=Ft[w:2 * w])
+        Ft[:w] *= 1.0 - col
+    return np.ascontiguousarray(Ft.T)
 
 
 def exact_law(rule, X0, T, n_cap=EXACT_LAW_CAP):

@@ -7,8 +7,8 @@ import occlab as ol
 from occlab import rng
 from occlab.analysis import sign_class
 from occlab.bounds import (clt_rate_bound, concentration_bound, finite_class_bound,
-                           induced_l1, jbar_moment_bound, linearization_error_bound,
-                           lqr_error_bound, matrix_qr_norm, mean_functional_norms,
+                           jbar_moment_bound, linearization_error_bound,
+                           lqr_error_bound, mean_functional_norms,
                            rademacher_exact, rademacher_mc)
 from occlab.errors import DegenerateSigmaError, DomainError
 from occlab.gaussian import GaussianApprox
@@ -28,48 +28,18 @@ def generic_coeffs(steps=6):
 
 
 # ---------------------------------------------------------------------------
-# matrix norms
+# derivative norms
 # ---------------------------------------------------------------------------
-
-def test_qr_norm_ones_frobenius():
-    assert matrix_qr_norm(np.ones((2, 2)), 2, 2) == pytest.approx(2.0)
-
-
-def test_qr_norm_inf_one():
-    assert matrix_qr_norm(np.ones((2, 2)), INF, 1) == pytest.approx(2.0)
-
-
-def test_qr_norm_equal_exponents_entrywise():
-    g = np.random.default_rng(0)
-    A = g.standard_normal((4, 5))
-    for q in (1, 2, 3, INF):
-        direct = (np.abs(A).max() if math.isinf(q)
-                  else (np.abs(A) ** q).sum() ** (1 / q))
-        assert matrix_qr_norm(A, q, q) == pytest.approx(direct)
-
-
-def test_qr_norm_21_bounded_by_sqrt_n_frobenius():
-    g = np.random.default_rng(1)
-    for _ in range(5):
-        A = g.standard_normal((3, 3))
-        fro = np.sqrt((A ** 2).sum())
-        assert matrix_qr_norm(A, 2, 1) <= math.sqrt(3) * fro + 1e-12
-        assert matrix_qr_norm(A, 1, 2) <= math.sqrt(3) * fro + 1e-12
-
-
-def test_qr_norm_rejects_bad_exponents():
-    with pytest.raises(DomainError):
-        matrix_qr_norm(np.eye(2), 0.5, 1)
-
 
 def test_mean_functional_norms():
     # gradient of the averaging functional: a single row of 1/n entries
+    # (one row: its induced l^1 norm is the largest entry, and every
+    # maximal (2, q) norm is its l^2 norm)
     n = 64
-    row = np.full((1, n), 1.0 / n)
+    row = np.full(n, 1.0 / n)
     norms = mean_functional_norms(n)
-    assert induced_l1(row) == pytest.approx(norms["df_1"])
-    for q in (1, 2, 4, INF):
-        assert matrix_qr_norm(row, 2, q) == pytest.approx(norms["df_2q"])
+    assert np.abs(row).max() == pytest.approx(norms["df_1"])
+    assert np.sqrt((row ** 2).sum()) == pytest.approx(norms["df_2q"])
     assert norms["d2f_1q"] == 0.0
 
 

@@ -1,6 +1,7 @@
 import csv
 import json
 import hashlib
+import tracemalloc
 from pathlib import Path
 
 import jsonschema
@@ -112,6 +113,24 @@ def test_model_error_exits_3_without_traceback(tmp_path, capsys, model, task, pa
     assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
     err = capsys.readouterr().err
     assert err.startswith("model error:") and "Traceback" not in err
+    assert not (tmp_path / "o" / "manifest.json").exists()
+
+
+def test_huge_simulation_exits_3_before_allocating(tmp_path, capsys):
+    # a billion coupled replicates need 164 GiB of summary arrays: refused
+    # before anything large is allocated
+    path = write_config(tmp_path, {"model": {"type": "constant", "n": 3, "c": 0.4},
+                                   "task": "simulate",
+                                   "parameters": {"R": 1_000_000_000, "couple": True}})
+    tracemalloc.start()
+    try:
+        code = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3 and peak < 16 * 2 ** 20
+    err = capsys.readouterr().err
+    assert err.startswith("model error:") and "GiB" in err and "Traceback" not in err
     assert not (tmp_path / "o" / "manifest.json").exists()
 
 

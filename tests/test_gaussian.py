@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -216,6 +217,59 @@ def test_lyapunov_singular_pair_detected():
         lyapunov_solve(J, np.eye(2), method="direct")
     with pytest.raises(NotConvergedError):
         lyapunov_solve(J, np.eye(2), method="iterative")
+
+
+def _stable_jacobian(g, n, pairs):
+    """O (D + N) O^T: O orthogonal, N strictly upper and small, D diagonal
+    (real spectrum) or with 2 x 2 rotation blocks (complex-conjugate pairs)."""
+    D = np.diag(g.uniform(-0.9, 0.9, n))
+    if pairs:
+        for i in range(0, n - 1, 2):
+            r, th = g.uniform(0.2, 0.9), g.uniform(0.1, 3.0)
+            D[i:i + 2, i:i + 2] = r * np.array([[np.cos(th), -np.sin(th)],
+                                                [np.sin(th), np.cos(th)]])
+    O = np.linalg.qr(g.standard_normal((n, n)))[0]
+    return O @ (D + 0.1 * np.triu(g.standard_normal((n, n)), 1)) @ O.T
+
+
+@pytest.mark.parametrize("pairs", [False, True])
+def test_lyapunov_direct_matches_kron_reference(pairs):
+    g = np.random.default_rng(11 + pairs)
+    for n in range(1, 13):
+        J = _stable_jacobian(g, n, pairs)
+        assert np.iscomplex(np.linalg.eigvals(J)).any() == (pairs and n > 1)
+        A = g.standard_normal((n, n))
+        V = A @ A.T
+        ref = np.linalg.solve(np.eye(n * n) - np.kron(J, J), V.reshape(-1)).reshape(n, n)
+        Q = lyapunov_solve(J, V, method="direct").Q
+        assert np.abs(Q - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_lyapunov_direct_rotated_singular_pair_detected():
+    # eigenvalues 2 and 0.5 behind a rotation: the product is one up to rounding
+    O = np.linalg.qr(np.random.default_rng(3).standard_normal((2, 2)))[0]
+    with pytest.raises(SingularMatrixError):
+        lyapunov_solve(O @ np.diag([2.0, 0.5]) @ O.T, np.eye(2), method="direct")
+
+
+def test_lyapunov_direct_zero_noise_gives_exact_zero():
+    J = _stable_jacobian(np.random.default_rng(4), 9, True)
+    res = lyapunov_solve(J, np.zeros((9, 9)), method="direct")
+    assert not res.Q.any() and res.residual == 0.0
+
+
+def test_lyapunov_direct_memory_is_quadratic():
+    # the vectorized n^2 x n^2 system alone would be 134 MB at n = 64
+    n = 64
+    J = _stable_jacobian(np.random.default_rng(5), n, True)
+    V = np.eye(n)
+    tracemalloc.start()
+    try:
+        lyapunov_solve(J, V, method="direct")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
 
 
 def test_covariance_converges_to_lyapunov_solution():

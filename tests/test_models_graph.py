@@ -10,7 +10,7 @@ from occlab.models import (complete_host, graph_rule, graphon_step,
                            triangle_clt_variance, triangle_density)
 from occlab.models.graphdyn import (cut_norm_exact, deterministic_edge_matrices,
                                     edge_state_to_adjacency, injected_noise_matrix,
-                                    sigma2_step, transfer_apply, variance_density)
+                                    sigma2_step, transfer_apply)
 from occlab.simulate import simulate_ensemble
 
 
@@ -77,12 +77,16 @@ def test_deterministic_edge_recursion_matches_graphon_step_on_complete_host():
     # graphon_step without self-exclusion differs by O(1/v); check closeness
     W = graphon_trajectory(A0, model.host_adjacency(), model.q, model.f, 3)
     assert np.abs(P[3] - W[3]).max() <= 0.05
-    # and the structural identity: the recursive variance density equals the
-    # marginal P(1-P) on the host support when started from a graph
+    # and the structural identity: the recursive variance density (the
+    # injected noise plus the (q - w)^2-propagated past, w the colonization
+    # at P) equals the marginal P(1-P) on the host support from a graph
     host = model.host_adjacency()
+    col = graph_rule(model).split[1]
+    ea, eb = model.host_edges[:, 0], model.host_edges[:, 1]
     var = np.zeros_like(A0)
     for s in range(3):
-        var = variance_density(model, P[s], var)
+        w = edge_state_to_adjacency(model, col(P[s][ea, eb]))
+        var = injected_noise_matrix(model, P[s], host) + (model.q - w) ** 2 * var
         marginal = P[s + 1] * (1 - P[s + 1]) * host
         assert np.allclose(var * host, marginal, atol=1e-12)
 
@@ -106,14 +110,15 @@ def test_triangle_variance_matches_hand_written_loop():
     g = np.random.default_rng(4)
     A0 = (g.random((9, 9)) < 0.5).astype(np.float64)
     A0 = np.triu(A0, 1) + np.triu(A0, 1).T
+    host = model.host_adjacency()
     for t in range(4):
         P_seq = deterministic_edge_matrices(model, A0, t)
-        U_r = (2.0 / model.v) * lambda_kernel(P_seq[t]) * model.host_adjacency()
+        U_r = (2.0 / model.v) * lambda_kernel(P_seq[t]) * host
         total = 0.0
         for r in range(t, 0, -1):
-            total += sigma2_step(model, U_r, P_seq[r - 1])
+            total += sigma2_step(model, U_r, P_seq[r - 1], host)
             if r > 1:
-                U_r = transfer_apply(model, U_r, P_seq[r - 1])
+                U_r = transfer_apply(model, U_r, P_seq[r - 1], host)
         assert triangle_clt_variance(model, A0, t) == total
 
 
@@ -121,7 +126,7 @@ def test_injected_noise_below_marginal():
     model = logistic_model(8)
     P = deterministic_edge_matrices(model, model.host_adjacency(), 2)
     host = model.host_adjacency()
-    inj = injected_noise_matrix(model, P[1]) * host
+    inj = injected_noise_matrix(model, P[1], host) * host
     marg = P[2] * (1 - P[2]) * host
     assert (inj <= marg + 1e-12).all()
 

@@ -6,7 +6,7 @@ import pytest
 import occlab as ol
 from occlab.deterministic import det_trajectory
 from occlab.models import (DomanyKinzel, dk_device_time, dk_exact_mean_zeta2,
-                           dk_rule, from_weighted_graph, mean_field,
+                           dk_rule, mean_field,
                            model_from_descriptor, spreading_rule, SpreadingModel)
 from occlab.simulate import exact_law, law_mean, simulate_projections, state_table
 
@@ -45,12 +45,27 @@ def test_spreading_alpha_is_max_column_sum():
     assert cs.delta == 0.0 and cs.gamma == 0.0
 
 
-def test_weighted_graph_reactions():
-    g = np.random.default_rng(1)
-    W = g.random((6, 6)); np.fill_diagonal(W, 0.0)
-    model = from_weighted_graph(W, contacts=3.0, mu=0.5)
-    assert model.R_matrix.max() == pytest.approx(0.9)
-    assert np.diag(model.R_matrix).max() == 0.0
+@pytest.mark.parametrize("reinfection", [False, True])
+@pytest.mark.parametrize("domain_form", ["product", "exponential"])
+@pytest.mark.parametrize("uniform", [False, True])
+def test_spreading_evaluate_equals_split_form_bitwise(reinfection, domain_form, uniform):
+    # the rule's own evaluate shares one product factor between S and C and
+    # must round exactly as the derived x * S + (1 - x) * C
+    g = np.random.default_rng(6)
+    n = 9
+    if uniform:
+        R = np.full((n, n), 0.1)
+    else:
+        R = g.uniform(0.0, 0.3, (n, n))
+    np.fill_diagonal(R, 0.0)
+    model = SpreadingModel(R_matrix=R, mu=0.35, reinfection=reinfection,
+                           domain_form=domain_form)
+    assert (model._uniform_r is not None) == uniform
+    rule = spreading_rule(model)
+    surv, col = rule.split
+    for x in (g.random(n), g.random((5, n)), state_table(n)):
+        derived = x * surv(x, 0) + (1.0 - x) * col(x, 0)
+        assert np.array_equal(rule.evaluate(x, 0), derived)
 
 
 def test_exponential_and_product_forms_agree_on_binary():

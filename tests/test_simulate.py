@@ -142,7 +142,7 @@ def test_discrepancy_monotone_and_threshold_geometry():
     X0 = np.array([1, 0, 1, 0, 1, 0, 1, 0], dtype=np.uint8)
     traj = det_trajectory(rule, X0.astype(float), 5)
     ens = simulate_ensemble(rule, X0, 5, 5000, seed=7, couple=True, p_traj=traj.p)
-    jbar = ens.jbar()
+    jbar = ens.discrepancy.mean(axis=2)
     assert (np.diff(jbar, axis=1) >= -1e-15).all()
 
     # one-step disagreement probability for a node empty in both chains is
