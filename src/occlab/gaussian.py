@@ -28,6 +28,12 @@ product = identity), projections of xi_t = n^{-1/2}(Z_t - p_t) have
 and the matrix covariance obeys Sigma_t = J_{t-1} Sigma_{t-1} J_{t-1}^T
 + diag(v_t); in the homogeneous stable case Sigma_t converges to the
 solution of the discrete Lyapunov equation Q = J Q J^T + V.
+
+The projected forms need only products D_s g.  When the rule supplies
+``vjp`` the backward walk takes them from it, and no n x n matrix is
+formed; the dense Jacobians J_0..J_{T-1} are built lazily, on the first
+read of ``GaussianApprox.jacobians`` (by ``covariances``,
+``simulate_gaussian`` or a walk for a rule without ``vjp``).
 """
 
 from dataclasses import dataclass
@@ -75,18 +81,17 @@ def accumulated_variance(noise, walk, t):
 
 
 class GaussianApprox:
-    """Deterministic path plus its Jacobians and variance diagonals."""
+    """Deterministic path plus its variance diagonals and Jacobians."""
 
     def __init__(self, rule, base: DeterministicTrajectory):
         self.rule = rule
         self.base = base
-        # jacobians[t] maps p_t -> p_{t+1}; V[t] is the noise the step into t
-        # injects (row 0 is zero: the start is fixed)
-        self.jacobians = np.empty((base.T, base.n, base.n))
+        # V[t] is the noise the step into t injects (row 0 is zero: the
+        # start is fixed)
         self.V = np.zeros_like(base.p)
         for t in range(base.T):
-            self.jacobians[t] = rule_jacobian(rule, base.p[t], t)
             self.V[t + 1] = injected_variance(rule, base.p[t], t)
+        self._jacobians = None
         self._sigma = None
 
     @classmethod
@@ -101,10 +106,24 @@ class GaussianApprox:
     def T(self):
         return self.base.T
 
+    @property
+    def jacobians(self):
+        """(T, n, n) array whose row t maps p_t -> p_{t+1}, built on first read."""
+        if self._jacobians is None:
+            J = np.empty((self.T, self.n, self.n))
+            for t in range(self.T):
+                J[t] = rule_jacobian(self.rule, self.base.p[t], t)
+            self._jacobians = J
+        return self._jacobians
+
     def backward(self, h, t):
-        """Yield D_{r,t} h for r = t, t-1, ..., 0 (D_u = transposed Jacobian)."""
+        """Yield D_{r,t} h for r = t, t-1, ..., 0 (D_u = transposed Jacobian),
+        through the rule's ``vjp`` when it has one."""
         if not 0 <= t <= self.T:
             raise ValueError("need 0 <= t <= T")
+        vjp = self.rule.vjp
+        if vjp is not None:
+            return backward(lambda r, g: vjp(self.base.p[r], r, g), h, t)
         return backward(lambda r, g: self.jacobians[r].T @ g, h, t)
 
     def propagate(self, h, s, t):
@@ -137,9 +156,10 @@ class GaussianApprox:
         """Full covariance recursion Sigma_0..Sigma_T, cached; O(T n^2) memory."""
         if self._sigma is None:
             n = self.n
+            jac = self.jacobians
             sig = np.zeros((self.T + 1, n, n))
             for t in range(self.T):
-                J = self.jacobians[t]
+                J = jac[t]
                 sig[t + 1] = J @ sig[t] @ J.T + np.diag(self.V[t + 1])
             self._sigma = sig
         return self._sigma

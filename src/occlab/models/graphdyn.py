@@ -215,14 +215,15 @@ def _edge_stats(model, P):
     return arg
 
 
-def transfer_apply(model, U, P, host):
+def transfer_apply(model, U, P, host, arg=None):
     """Adjoint propagation of an edge kernel one step back along the chain.
 
     Matrix form of (J h)_j = sum_i h_i dP_i/dx_j at the deterministic edge
     state P (a symmetric v x v matrix supported on host cells).  Here and
-    below ``host`` is ``model.host_adjacency()``, built once by the caller.
+    below ``host`` is ``model.host_adjacency()``, built once by the caller,
+    and ``arg``, when given, is ``_edge_stats(model, P)``.
     """
-    arg = _edge_stats(model, P)
+    arg = _edge_stats(model, P) if arg is None else arg
     w = model.f(arg)
     K = host * (1.0 - P) * model.f_prime(arg) / (2.0 * model.v)
     KU = K * U
@@ -231,21 +232,21 @@ def transfer_apply(model, U, P, host):
     return host * out
 
 
-def injected_noise_matrix(model, P_prev, host):
+def injected_noise_matrix(model, P_prev, host, arg=None):
     """Conditional-variance diagonal of one edge step, as a v x v matrix.
 
     q(1-q) P + host (1-P) w(1-w) at the previous deterministic state; the
     marginal form P'(1-P') exceeds it by (q - w)^2 P(1-P).
     """
-    arg = _edge_stats(model, P_prev)
+    arg = _edge_stats(model, P_prev) if arg is None else arg
     w = model.f(arg)
     q = model.q
     return q * (1.0 - q) * P_prev + host * w * (1.0 - w) * (1.0 - P_prev)
 
 
-def sigma2_step(model, U, P_prev, host):
+def sigma2_step(model, U, P_prev, host, arg=None):
     """Injected variance of the edge projection <xi, U> for one step from P_prev."""
-    var = injected_noise_matrix(model, P_prev, host) * host
+    var = injected_noise_matrix(model, P_prev, host, arg) * host
     return float((U * U * var).sum() / (2.0 * model.n_edges))
 
 
@@ -267,7 +268,9 @@ def triangle_clt_variance(model, A0, t):
     """
     P_seq = deterministic_edge_matrices(model, A0, t)
     host = model.host_adjacency()
+    # the walk and the noise both read states 0..t-1: one _edge_stats each
+    args = [_edge_stats(model, P) for P in P_seq[:t]]
     U = (2.0 / model.v) * lambda_kernel(P_seq[t]) * host
-    walk = backward(lambda r, g: transfer_apply(model, g, P_seq[r], host), U, t)
-    return accumulated_variance(lambda r, g: sigma2_step(model, g, P_seq[r - 1], host),
-                                walk, t)
+    walk = backward(lambda r, g: transfer_apply(model, g, P_seq[r], host, args[r]), U, t)
+    return accumulated_variance(
+        lambda r, g: sigma2_step(model, g, P_seq[r - 1], host, args[r - 1]), walk, t)

@@ -21,6 +21,13 @@ For uniform reactions r_ij = r (i != j) these are closed forms, computed
 in O(1) without R: alpha = (n-1) r, beta = r sqrt(n-1), and G has
 diagonal (n-1) r^2 and off-diagonal 2r + (n-2) r^2, the larger of which
 is big_gamma.
+
+Uniform reactions in product form also make the nodes exchangeable: on a
+binary state with k occupied nodes the product factor is (1 - r)^(k-1) at
+an occupied node and (1 - r)^k at an empty one, so the chain step needs
+only each row's count (the rule's ``by_count``).  The transposed-Jacobian
+product is O(n) there (the rule's ``vjp``): off the diagonal, column j of
+the Jacobian is r / (1 - r x_j) times the vector coef_i pf_i.
 """
 
 import math
@@ -106,10 +113,13 @@ def _survive_product(model, x):
 
 
 def spreading_rule(model):
-    """Occupancy rule with analytic split, Jacobian and coefficients."""
+    """Occupancy rule with analytic split, Jacobian and coefficients, plus
+    the count table and the O(n) transposed-Jacobian product for uniform
+    reactions in product form."""
     R = model.R_matrix
     n = model.n
     mu = model.mu
+    r = model._uniform_r
 
     if model.domain_form == "exponential":
         S_mat = n * np.abs(np.log1p(-R))
@@ -139,6 +149,12 @@ def spreading_rule(model):
         s = 1.0 - mu * pf if model.reinfection else 1.0 - mu
         return x * s + (1.0 - x) * (1.0 - pf)
 
+    def coef_diag(x, pf):
+        """coef with J_ij = coef_i * (-d_j pf_i) off the diagonal, and J_ii."""
+        if model.reinfection:
+            return mu * x + (1.0 - x), (1.0 - mu * pf) - (1.0 - pf)
+        return 1.0 - x, (1.0 - mu) - (1.0 - pf)
+
     def jacobian(x, t=0):
         x = np.asarray(x, dtype=np.float64)
         pf = prod_factor(x)
@@ -150,17 +166,35 @@ def spreading_rule(model):
             # (1 - r_ij x_j >= 1 - r_ij > 0, so dividing the factor out is safe)
             partial = pf[:, None] / (1.0 - R * x[None, :])
             inner = R * partial
-        if model.reinfection:
-            jac = (mu * x[:, None] + (1.0 - x)[:, None]) * inner
-            diag = (1.0 - mu * pf) - (1.0 - pf)
-        else:
-            jac = (1.0 - x)[:, None] * inner
-            diag = (1.0 - mu) - (1.0 - pf)
+        coef, diag = coef_diag(x, pf)
+        jac = coef[:, None] * inner
         jac[np.arange(n), np.arange(n)] = diag
         return jac
 
+    by_count = vjp = None
+    if r is not None and model.domain_form == "product":
+        # exchangeable nodes: a binary row with k occupied nodes has product
+        # factor (1 - r)^(k - 1) at an occupied node and (1 - r)^k at an empty one
+        log_keep = math.log1p(-r)
+
+        def by_count(k, t=0):
+            k = np.asarray(k, dtype=np.float64)
+            if model.reinfection:
+                s = 1.0 - mu * np.exp((k - 1.0) * log_keep)
+            else:
+                s = np.full(k.shape, 1.0 - mu)
+            return s, 1.0 - np.exp(k * log_keep)
+
+        def vjp(x, t, g):
+            # column j of the Jacobian off the diagonal is r / (1 - r x_j) times
+            # coef_i pf_i, so J^T g needs the sum of a = coef * pf * g once
+            x = np.asarray(x, dtype=np.float64)
+            pf = prod_factor(x)
+            coef, diag = coef_diag(x, pf)
+            a = coef * pf * g
+            return r / (1.0 - r * x) * (a.sum() - a) + diag * g
+
     def coeff_oracle(t):
-        r = model._uniform_r
         if r is not None:   # set only for n >= 2; G is never formed
             return CoefficientSet(
                 alpha=(n - 1) * r,
@@ -179,7 +213,7 @@ def spreading_rule(model):
 
     return OccupancyRule(
         n=n, evaluate=evaluate, split=(survive, colonize), jacobian=jacobian,
-        coeff_oracle=coeff_oracle, homogeneous=True,
+        coeff_oracle=coeff_oracle, by_count=by_count, vjp=vjp, homogeneous=True,
         name=f"spreading(n={n},mu={mu},reinf={model.reinfection},{model.domain_form})")
 
 

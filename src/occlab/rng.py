@@ -49,7 +49,11 @@ def _generator(seed, tag, t, block):
 
 
 def _block_draw(draw, seed, tag, t, n, r0, rows):
-    """Assemble rows [r0, r0+rows) of the (replicate, node) table at step t."""
+    """Assemble rows [r0, r0+rows) of the (replicate, node) table at step t.
+
+    ``draw`` is an unbound ``np.random.Generator`` method taking ``size``
+    and ``out``.
+    """
     out = np.empty((rows, n), dtype=np.float64)
     filled = 0
     while filled < rows:
@@ -59,24 +63,27 @@ def _block_draw(draw, seed, tag, t, n, r0, rows):
         # Philox fills a block in order, so its first offset + take rows
         # are the same whichever number of rows is drawn
         g = _generator(seed, tag, t, block)
-        out[filled:filled + take] = draw(g, (offset + take, n))[offset:]
+        if offset == 0:
+            draw(g, out=out[filled:filled + take])
+        else:
+            out[filled:filled + take] = draw(g, (offset + take, n))[offset:]
         filled += take
     return out
 
 
 def uniforms(seed, t, n, r0=0, rows=1, tag=TAG_CHAIN):
     """Uniform(0,1) table of shape (rows, n) for replicates r0..r0+rows-1 at step t."""
-    return _block_draw(lambda g, s: g.random(s), seed, tag, t, n, r0, rows)
+    return _block_draw(np.random.Generator.random, seed, tag, t, n, r0, rows)
 
 
 def normals(seed, t, n, r0=0, rows=1, tag=TAG_GAUSS):
     """Standard-normal table of shape (rows, n), keyed like :func:`uniforms`."""
-    return _block_draw(lambda g, s: g.standard_normal(s), seed, tag, t, n, r0, rows)
+    return _block_draw(np.random.Generator.standard_normal, seed, tag, t, n, r0, rows)
 
 
 def signs(seed, t, n, r0=0, rows=1, tag=TAG_RADEMACHER):
     """Rademacher (+/-1) table of shape (rows, n)."""
-    u = _block_draw(lambda g, s: g.random(s), seed, tag, t, n, r0, rows)
+    u = _block_draw(np.random.Generator.random, seed, tag, t, n, r0, rows)
     return np.where(u < 0.5, -1.0, 1.0)
 
 

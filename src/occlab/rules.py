@@ -17,6 +17,14 @@ Conventions
   be a pure function of its arguments (safe for concurrent callers).
 * Jacobian entry (i, j) is the partial derivative of node i's probability
   with respect to coordinate j.
+* Two hooks are optional shortcuts, and each must agree with what it
+  replaces.  ``by_count(k, t) -> (S, C)`` serves rules whose nodes are
+  exchangeable: for a row of binary states with ``k`` occupied nodes (``k``
+  an integer vector, one entry per row) it returns the threshold of every
+  occupied node and of every empty node, which must equal the split at
+  such a state.  ``vjp(x, t, g) -> J^T g`` is the transposed-Jacobian
+  product, which must equal ``jacobian(x, t).T @ g``; it lets the
+  Gaussian companion walk backward without forming n x n matrices.
 """
 
 import math
@@ -47,6 +55,8 @@ class OccupancyRule:
     split: Optional[Tuple[Callable, Callable]] = None
     jacobian: Optional[Callable[[np.ndarray, int], np.ndarray]] = None
     coeff_oracle: Optional[Callable[[int], "CoefficientSet"]] = None
+    by_count: Optional[Callable[[np.ndarray, int], Tuple[np.ndarray, np.ndarray]]] = None
+    vjp: Optional[Callable[[np.ndarray, int, np.ndarray], np.ndarray]] = None
     homogeneous: bool = True
     name: str = "rule"
 

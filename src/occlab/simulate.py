@@ -50,6 +50,18 @@ class BinaryEnsemble:
 
 def _draw_bits(rule, x, t, u):
     """One transition for a (rows, n) batch of binary states given uniforms u."""
+    if rule.by_count is not None:
+        # exchangeable nodes: one occupied and one empty threshold per row,
+        # looked up by the row's occupied count.  The bits are u <= C, with
+        # (u <= S) xor (u <= C) flipped in where x is 1; this selects the
+        # same bits as np.where(x == 1, S, C) at a third of its cost
+        s, c = map(_check_range, rule.by_count(x.sum(axis=1, dtype=np.int64), t))
+        bits = (u <= c[:, None]).view(np.uint8)
+        flip = (u <= s[:, None]).view(np.uint8)
+        flip ^= bits
+        flip &= x
+        bits ^= flip
+        return bits
     xf = x.astype(np.float64)
     if rule.split is not None:
         surv, col = rule.split
@@ -83,6 +95,8 @@ def _checked(rule, X0, T, R, couple, p_traj, specs):
     X0 = np.asarray(X0, dtype=np.uint8)
     if X0.shape != (rule.n,):
         raise ValueError(f"X0 must have shape ({rule.n},)")
+    if X0.max(initial=0) > 1:
+        raise ValueError("X0 must be a binary state")
     if couple:
         if rule.split is None:
             raise SplitRequiredError(

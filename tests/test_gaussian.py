@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -89,12 +90,15 @@ def test_propagator_cache_consistency():
 def test_backward_walks_match_hand_written_loops(label):
     # propagate, projected_variance, cross_covariance and the rate bound each
     # walked g <- J_u^T g by hand before they shared GaussianApprox.backward;
-    # those loops, copied here, are the references
+    # those loops, copied here, are the references.  They step with the dense
+    # Jacobians, so the rule's vjp is dropped (test_vjp_walks_match_dense_walks
+    # compares the two)
     g = np.random.default_rng(9)
     if label == "dk-iid":   # not time-homogeneous: J_0 = 0, then the automaton
         rule = dk_rule(DomanyKinzel(n=9, q1=0.4, q2=0.7, p0=0.6))
     else:
         rule = spreading_rule(mean_field(9, rbar=0.7, mu=0.4, reinfection=True))
+    rule = dataclasses.replace(rule, vjp=None)
     n, T = 9, 4
     ga = GaussianApprox.from_rule(rule, g.random(n) * 0.8 + 0.1, T)
     J, sched = ga.jacobians, coefficient_schedule(rule, T)
@@ -136,6 +140,65 @@ def test_backward_walks_match_hand_written_loops(label):
             value = (float(np.abs(h).max()) ** (4.0 - inv_q)
                      * math.sqrt((1.0 + math.log(n)) / n) * total)
             assert clt_rate_bound(sched, h, q, ga, t).value == value
+
+
+@pytest.mark.parametrize("reinfection", [False, True])
+@pytest.mark.parametrize("n", [2, 50, 3000])
+def test_vjp_walks_match_dense_walks(n, reinfection):
+    rule = spreading_rule(mean_field(n, rbar=1.6, mu=0.4, reinfection=reinfection))
+    assert rule.vjp is not None
+    dense_rule = dataclasses.replace(rule, vjp=None)
+    g = np.random.default_rng(n)
+    x = g.random(n) * 0.8 + 0.1
+    v = g.standard_normal(n)
+    want = rule.jacobian(x, 0).T @ v
+    assert np.abs(rule.vjp(x, 0, v) - want).max() <= 1e-12 * np.abs(want).max()
+
+    T = 3
+    p0 = g.random(n) * 0.8 + 0.1
+    ga, dense = (GaussianApprox.from_rule(r, p0, T) for r in (rule, dense_rule))
+    h, h2 = g.uniform(0.5, 1.5, n), g.standard_normal(n)
+    sched = coefficient_schedule(rule, T)
+
+    def close(a, b):
+        return np.abs(np.asarray(a) - b).max() <= 1e-12 * np.abs(b).max()
+
+    for t in range(1, T + 1):
+        assert close(ga.propagate(h, 0, t), dense.propagate(h, 0, t))
+        assert close(ga.projected_variance(h, t), dense.projected_variance(h, t))
+        assert close(ga.cross_covariance(t - 1, t, h, h2),
+                     dense.cross_covariance(t - 1, t, h, h2))
+        for q in (1.0, math.inf):
+            assert close(clt_rate_bound(sched, h, q, ga, t).value,
+                         clt_rate_bound(sched, h, q, dense, t).value)
+    assert ga._jacobians is None   # the vjp walks never built the dense array
+
+
+def test_vjp_companion_memory_is_linear():
+    # the dense Jacobians alone would be 3 x 78 MiB at n = 3200, t = 3
+    n = 3200
+    rule = spreading_rule(mean_field(n, rbar=1.6, mu=0.4, reinfection=True))
+    p0 = np.random.default_rng(3).random(n) * 0.8 + 0.1
+    tracemalloc.start()
+    try:
+        GaussianApprox.from_rule(rule, p0, 3).projected_variance(np.ones(n), 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
+
+
+def test_lazy_covariances_equal_eager_recursion():
+    # the Jacobians and the recursion as GaussianApprox built them eagerly
+    rule, ga = make_approx(T=5)
+    J = np.empty((5, 10, 10))
+    sig = np.zeros((6, 10, 10))
+    for t in range(5):
+        J[t] = rule.jacobian(ga.base.p[t], t)
+        sig[t + 1] = J[t] @ sig[t] @ J[t].T + np.diag(ga.V[t + 1])
+    assert ga._jacobians is None
+    assert np.array_equal(ga.covariances(), sig)
+    assert np.array_equal(ga.jacobians, J)
 
 
 def test_transposed_jacobian_column_budget():

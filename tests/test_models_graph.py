@@ -122,6 +122,26 @@ def test_triangle_variance_matches_hand_written_loop():
         assert triangle_clt_variance(model, A0, t) == total
 
 
+def test_triangle_variance_computes_edge_stats_once_per_state(monkeypatch):
+    import occlab.models.graphdyn as gd
+    model = logistic_model(60, q=0.6, slope=0.5)
+    A0 = model.host_adjacency()
+    t = 5
+    want = triangle_clt_variance(model, A0, t)
+    calls = []
+
+    def counted(model_, P):
+        calls.append(P)
+        return real(model_, P)
+
+    real = gd._edge_stats
+    monkeypatch.setattr(gd, "_edge_stats", counted)
+    assert triangle_clt_variance(model, A0, t) == want
+    P_seq = deterministic_edge_matrices(model, A0, t)
+    assert len(calls) == t
+    assert all(np.array_equal(P, P_seq[s]) for s, P in enumerate(calls))
+
+
 def test_injected_noise_below_marginal():
     model = logistic_model(8)
     P = deterministic_edge_matrices(model, model.host_adjacency(), 2)

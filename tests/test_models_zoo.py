@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -89,6 +90,51 @@ def test_mean_field_fast_path_matches_dense_path():
     assert np.abs(ra.evaluate(xs, 0) - rb.evaluate(xs, 0)).max() <= 1e-12
     bits = (xs > 0.5).astype(float)
     assert np.abs(ra.evaluate(bits, 0) - rb.evaluate(bits, 0)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("reinfection", [False, True])
+def test_by_count_matches_split_at_binary_states(reinfection):
+    g = np.random.default_rng(8)
+    for n, xs in ((9, state_table(9)),
+                  (1600, (g.random((64, 1600)) < g.random((64, 1))).astype(float))):
+        rule = spreading_rule(mean_field(n, rbar=1.7, mu=0.4, reinfection=reinfection))
+        surv, col = rule.split
+        s, c = rule.by_count(xs.sum(axis=1).astype(np.int64), 0)
+        occupied = xs == 1.0
+        want = np.where(occupied, surv(xs, 0), col(xs, 0))
+        got = np.where(occupied, s[:, None], c[:, None])
+        assert (np.abs(got - want) <= 1e-15 * np.abs(want)).all()
+
+
+def test_hooks_only_for_uniform_product_form():
+    R = np.full((5, 5), 0.1)
+    np.fill_diagonal(R, 0.0)
+    for form, uniform, hooked in (("product", True, True), ("exponential", True, False),
+                                  ("product", False, False)):
+        Rm = R if uniform else R * np.linspace(0.5, 1.0, 5)[:, None]
+        rule = spreading_rule(SpreadingModel(R_matrix=Rm, mu=0.3, domain_form=form))
+        assert (rule.by_count is not None) == hooked
+        assert (rule.vjp is not None) == hooked
+
+
+@pytest.mark.parametrize("n, R", [(1600, 2048), (10_000, 256)])
+def test_count_table_step_matches_split_step_bitwise(n, R):
+    # the chain with the rule's by_count and with the split alone draw the
+    # same bits: every projection and discrepancy fraction is equal
+    g = np.random.default_rng(n)
+    model = mean_field(n, rbar=1.7, mu=0.4)   # one dense R (800 MB at n = 10^4)
+    for reinfection in (False, True):
+        rule = spreading_rule(dataclasses.replace(model, reinfection=reinfection))
+        split_only = dataclasses.replace(rule, by_count=None)
+        X0 = (g.random(n) < 0.3).astype(np.uint8)
+        T, h = 2, g.uniform(0.5, 1.5, n)
+        p = det_trajectory(rule, X0, T).p
+        for couple in (False, True):
+            a, b = (simulate_projections(r, X0, T, R, seed=7, h=h, p_traj=p,
+                                         keep_nodes=np.arange(0, n, 97), couple=couple)
+                    for r in (rule, split_only))
+            for key in a:
+                assert np.array_equal(a[key], b[key]), (reinfection, couple, key)
 
 
 def gram_reference(model):

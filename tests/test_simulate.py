@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -95,10 +96,21 @@ def test_simulators_range_check_thresholds(start, couple):
         simulate_ensemble(malformed, X0, 2, 10, seed=0, couple=couple, p_traj=p)
     with pytest.raises(RangeError):
         simulate_projections(malformed, X0, 2, 10, 0, h=np.ones(3), p_traj=p, couple=couple)
+    # the count table is range-checked like the split it replaces
+    counted = dataclasses.replace(
+        malformed, by_count=lambda k, t: (np.full(k.shape, np.nan), np.full(k.shape, 2.0)))
+    with pytest.raises(RangeError):
+        simulate_ensemble(counted, X0, 2, 10, seed=0, couple=couple, p_traj=p)
     if not couple:   # a rule without a split is compared with its evaluate
         high = ol.OccupancyRule(n=3, evaluate=lambda x, t: np.full(np.shape(x), 1.5))
         with pytest.raises(RangeError):
             simulate_ensemble(high, X0, 2, 10, seed=0)
+
+
+def test_non_binary_start_rejected():
+    rule = spreading_rule(mean_field(3, rbar=0.6, mu=0.4))
+    with pytest.raises(ValueError, match="binary"):
+        simulate_ensemble(rule, np.array([0, 2, 1], dtype=np.uint8), 1, 4, seed=0)
 
 
 @pytest.mark.parametrize("bad", [1.5, -0.5, np.nan])
