@@ -14,6 +14,7 @@ line reports both values so the discrepancy is auditable.
 """
 
 import math
+import os
 import time
 from dataclasses import dataclass
 
@@ -33,6 +34,9 @@ from .simulate import (empirical_law, exact_law, law_mean, simulate_ensemble,
                        simulate_projections, total_variation)
 
 MASTER_SEED = 20240817
+#: simulation threads of every criterion but 11, as ``occlab run`` defaults to;
+#: results do not depend on it
+WORKERS = os.cpu_count() or 1
 
 
 @dataclass
@@ -75,7 +79,8 @@ def criterion_1(fast=False):
     for k, rule in enumerate(cases):
         X0 = np.array([1, 0, 1], dtype=np.uint8)
         laws = exact_law(rule, X0, 3)
-        ens = simulate_ensemble(rule, X0, 3, R, seed=rng.derive_seed(MASTER_SEED, f"c1-{k}"))
+        ens = simulate_ensemble(rule, X0, 3, R, seed=rng.derive_seed(MASTER_SEED, f"c1-{k}"),
+                                workers=WORKERS)
         for t in (1, 2, 3):
             tv = total_variation(empirical_law(ens.states[:, t, :], 3), laws[t])
             worst = max(worst, tv)
@@ -117,7 +122,7 @@ def criterion_2(fast=False):
     R = 10 ** 5 if fast else 10 ** 6
     res = simulate_projections(rule, X0, t, R,
                                rng.derive_seed(MASTER_SEED, "c2mc"),
-                               h=np.ones(100), p_traj=traj.p)
+                               h=np.ones(100), p_traj=traj.p, workers=WORKERS)
     sample = res["proj"][:, t]
     se = sample.std(ddof=1) / math.sqrt(R)
     reference_100 = 10 * 0.01 * 0.125 * 0.7
@@ -142,7 +147,7 @@ def criterion_3(fast=False):
     ga = GaussianApprox.from_rule(rule, X0.astype(float), 5)
     res = simulate_projections(rule, X0, 5, R,
                                rng.derive_seed(MASTER_SEED, "c3"),
-                               h=np.ones(n), p_traj=ga.base.p)
+                               h=np.ones(n), p_traj=ga.base.p, workers=WORKERS)
     worst = 0.0
     gaps = []
     for t in range(1, 6):
@@ -164,7 +169,7 @@ def criterion_4(fast=False):
         rule = spreading_rule(mean_field(n, rbar=0.5, mu=0.5))
         rep, _ = clt_point(rule, _half_start(n), np.ones(n), t, math.inf, R,
                            rng.derive_seed(MASTER_SEED, f"c4-{n}"),
-                           rng.derive_seed(MASTER_SEED, f"c4ks{n}"))
+                           rng.derive_seed(MASTER_SEED, f"c4ks{n}"), WORKERS)
         values.append(rep.value)
     summary = rate_summary(n_list, values)
     decreasing, slope = summary["strictly_decreasing"], summary["slope"]
@@ -194,7 +199,8 @@ def criterion_5(fast=False):
         traj = det_trajectory(rule, X0.astype(float), T)
         res = simulate_projections(rule, X0, T, R,
                                    rng.derive_seed(MASTER_SEED, f"c5-{label}"),
-                                   h=np.ones(n), p_traj=traj.p, couple=True)
+                                   h=np.ones(n), p_traj=traj.p, couple=True,
+                                   workers=WORKERS)
         # |Xbar - pbar| = n^{-1/2} |<zeta, 1>|
         mean_err = float(np.abs(res["proj"][:, T]).mean()) / math.sqrt(n)
         jbar_mean = float(res["jbar"][:, T].mean())
@@ -291,7 +297,8 @@ def criterion_8(fast=False):
     rule = spreading_rule(mean_field(n, rbar=0.5, mu=0.5))
     sups, _, _, rep, thresh = lln_point(rule, _half_start(n), sign_class(k, n), t, R,
                                         rng.derive_seed(MASTER_SEED, "c8"),
-                                        rng.derive_seed(MASTER_SEED, "c8rad"), math.e ** 2)
+                                        rng.derive_seed(MASTER_SEED, "c8rad"), math.e ** 2,
+                                        WORKERS)
     exceed = float((sups > thresh).mean())
     se = math.sqrt(max(rep.value * (1 - rep.value), 1e-12) / R)
     passed = exceed <= rep.value + 2 * se
@@ -325,7 +332,7 @@ def criterion_9(fast=False):
         ea, eb = model.host_edges[:, 0], model.host_edges[:, 1]
         x0 = model.host_adjacency()[ea, eb].astype(np.uint8)
         ens = simulate_ensemble(rule, x0, 3, reps,
-                                rng.derive_seed(MASTER_SEED, f"c9v{v}"))
+                                rng.derive_seed(MASTER_SEED, f"c9v{v}"), workers=WORKERS)
         c = 1.0
         for _ in range(3):
             c = model.q * c + (1 - c) * model.f(c)
@@ -348,7 +355,8 @@ def criterion_9(fast=False):
     R = 2000 if fast else 10 ** 4
     pred = gd.triangle_clt_variance(model, A0, t)
     det_tri = gd.triangle_density(gd.deterministic_edge_matrices(model, A0, t)[t])
-    ens = simulate_ensemble(rule, x0, t, R, rng.derive_seed(MASTER_SEED, "c9desk"))
+    ens = simulate_ensemble(rule, x0, t, R, rng.derive_seed(MASTER_SEED, "c9desk"),
+                            workers=WORKERS)
     stats = np.empty(R)
     for lo in range(0, R, 1000):
         block = ens.states[lo:lo + 1000, t, :].astype(float)
@@ -387,7 +395,7 @@ def criterion_10(fast=False):
             h = h_fn(model.z)
             res = simulate_projections(rule, X0, T, reps,
                                        rng.derive_seed(MASTER_SEED, f"c10-{n}-{fi}"),
-                                       h=h, p_traj=traj.p)
+                                       h=h, p_traj=traj.p, workers=WORKERS)
             for ti in (1, 3):
                 target = lim.measure_integral(h_fn, ti)
                 mu_vals = (res["proj"][:, ti] / math.sqrt(n)

@@ -162,34 +162,37 @@ def rate_summary(ns, values):
             "strictly_decreasing": all(a > b for a, b in zip(values, values[1:]))}
 
 
-def clt_point(rule, X0, h, t, q, R, sim_seed, dist_seed):
+def clt_point(rule, X0, h, t, q, R, sim_seed, dist_seed, workers=1):
     """Distance of <xi_t, h> over R replicates to its Gaussian limit.
 
     Returns the :class:`DistanceReport` (Kolmogorov for q = inf, else
     1-Wasserstein, bootstrapped from ``dist_seed``) and the
-    :class:`GaussianApprox` whose projected variance set the target.
+    :class:`GaussianApprox` whose projected variance set the target.  The
+    replicates are simulated on up to ``workers`` threads.
     """
     approx = GaussianApprox.from_rule(rule, X0.astype(np.float64), t)
-    res = simulate_projections(rule, X0, t, R, sim_seed, h=h, p_traj=approx.base.p)
+    res = simulate_projections(rule, X0, t, R, sim_seed, h=h, p_traj=approx.base.p,
+                               workers=workers)
     target = NormalTarget(0.0, approx.projected_variance(h, t))
     distance = ks_distance if math.isinf(q) else wasserstein1
     return distance(res["proj"][:, t], target, seed=dist_seed), approx
 
 
-def clt_sweep(family, h_family, t, q, n_list, R, seed, model_id="model"):
+def clt_sweep(family, h_family, t, q, n_list, R, seed, model_id="model", workers=1):
     """Distance of projected fluctuations to their Gaussian limit across n.
 
     ``family(n)`` returns (rule, X0); ``h_family(n)`` the projection vector.
     ``q`` selects the metric: 1 for Wasserstein, inf for Kolmogorov.  Rows
     have the keys model_id, n, t, q, metric, value, stderr and bound_c1; the
-    summary is the :func:`rate_summary` of the distances.
+    summary is the :func:`rate_summary` of the distances.  Each size is
+    simulated on up to ``workers`` threads.
     """
     def row(n):
         # a function, so one size's approximation is freed before the next is built
         rule, X0 = family(n)
         h = np.asarray(h_family(n), dtype=np.float64)
         rep, approx = clt_point(rule, X0, h, t, q, R,
-                                rng.derive_seed(seed, f"clt{n}"), seed)
+                                rng.derive_seed(seed, f"clt{n}"), seed, workers)
         coeffs = coefficient_schedule(rule, t)
         try:
             bound = clt_rate_bound(coeffs, h, q, approx, t).value
@@ -215,7 +218,7 @@ def sign_class(k, n):
     return H
 
 
-def lln_point(rule, X0, H, t, R, sim_seed, rad_seed, x):
+def lln_point(rule, X0, H, t, R, sim_seed, rad_seed, x, workers=1):
     """Class-uniform deviation at step t over R replicates.
 
     ``H`` is the (m, n) projection class.  Only the nodes in its support
@@ -223,14 +226,15 @@ def lln_point(rule, X0, H, t, R, sim_seed, rad_seed, x):
     Returns the per-replicate exact suprema of |<Xbar_t - pbar_t, h>| over
     the class, the Rademacher estimate (from ``rad_seed``) and its standard
     error, the concentration report at ``x`` and the threshold it guards.
+    The replicates are simulated on up to ``workers`` threads.
     """
     n = rule.n
     support = np.nonzero(np.abs(H).sum(axis=0))[0]
     if len(support) > 64 and n > 4096:
         raise TooLargeError("dense projection classes are limited to n <= 4096")
     traj = det_trajectory(rule, X0.astype(np.float64), t)
-    res = simulate_projections(rule, X0, t, R, sim_seed, h=np.ones(n),
-                               p_traj=traj.p, keep_nodes=support)
+    res = simulate_projections(rule, X0, t, R, sim_seed, h=None, p_traj=traj.p,
+                               keep_nodes=support, workers=workers)
     dev = (res["nodes"][:, t, :].astype(np.float64)
            - traj.p[t][support][None, :]) / n
     sups = np.abs(dev @ H[:, support].T).max(axis=1)
@@ -244,14 +248,15 @@ def lln_point(rule, X0, H, t, R, sim_seed, rad_seed, x):
 
 
 def lln_sweep(family, class_family, t, n_list, R, seed, x=math.e ** 2,
-              model_id="model"):
+              model_id="model", workers=1):
     """Class-uniform deviation sweep against the concentration bound.
 
     ``class_family(n)`` returns the projection class as an (m, n) array
     (at most 1e6 vectors).  Per replicate the exact supremum of
     |<Xbar_t - pbar_t, h>| over the class is found by enumeration; the
     table reports the ``LLN_QUANTILES``, the guarded threshold and the
-    bound value at the chosen x.
+    bound value at the chosen x.  Each size is simulated on up to
+    ``workers`` threads.
     """
     rows = []
     for n in n_list:
@@ -261,7 +266,7 @@ def lln_sweep(family, class_family, t, n_list, R, seed, x=math.e ** 2,
             raise TooLargeError("projection class exceeds 1e6 vectors")
         sups, rad, rad_se, rep, thresh = lln_point(
             rule, X0, H, t, R, rng.derive_seed(seed, f"lln{n}"),
-            rng.derive_seed(seed, f"rad{n}"), x)
+            rng.derive_seed(seed, f"rad{n}"), x, workers)
         row = {"model_id": model_id, "n": n, "t": t, "x": x,
                "class_size": H.shape[0], "rademacher": rad,
                "rademacher_se": rad_se, "threshold": thresh,

@@ -218,7 +218,7 @@ def _clt_sweep(config, params, seed, workers):
     rows, summary = clt_sweep(_family("clt-sweep", config, params), lambda n: np.ones(n),
                               int(params.get("t", 3)), _q(params.get("q", "inf")),
                               params.get("n_list", [100, 400]), R, seed,
-                              model_id=config["model"].get("type", "model"))
+                              model_id=config["model"].get("type", "model"), workers=workers)
     return {"clt_sweep.csv": _table(rows), "clt_summary.json": summary}
 
 
@@ -229,7 +229,7 @@ def _lln_sweep(config, params, seed, workers):
                      int(params.get("t", 3)), params.get("n_list", [100, 400]),
                      int(params.get("R", 2000)), seed,
                      x=float(params.get("x", float(np.e) ** 2)),
-                     model_id=config["model"].get("type", "model"))
+                     model_id=config["model"].get("type", "model"), workers=workers)
     return {"lln_sweep.csv": _table(rows)}
 
 
@@ -345,6 +345,13 @@ def _manifest(config, files, elapsed, workers):
     }
 
 
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(prog="occlab",
                                      description="occupancy-process laboratory")
@@ -353,8 +360,9 @@ def main(argv=None):
     runp.add_argument("--config", required=True)
     runp.add_argument("--out", default=None)
     runp.add_argument("--seed", type=int, default=None)
-    runp.add_argument("--workers", type=int, default=os.cpu_count() or 1,
-                      help="worker threads (results are identical at any count)")
+    runp.add_argument("--workers", type=_positive_int, default=os.cpu_count() or 1,
+                      help="simulation threads for the simulate, clt-sweep and lln-sweep "
+                           "tasks (results are identical at any count)")
     verp = sub.add_parser("verify", help="run the acceptance suite")
     verp.add_argument("--fast", action="store_true",
                       help="reduced replicate counts (smoke check only)")

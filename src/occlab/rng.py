@@ -10,6 +10,12 @@ Replicates are grouped into fixed blocks of ``BLOCK`` rows; each
 yields a (rows, n) array whose entry (r, i) belongs to replicate
 ``block * BLOCK + r`` and node ``i``.  The block size is a constant of the
 library, never a function of the worker count.
+
+Rows inside a block are addressable: the uniform tables (:func:`uniforms`,
+:func:`signs`) take one Philox output per double, so a table starting at
+row ``offset`` of a block seeks the generator's counter past the rows in
+front of it.  :func:`normals` draws through the ziggurat, which takes a
+variable number of outputs per value, so it draws those rows and drops them.
 """
 
 import numpy as np
@@ -48,11 +54,12 @@ def _generator(seed, tag, t, block):
     return np.random.Generator(bg)
 
 
-def _block_draw(draw, seed, tag, t, n, r0, rows):
+def _block_draw(draw, seed, tag, t, n, r0, rows, seek):
     """Assemble rows [r0, r0+rows) of the (replicate, node) table at step t.
 
     ``draw`` is an unbound ``np.random.Generator`` method taking ``size``
-    and ``out``.
+    and ``out``.  With ``seek`` it must take exactly one Philox output per
+    value, so the rows in front of r0 are skipped rather than drawn.
     """
     out = np.empty((rows, n), dtype=np.float64)
     filled = 0
@@ -63,7 +70,13 @@ def _block_draw(draw, seed, tag, t, n, r0, rows):
         # Philox fills a block in order, so its first offset + take rows
         # are the same whichever number of rows is drawn
         g = _generator(seed, tag, t, block)
-        if offset == 0:
+        if offset == 0 or seek:
+            # one counter step yields 4 outputs: advance by whole steps,
+            # then drop the remaining outputs of a partial step
+            skip, part = divmod(offset * n, 4)
+            g.bit_generator.advance(skip)
+            if part:
+                draw(g, part)
             draw(g, out=out[filled:filled + take])
         else:
             out[filled:filled + take] = draw(g, (offset + take, n))[offset:]
@@ -73,17 +86,18 @@ def _block_draw(draw, seed, tag, t, n, r0, rows):
 
 def uniforms(seed, t, n, r0=0, rows=1, tag=TAG_CHAIN):
     """Uniform(0,1) table of shape (rows, n) for replicates r0..r0+rows-1 at step t."""
-    return _block_draw(np.random.Generator.random, seed, tag, t, n, r0, rows)
+    return _block_draw(np.random.Generator.random, seed, tag, t, n, r0, rows, seek=True)
 
 
 def normals(seed, t, n, r0=0, rows=1, tag=TAG_GAUSS):
     """Standard-normal table of shape (rows, n), keyed like :func:`uniforms`."""
-    return _block_draw(np.random.Generator.standard_normal, seed, tag, t, n, r0, rows)
+    return _block_draw(np.random.Generator.standard_normal, seed, tag, t, n, r0, rows,
+                       seek=False)
 
 
 def signs(seed, t, n, r0=0, rows=1, tag=TAG_RADEMACHER):
     """Rademacher (+/-1) table of shape (rows, n)."""
-    u = _block_draw(np.random.Generator.random, seed, tag, t, n, r0, rows)
+    u = _block_draw(np.random.Generator.random, seed, tag, t, n, r0, rows, seek=True)
     return np.where(u < 0.5, -1.0, 1.0)
 
 

@@ -4,6 +4,9 @@ The chain X and its coupled companion W consume the *same* uniform table:
 node i of replicate r at step t reads one keyed Philox draw, so the
 coupling is well defined, replicates are independent, and every run is
 bit-for-bit reproducible from (rule, X0, seed, R, T) at any worker count.
+Replicates advance through all T steps in tiles of ``TILE`` rows (more
+for chains of fewer than 128 nodes), each reading its rows of the keyed
+table, and a run's ``workers`` threads share its tiles.
 
 The companion W updates its thresholds at the deterministic trajectory
 p_t instead of the current random state, which makes its nodes mutually
@@ -17,6 +20,7 @@ before allocating them.
 """
 
 import math
+import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -33,6 +37,14 @@ EXACT_LAW_HARD_CAP = 16
 
 #: most bytes one simulation call may allocate for its results
 MAX_RESULT_BYTES = 2 ** 32
+
+#: replicate rows one worker advances through all T steps at a time; it
+#: divides ``rng.BLOCK``, so no tile straddles two generator keys
+TILE = rng.BLOCK // 8
+#: fewest node updates in one step of a tile, reached on narrow chains by
+#: taller tiles: below it, the fixed cost of a tile step and the threads'
+#: hand-offs of the interpreter lock outweigh the work
+TILE_UPDATES = 2 ** 16
 
 
 @dataclass
@@ -112,20 +124,39 @@ def _checked(rule, X0, T, R, couple, p_traj, specs):
     return X0, p_traj, companion, [np.empty(shape, dtype) for shape, dtype in specs]
 
 
-def _run_chunks(rule, X0, T, R, seed, companion, workers, record):
-    """Run R replicates from X0 for T steps in chunks of ``rng.BLOCK`` rows.
+def _usable_cpus():
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:      # no affinity call on this platform
+        return os.cpu_count() or 1
 
-    The chunk size is fixed, never the worker count, so results do not
-    depend on ``workers``.  ``record(r0, t, x, w, j)`` receives the (rows, n)
-    states of the chunk starting at replicate r0 after every step
+
+def _tile_rows(n):
+    """``TILE`` rows, doubled up to a block until a step of the tile makes
+    ``TILE_UPDATES`` node updates."""
+    rows = TILE
+    while rows * n < TILE_UPDATES and rows < rng.BLOCK:
+        rows *= 2
+    return rows
+
+
+def _run_chunks(rule, X0, T, R, seed, companion, workers, record):
+    """Run R replicates from X0 for T steps in tiles of :func:`_tile_rows` rows.
+
+    The tile size depends on n alone, never on the worker count, and every
+    row's update is independent of the rows batched with it, so results do
+    not depend on ``workers``.  ``record(r0, t, x, w, j)`` receives the
+    (rows, n) states of the tile starting at replicate r0 after every step
     t = 0..T; ``w`` and ``j`` are None when ``companion`` (from
-    :func:`_checked`) is.  Chunks write disjoint rows, so they may run on
-    worker threads in any order.
+    :func:`_checked`) is.  Tiles write disjoint rows, so they run on up to
+    ``workers`` threads, no more than there are tiles or usable CPUs, in
+    any order.
     """
     couple = companion is not None
 
-    def run_chunk(r0):
-        rows = min(rng.BLOCK, R - r0)
+    def run_tile(r0):
+        rows = min(tile, R - r0)
         x = np.repeat(X0[None, :], rows, axis=0)
         w = x.copy() if couple else None
         j = np.zeros_like(x) if couple else None
@@ -138,13 +169,15 @@ def _run_chunks(rule, X0, T, R, seed, companion, workers, record):
                 j = np.maximum(j, (x != w).astype(np.uint8))
             record(r0, t + 1, x, w, j)
 
-    starts = range(0, R, rng.BLOCK)
-    if workers and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run_chunk, starts))
+    tile = _tile_rows(rule.n)
+    starts = range(0, R, tile)
+    threads = min(workers, len(starts), _usable_cpus())
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            list(pool.map(run_tile, starts))
     else:
         for r0 in starts:
-            run_chunk(r0)
+            run_tile(r0)
 
 
 def simulate_ensemble(rule, X0, T, R, seed, couple=False, p_traj=None, workers=1):
@@ -174,12 +207,15 @@ def simulate_projections(rule, X0, T, R, seed, h, p_traj, keep_nodes=None,
     """Streaming simulation keeping only scaled projections of X_t - p_t.
 
     Returns a dict with ``proj`` of shape (R, T+1) holding
-    n^{-1/2} * sum_i h_i (X_{i,t} - p_{i,t}) per replicate, and optionally
-    ``nodes`` of shape (R, T+1, len(keep_nodes)) with raw bits for a column
-    subset, plus ``jbar`` (R, T+1) when ``couple=True``.  Bit stream and
-    update path match :func:`simulate_ensemble` exactly.
+    n^{-1/2} * sum_i h_i (X_{i,t} - p_{i,t}) per replicate (left out when
+    ``h`` is None), and optionally ``nodes`` of shape (R, T+1,
+    len(keep_nodes)) with raw bits for a column subset, plus ``jbar``
+    (R, T+1) when ``couple=True``.  Bit stream and update path match
+    :func:`simulate_ensemble` exactly.
     """
-    specs = {"proj": ((R, T + 1), np.float64)}
+    specs = {}
+    if h is not None:
+        specs["proj"] = ((R, T + 1), np.float64)
     if keep_nodes is not None:
         specs["nodes"] = ((R, T + 1, len(keep_nodes)), np.uint8)
     if couple:
@@ -187,12 +223,13 @@ def simulate_projections(rule, X0, T, R, seed, h, p_traj, keep_nodes=None,
     X0, p_traj, companion, arrays = _checked(rule, X0, T, R, couple, p_traj,
                                              list(specs.values()))
     out = dict(zip(specs, arrays))
-    h = np.asarray(h, dtype=np.float64)
+    h = None if h is None else np.asarray(h, dtype=np.float64)
     scale = 1.0 / np.sqrt(rule.n)
 
     def record(r0, t, x, w, j):
         rows = slice(r0, r0 + len(x))
-        out["proj"][rows, t] = scale * ((x - p_traj[t][None, :]) @ h)
+        if h is not None:
+            out["proj"][rows, t] = scale * ((x - p_traj[t][None, :]) @ h)
         if keep_nodes is not None:
             out["nodes"][rows, t] = x[:, keep_nodes]
         if couple:

@@ -242,6 +242,30 @@ def test_rerun_is_byte_identical_any_workers(tmp_path):
         assert file_bytes(a) == file_bytes(b)
 
 
+@pytest.mark.parametrize("task,model", [
+    ("clt-sweep", {"type": "spreading", "n": 0, "rbar": 1.5, "mu": 0.4}),
+    ("lln-sweep", {"type": "hanski", "n": 0, "kernel_scale": 0.25}),
+])
+def test_sweeps_byte_identical_at_one_and_two_workers(tmp_path, task, model):
+    # at these sizes R spans three simulation tiles but one RNG block
+    cfg = {"model": model, "task": task,
+           "parameters": {"n_list": [128, 300], "R": 1500, "t": 3, "seed": 5}}
+    f1 = cli.run_config(cfg, tmp_path / "a", workers=1)
+    f2 = cli.run_config(cfg, tmp_path / "b", workers=2)
+    assert [file_bytes(f) for f in f1] == [file_bytes(f) for f in f2]
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_nonpositive_workers_exit_2(tmp_path, capsys, workers):
+    cfg = write_config(tmp_path, {"model": SPREADING, "task": "deterministic"})
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                  "--workers", workers])
+    assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_manifest_contains_hash_and_checksums(tmp_path):
     cfg = {"model": {"type": "constant", "n": 2, "c": 0.3},
            "task": "deterministic", "parameters": {"T": 3}}

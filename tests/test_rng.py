@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,23 @@ def test_partial_rows_match_full_block_tables(table):
         assert np.array_equal(table(17, 2, 3, r0=r0, rows=1), full[r0:r0 + 1])
     span = slice(rng.BLOCK - 5, rng.BLOCK + 7)
     assert np.array_equal(table(17, 2, 3, r0=span.start, rows=12), full[span])
+
+
+@pytest.mark.parametrize("table", [rng.uniforms, rng.signs])
+def test_uniform_tables_seek_to_their_rows(table):
+    # the last row of a block at n = 2048 needs no 64 MB prefix
+    tracemalloc.start()
+    try:
+        table(17, 2, 2048, r0=rng.BLOCK - 1, rows=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    # n * offset = 0, 1, 2 and 3 mod 4 drop that many outputs of a counter step
+    n = 2047
+    full = table(17, 2, n, r0=0, rows=rng.BLOCK)
+    for r0 in (1, 2, 3, 4, rng.BLOCK - 1):
+        assert np.array_equal(table(17, 2, n, r0=r0, rows=2)[:1], full[r0:r0 + 1])
 
 
 def test_streams_distinct():

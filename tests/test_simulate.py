@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 import occlab as ol
-from occlab import rng
+from occlab import rng, simulate
 from occlab.errors import DomainError, RangeError, SplitRequiredError, TooLargeError
-from occlab.models import DomanyKinzel, dk_rule, mean_field, spreading_rule
+from occlab.models import (DomanyKinzel, SpreadingModel, dk_rule, equidistributed,
+                           hanski_rule, mean_field, spreading_rule)
 from occlab.models import dk_device_time, dk_exact_mean_zeta2, random_product_rule
 from occlab.deterministic import det_trajectory
 from occlab.rules import evaluate_rule
@@ -264,3 +265,86 @@ def test_projection_stream_matches_ensemble():
     for t in range(4):
         direct = (ens.states[:, t, :] - traj.p[t]) @ h / np.sqrt(7)
         assert np.allclose(direct, res["proj"][:, t])
+
+
+def test_tile_size_changes_no_chain(monkeypatch):
+    # n takes TILE-row tiles; R crosses a block boundary and ends in a partial tile
+    n, T, R = simulate.TILE, 3, rng.BLOCK + 300
+    assert simulate._tile_rows(n) == simulate.TILE
+    g = np.random.default_rng(5)
+    reactions = g.uniform(0.0, 2.0 / n, (n, n))
+    np.fill_diagonal(reactions, 0.0)
+    X0 = (g.random(n) < 0.5).astype(np.uint8)
+    h = g.uniform(0.5, 1.5, n)
+    runs = {
+        "mean_field": (spreading_rule(mean_field(n, rbar=1.5, mu=0.4)), False),
+        "mean_field_coupled": (spreading_rule(mean_field(n, rbar=1.5, mu=0.4)), True),
+        "nonuniform": (spreading_rule(SpreadingModel(R_matrix=reactions, mu=0.4)), False),
+        "hanski_coupled": (hanski_rule(equidistributed(n)), True),
+    }
+
+    def outputs():
+        out = {}
+        for label, (rule, couple) in runs.items():
+            p = det_trajectory(rule, X0.astype(float), T).p
+            res = simulate_projections(rule, X0, T, R, seed=3, h=h, p_traj=p,
+                                       keep_nodes=np.arange(0, n, 7), couple=couple)
+            out.update({f"{label}.{k}": v for k, v in res.items()})
+        torus = dk_rule(DomanyKinzel(n=n, q1=0.3, q2=0.8), iid_start=True)
+        out["torus"] = simulate_ensemble(torus, np.zeros(n, np.uint8), T, R, seed=3).states
+        return out
+
+    tiled = outputs()
+    monkeypatch.setattr(simulate, "TILE", rng.BLOCK)
+    blocked = outputs()
+    for key, value in tiled.items():
+        assert np.array_equal(value, blocked[key]), key
+
+
+def test_threads_capped_at_tiles_and_cpus(monkeypatch):
+    started = []
+
+    class Recorder:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(simulate, "ThreadPoolExecutor", Recorder)
+    n = 5
+    rule = spreading_rule(mean_field(n, rbar=0.5, mu=0.5))
+    X0 = np.zeros(n, np.uint8)
+    tile = simulate._tile_rows(n)
+    monkeypatch.setattr(simulate, "_usable_cpus", lambda: 64)
+    simulate_ensemble(rule, X0, 1, 3 * tile - 1, seed=1, workers=10 ** 6)
+    monkeypatch.setattr(simulate, "_usable_cpus", lambda: 2)
+    simulate_ensemble(rule, X0, 1, 10 * tile, seed=1, workers=10 ** 6)
+    simulate_ensemble(rule, X0, 1, 10 * tile, seed=1, workers=1)
+    simulate_ensemble(rule, X0, 1, tile, seed=1, workers=4)
+    assert started == [3, 2]
+
+
+def test_narrow_chains_take_taller_tiles():
+    for n in range(1, 2 * simulate.TILE):
+        rows = simulate._tile_rows(n)
+        assert rng.BLOCK % rows == 0 and rows >= simulate.TILE
+        assert rows == rng.BLOCK or rows * n >= simulate.TILE_UPDATES
+        assert rows == simulate.TILE or rows * n < 2 * simulate.TILE_UPDATES
+
+
+def test_projections_without_h_keep_only_the_nodes():
+    rule = spreading_rule(mean_field(6, rbar=0.5, mu=0.5))
+    X0 = np.array([1, 0, 1, 0, 1, 0], dtype=np.uint8)
+    p = det_trajectory(rule, X0.astype(float), 2).p
+    res = simulate_projections(rule, X0, 2, 700, seed=4, h=None, p_traj=p,
+                               keep_nodes=np.arange(6))
+    assert set(res) == {"nodes"}
+    ens = simulate_ensemble(rule, X0, 2, 700, seed=4)
+    assert np.array_equal(res["nodes"], ens.states)
