@@ -226,7 +226,8 @@ def lln_point(rule, X0, H, t, R, sim_seed, rad_seed, x, workers=1):
     Returns the per-replicate exact suprema of |<Xbar_t - pbar_t, h>| over
     the class, the Rademacher estimate (from ``rad_seed``) and its standard
     error, the concentration report at ``x`` and the threshold it guards.
-    The replicates are simulated on up to ``workers`` threads.
+    The replicates are simulated, and the Rademacher signs drawn, on up to
+    ``workers`` threads.
     """
     n = rule.n
     support = np.nonzero(np.abs(H).sum(axis=0))[0]
@@ -241,7 +242,7 @@ def lln_point(rule, X0, H, t, R, sim_seed, rad_seed, x, workers=1):
 
     coeffs = coefficient_schedule(rule, t)
     H_sup = float(np.abs(H).max())
-    rad, rad_se = rademacher_mc(H, 20000, rad_seed)
+    rad, rad_se = rademacher_mc(H, 20000, rad_seed, workers)
     rep = concentration_bound(coeffs, H_sup, rad, t, n, x)
     thresh = concentration_threshold(coeffs, H_sup, rad, t, n, x)
     return sups, rad, rad_se, rep, thresh

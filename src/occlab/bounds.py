@@ -18,6 +18,7 @@ from . import rng
 from .errors import DegenerateSigmaError, DomainError
 from .rules import CoefficientSchedule, _exp, kappa, state_table
 from .gaussian import sigma_form
+from .simulate import _map_threads, _tile_rows
 
 
 @dataclass
@@ -199,11 +200,13 @@ def concentration_bound(coeffs, H, rad, t, n, x):
 # Rademacher complexity
 # ---------------------------------------------------------------------------
 
-def rademacher_mc(H_set, R, seed):
+def rademacher_mc(H_set, R, seed, workers=1):
     """Monte Carlo estimate of E sup_h n^{-1} sum_i h_i s_i over sign draws.
 
     Returns (estimate, standard error).  The class is a (m, n) array of
-    projection vectors.
+    projection vectors.  The signs are drawn in the simulator's tiles of
+    rows, on up to ``workers`` threads; the result does not depend on
+    their number.
     """
     H = np.atleast_2d(np.asarray(H_set, dtype=np.float64))
     m, n = H.shape
@@ -212,10 +215,14 @@ def rademacher_mc(H_set, R, seed):
     support = np.nonzero(np.abs(H).sum(axis=0))[0]
     H = H[:, support]
     sups = np.empty(R)
-    for r0 in range(0, R, rng.BLOCK):
-        rows = min(rng.BLOCK, R - r0)
+    tile = _tile_rows(n)
+
+    def run_tile(r0):   # each tile writes its own rows of sups
+        rows = min(tile, R - r0)
         u = rng.uniforms(seed, 0, n, r0=r0, rows=rows, tag=rng.TAG_RADEMACHER)[:, support]
         sups[r0:r0 + rows] = (np.where(u < 0.5, -1.0, 1.0) @ H.T).max(axis=1) / n
+
+    _map_threads(run_tile, range(0, R, tile), workers)
     est = float(sups.mean())
     se = float(sups.std(ddof=1) / math.sqrt(R)) if R > 1 else float("inf")
     return est, se

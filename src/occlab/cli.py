@@ -31,8 +31,8 @@ from .gaussian import GaussianApprox
 from .models import graphdyn as gd
 from .models import hanski_limit
 from .models.descriptors import model_from_descriptor
-from .rules import coefficient_schedule
-from .simulate import require_bytes, simulate_counts
+from .rules import coefficient_schedule, require_bytes
+from .simulate import simulate_counts
 
 #: rows formatted per write; bounds the text held in memory for big tables
 _CSV_ROWS = 1 << 12

@@ -105,6 +105,9 @@ def smith_check(rule, sample_budget=64, seed=0):
     if not rule.homogeneous:
         raise ValueError("the stability screen applies to homogeneous rules")
     n = rule.n
+    # the origin Jacobian first: a rule too large for dense n x n Jacobians
+    # fails before the sampled pairs are drawn
+    radius_origin = spectral_radius(rule_jacobian(rule, np.full(n, ORIGIN_EPS), 0))
     u = rng.uniforms(rng.derive_seed(seed, "smith-lo"), 0, n,
                      rows=sample_budget, tag=rng.TAG_SAMPLER)
     v = rng.uniforms(rng.derive_seed(seed, "smith-hi"), 1, n,
@@ -126,10 +129,9 @@ def smith_check(rule, sample_budget=64, seed=0):
 
     p_at_one = evaluate_rule(rule, np.ones(n), 0)
     not_absorbing = bool((p_at_one < 1 - 1e-12).any())
-    j0 = rule_jacobian(rule, np.full(n, ORIGIN_EPS), 0)
     return SmithReport(positivity=positivity, jacobian_monotonicity=monotone,
                        not_all_absorbing=not_absorbing,
-                       spectral_radius_origin=spectral_radius(j0),
+                       spectral_radius_origin=radius_origin,
                        pairs_checked=sample_budget)
 
 

@@ -45,7 +45,7 @@ import scipy.linalg
 from . import rng
 from .errors import NotConvergedError, SingularMatrixError
 from .deterministic import DeterministicTrajectory, det_trajectory, spectral_radius
-from .rules import injected_variance, rule_jacobian
+from .rules import injected_variance, require_bytes, rule_jacobian
 
 
 def sigma_form(p, h, h2=None):
@@ -110,6 +110,7 @@ class GaussianApprox:
     def jacobians(self):
         """(T, n, n) array whose row t maps p_t -> p_{t+1}, built on first read."""
         if self._jacobians is None:
+            require_bytes(8 * self.T * self.n * self.n)
             J = np.empty((self.T, self.n, self.n))
             for t in range(self.T):
                 J[t] = rule_jacobian(self.rule, self.base.p[t], t)

@@ -39,6 +39,10 @@ from . import rng
 #: slack allowed before a coordinate or probability counts as out of range
 EDGE_TOL = 1e-12
 
+#: most bytes one call may allocate for its results (a simulation's
+#: tables, a dense Jacobian or reaction matrix)
+MAX_RESULT_BYTES = 2 ** 32
+
 #: central-difference step for first derivatives
 FD_STEP = 1e-6
 #: steps for sampled second/third derivative estimation (see estimate_coefficients)
@@ -156,6 +160,14 @@ def _check_range(p):
     return p
 
 
+def require_bytes(nbytes):
+    """Raise TooLargeError, before anything is allocated, when ``nbytes``
+    exceeds ``MAX_RESULT_BYTES``."""
+    if nbytes > MAX_RESULT_BYTES:
+        raise TooLargeError(f"the results need {nbytes / 2 ** 30:.3g} GiB, above the "
+                            f"{MAX_RESULT_BYTES / 2 ** 30:.3g} GiB cap")
+
+
 def evaluate_rule(rule, x, t=0):
     """Per-node transition probabilities P_t(x), validated and clamped.
 
@@ -188,7 +200,9 @@ def fd_jacobian(rule, x, t=0, step=FD_STEP):
 
 
 def rule_jacobian(rule, x, t=0):
-    """Analytic Jacobian when the rule supplies one, finite differences otherwise."""
+    """Analytic Jacobian when the rule supplies one, finite differences
+    otherwise; TooLargeError first if the n x n result would exceed the cap."""
+    require_bytes(8 * rule.n * rule.n)
     x = _check_domain(x, rule.n)
     if rule.jacobian is not None:
         return np.asarray(rule.jacobian(x, t), dtype=np.float64)

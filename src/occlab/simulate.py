@@ -5,8 +5,9 @@ node i of replicate r at step t reads one keyed Philox draw, so the
 coupling is well defined, replicates are independent, and every run is
 bit-for-bit reproducible from (rule, X0, seed, R, T) at any worker count.
 Replicates advance through all T steps in tiles of ``TILE`` rows (more
-for chains of fewer than 128 nodes), each reading its rows of the keyed
-table, and a run's ``workers`` threads share its tiles.
+for chains of fewer than 128 nodes, fewer for chains of more than 4096),
+each reading its rows of the keyed table, and a run's ``workers`` threads
+share its tiles.
 
 The companion W updates its thresholds at the deterministic trajectory
 p_t instead of the current random state, which makes its nodes mutually
@@ -15,7 +16,7 @@ whether node i has ever disagreed between the two chains up to time t.
 Both chains range-check, without clipping, the thresholds they compare
 the uniforms with, and raise RangeError as :func:`occlab.rules.evaluate_rule`
 does; W's thresholds at p_t are computed once per step.  A call whose
-result arrays would exceed ``MAX_RESULT_BYTES`` raises TooLargeError
+result arrays would exceed ``rules.MAX_RESULT_BYTES`` raises TooLargeError
 before allocating them.
 """
 
@@ -30,13 +31,11 @@ import numpy as np
 
 from . import rng
 from .errors import SplitRequiredError, TooLargeError
-from .rules import _check_range, evaluate_rule, rule_conditionals, state_table
+from .rules import (_check_range, evaluate_rule, require_bytes, rule_conditionals,
+                    state_table)
 
 EXACT_LAW_CAP = 12
 EXACT_LAW_HARD_CAP = 16
-
-#: most bytes one simulation call may allocate for its results
-MAX_RESULT_BYTES = 2 ** 32
 
 #: replicate rows one worker advances through all T steps at a time; it
 #: divides ``rng.BLOCK``, so no tile straddles two generator keys
@@ -45,6 +44,9 @@ TILE = rng.BLOCK // 8
 #: taller tiles: below it, the fixed cost of a tile step and the threads'
 #: hand-offs of the interpreter lock outweigh the work
 TILE_UPDATES = 2 ** 16
+#: most bytes of one tile step's uniform table, kept on wide chains by
+#: shorter tiles, so a worker's memory does not grow with n
+TILE_BYTES = 2 ** 24
 
 
 @dataclass
@@ -83,14 +85,6 @@ def _draw_bits(rule, x, t, u):
     else:
         thresh = np.asarray(rule.evaluate(xf, t), dtype=np.float64)
     return (u <= _check_range(thresh)).astype(np.uint8)
-
-
-def require_bytes(nbytes):
-    """Raise TooLargeError, before anything is allocated, when ``nbytes``
-    exceeds ``MAX_RESULT_BYTES``."""
-    if nbytes > MAX_RESULT_BYTES:
-        raise TooLargeError(f"the results need {nbytes / 2 ** 30:.3g} GiB, above the "
-                            f"{MAX_RESULT_BYTES / 2 ** 30:.3g} GiB cap")
 
 
 def _checked(rule, X0, T, R, couple, p_traj, specs):
@@ -134,11 +128,26 @@ def _usable_cpus():
 
 def _tile_rows(n):
     """``TILE`` rows, doubled up to a block until a step of the tile makes
-    ``TILE_UPDATES`` node updates."""
+    ``TILE_UPDATES`` node updates, or halved down to one row until its
+    uniform table fits in ``TILE_BYTES``."""
     rows = TILE
     while rows * n < TILE_UPDATES and rows < rng.BLOCK:
         rows *= 2
+    while 8 * rows * n > TILE_BYTES and rows > 1:
+        rows //= 2
     return rows
+
+
+def _map_threads(fn, items, workers):
+    """Call ``fn`` on each item, on up to ``workers`` threads, no more than
+    there are items or usable CPUs, in any order."""
+    threads = min(workers, len(items), _usable_cpus())
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            list(pool.map(fn, items))
+    else:
+        for item in items:
+            fn(item)
 
 
 def _run_chunks(rule, X0, T, R, seed, companion, workers, record):
@@ -170,14 +179,7 @@ def _run_chunks(rule, X0, T, R, seed, companion, workers, record):
             record(r0, t + 1, x, w, j)
 
     tile = _tile_rows(rule.n)
-    starts = range(0, R, tile)
-    threads = min(workers, len(starts), _usable_cpus())
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run_tile, starts))
-    else:
-        for r0 in starts:
-            run_tile(r0)
+    _map_threads(run_tile, range(0, R, tile), workers)
 
 
 def simulate_ensemble(rule, X0, T, R, seed, couple=False, p_traj=None, workers=1):

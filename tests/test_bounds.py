@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -210,6 +211,21 @@ def test_rademacher_matches_full_row_sums():
         (rng.signs(5, 0, n, r0=r0, rows=min(rng.BLOCK, R - r0)) @ H.T).max(axis=1) / n
         for r0 in range(0, R, rng.BLOCK)])
     assert rademacher_mc(H, R, 5) == (sups.mean(), sups.std(ddof=1) / math.sqrt(R))
+
+
+def test_rademacher_workers_change_nothing():
+    # tiles that each write their own rows of the suprema, on one thread or
+    # several switching often: a lost or misplaced row would move the result
+    g = np.random.default_rng(6)
+    H = g.choice([-1.0, 0.0, 1.0], size=(16, 60))
+    one = rademacher_mc(H, 20000, 7)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for workers in (2, 8):
+            assert rademacher_mc(H, 20000, 7, workers=workers) == one
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_rademacher_finite_class_bound():

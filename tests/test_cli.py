@@ -134,6 +134,24 @@ def test_huge_simulation_exits_3_before_allocating(tmp_path, capsys):
     assert not (tmp_path / "o" / "manifest.json").exists()
 
 
+def test_huge_mean_field_equilibrium_exits_3_before_dense_jacobians(tmp_path, capsys):
+    # the fixed point of a 10^6-node mean field is O(n) work; the stability
+    # screen's dense 10^6 x 10^6 Jacobians (8 TB) are refused unallocated
+    path = write_config(tmp_path, {"model": {"type": "spreading", "n": 10 ** 6, "rbar": 1.5,
+                                             "mu": 0.4, "reinfection": True},
+                                   "task": "equilibrium", "parameters": {"p0": 0.5}})
+    tracemalloc.start()
+    try:
+        code = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3 and peak < 128 * 2 ** 20
+    err = capsys.readouterr().err
+    assert err.startswith("model error:") and "GiB" in err and "Traceback" not in err
+    assert not (tmp_path / "o" / "manifest.json").exists()
+
+
 @pytest.mark.parametrize("model,t,failed", [
     # the rate bound needs t >= 1: recorded as an error
     (SPREADING, 0, "projection_rate"),

@@ -5,10 +5,13 @@ import numpy as np
 import pytest
 
 import occlab as ol
-from occlab.deterministic import det_trajectory
+from occlab.deterministic import det_trajectory, spectral_radius
+from occlab.errors import TooLargeError
+from occlab.gaussian import GaussianApprox
 from occlab.models import (DomanyKinzel, dk_device_time, dk_exact_mean_zeta2,
-                           dk_rule, mean_field,
+                           dk_rule, epidemic_threshold, mean_field,
                            model_from_descriptor, spreading_rule, SpreadingModel)
+from occlab.rules import coefficient_schedule, rule_jacobian
 from occlab.simulate import exact_law, law_mean, simulate_projections, state_table
 
 
@@ -106,6 +109,21 @@ def test_by_count_matches_split_at_binary_states(reinfection):
         assert (np.abs(got - want) <= 1e-15 * np.abs(want)).all()
 
 
+def test_by_count_survival_stays_a_probability_in_empty_rows():
+    # r = 0.85 > 1 - mu: (1 - r)^(-1) at k = 0 would put S at -1.67; a row
+    # with no occupied node reads no S, and the chain runs through extinction
+    rule = spreading_rule(mean_field(2, rbar=1.7, mu=0.4, reinfection=True))
+    s, c = rule.by_count(np.array([0, 1, 2]), 0)
+    assert np.array_equal(s, [0.6, 0.6, 1.0 - 0.4 * 0.15]) and c[0] == 0.0
+    split_only = dataclasses.replace(rule, by_count=None)
+    X0 = np.array([1, 0], dtype=np.uint8)
+    a, b = (simulate_projections(r, X0, 5, 300, seed=5, h=np.ones(2),
+                                 p_traj=np.full((6, 2), 0.5), keep_nodes=np.arange(2))
+            for r in (rule, split_only))
+    assert (a["nodes"][:, 5].sum(axis=1) == 0).any()
+    assert np.array_equal(a["proj"], b["proj"]) and np.array_equal(a["nodes"], b["nodes"])
+
+
 def test_hooks_only_for_uniform_product_form():
     R = np.full((5, 5), 0.1)
     np.fill_diagonal(R, 0.0)
@@ -122,9 +140,9 @@ def test_count_table_step_matches_split_step_bitwise(n, R):
     # the chain with the rule's by_count and with the split alone draw the
     # same bits: every projection and discrepancy fraction is equal
     g = np.random.default_rng(n)
-    model = mean_field(n, rbar=1.7, mu=0.4)   # one dense R (800 MB at n = 10^4)
     for reinfection in (False, True):
-        rule = spreading_rule(dataclasses.replace(model, reinfection=reinfection))
+        # r-only models: no n x n matrix at either size
+        rule = spreading_rule(mean_field(n, rbar=1.7, mu=0.4, reinfection=reinfection))
         split_only = dataclasses.replace(rule, by_count=None)
         X0 = (g.random(n) < 0.3).astype(np.uint8)
         T, h = 2, g.uniform(0.5, 1.5, n)
@@ -190,6 +208,106 @@ def test_uniform_detection_edge_cases():
         got = SpreadingModel(R_matrix=R, mu=0.4)._uniform_r
         want = dense_detect(R)
         assert got == want and type(got) is type(want)
+
+
+def dense_mean_field(n, rbar):
+    """The n x n matrix of uniform reactions rbar / n, zero on the diagonal."""
+    R = np.full((n, n), rbar / n)
+    np.fill_diagonal(R, 0.0)
+    return R
+
+
+@pytest.mark.parametrize("reinfection", [False, True])
+@pytest.mark.parametrize("form", ["product", "exponential"])
+@pytest.mark.parametrize("n", [2, 9, 1600])
+def test_r_only_mean_field_matches_explicit_uniform_matrix(n, form, reinfection):
+    lean = mean_field(n, rbar=1.7, mu=0.4, reinfection=reinfection, domain_form=form)
+    dense = SpreadingModel(R_matrix=dense_mean_field(n, 1.7), mu=0.4,
+                           reinfection=reinfection, domain_form=form)
+    assert lean._uniform_r == dense._uniform_r == 1.7 / n
+    a, b = spreading_rule(lean), spreading_rule(dense)
+    assert ("R_matrix" in vars(lean)) == (form == "exponential")
+    g = np.random.default_rng(n)
+    x = g.random((5, n))
+    bits = (x < 0.5).astype(float)
+    for xs in (x, bits, x[0], bits[0]):
+        assert np.array_equal(a.evaluate(xs, 0), b.evaluate(xs, 0))
+        for fa, fb in zip(a.split, b.split):
+            assert np.array_equal(fa(xs, 0), fb(xs, 0))
+    for point in (x[0], bits[0]):
+        assert np.array_equal(a.jacobian(point, 0), b.jacobian(point, 0))
+    if form == "product":
+        k = bits.sum(axis=1).astype(np.int64)
+        for sa, sb in zip(a.by_count(k, 0), b.by_count(k, 0)):
+            assert np.array_equal(sa, sb)
+        assert np.array_equal(a.vjp(x[0], 0, x[1]), b.vjp(x[0], 0, x[1]))
+    got = a.coeff_oracle(0)
+    want = spreading_rule(gram_reference(dense)).coeff_oracle(0)
+    for key in ("alpha", "beta", "big_gamma", "gamma", "delta"):
+        assert abs(getattr(got, key) - getattr(want, key)) <= 1e-13 * getattr(want, key)
+    X0 = (g.random(n) < 0.3).astype(np.uint8)
+    T, h = 2, g.uniform(0.5, 1.5, n)
+    p = det_trajectory(a, X0, T).p
+    for couple in (False, True):
+        sa, sb = (simulate_projections(rule, X0, T, 300, seed=5, h=h, p_traj=p,
+                                       keep_nodes=np.arange(0, n, 7), couple=couple)
+                  for rule in (a, b))
+        for key in sa:
+            assert np.array_equal(sa[key], sb[key]), (couple, key)
+    assert ("R_matrix" in vars(lean)) == (form == "exponential")
+
+
+def test_mean_field_builds_its_matrix_on_first_read():
+    model = mean_field(300, rbar=0.8, mu=0.4)
+    assert "R_matrix" not in vars(model) and model.n == 300
+    R = model.R_matrix
+    assert np.array_equal(R, dense_mean_field(300, 0.8)) and model.R_matrix is R
+    assert np.array_equal(mean_field(1, rbar=0.8, mu=0.4).R_matrix, np.zeros((1, 1)))
+    huge = mean_field(10 ** 5, rbar=0.8, mu=0.4)
+    assert "n=100000" in repr(huge)          # the repr builds no matrix
+    with pytest.raises(TooLargeError):        # 80 GB: refused, not allocated
+        huge.R_matrix
+    with pytest.raises(ValueError):
+        mean_field(4, rbar=4.0, mu=0.4)       # r = 1 is not a probability below 1
+
+
+def test_epidemic_threshold_closed_form_radius_matches_eigenvalues():
+    for rbar in (0.3, 1.5):
+        model = mean_field(300, rbar=rbar, mu=0.4)
+        rep = epidemic_threshold(model)
+        dense = spectral_radius(model.R_matrix)
+        assert abs(rep.reaction_radius - dense) <= 1e-12 * dense
+        assert rep.verdict == ("extinction" if rbar < 0.4 else "endemic-possible")
+
+
+def test_large_mean_field_allocates_no_matrix():
+    # n = 10^5: an n x n array would be 80 GB; the rule, a short simulation,
+    # the projected variance and the coefficients stay far below one
+    n = 10 ** 5
+    X0 = (np.arange(n) < n // 2).astype(np.uint8)
+    h = np.ones(n)
+    tracemalloc.start()
+    try:
+        rule = spreading_rule(mean_field(n, rbar=1.5, mu=0.4))
+        approx = GaussianApprox.from_rule(rule, X0.astype(np.float64), 2)
+        out = simulate_projections(rule, X0, 2, 64, seed=3, h=h, p_traj=approx.base.p)
+        var = approx.projected_variance(h, 2)
+        coefficient_schedule(rule, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
+    assert out["proj"].shape == (64, 3) and var > 0
+
+
+def test_dense_jacobians_of_a_large_mean_field_are_refused():
+    n = 10 ** 5
+    rule = spreading_rule(mean_field(n, rbar=1.5, mu=0.4))
+    with pytest.raises(TooLargeError):
+        rule_jacobian(rule, np.full(n, 0.5), 0)
+    approx = GaussianApprox.from_rule(rule, np.full(n, 0.5), 1)
+    with pytest.raises(TooLargeError):
+        approx.jacobians
 
 
 # ---------------------------------------------------------------------------

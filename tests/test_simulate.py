@@ -297,8 +297,12 @@ def test_tile_size_changes_no_chain(monkeypatch):
     tiled = outputs()
     monkeypatch.setattr(simulate, "TILE", rng.BLOCK)
     blocked = outputs()
+    monkeypatch.setattr(simulate, "TILE_BYTES", 8 * 96 * n)   # 64-row tiles
+    assert simulate._tile_rows(n) == 64
+    short = outputs()
     for key, value in tiled.items():
         assert np.array_equal(value, blocked[key]), key
+        assert np.array_equal(value, short[key]), key
 
 
 def test_threads_capped_at_tiles_and_cpus(monkeypatch):
@@ -337,6 +341,16 @@ def test_narrow_chains_take_taller_tiles():
         assert rng.BLOCK % rows == 0 and rows >= simulate.TILE
         assert rows == rng.BLOCK or rows * n >= simulate.TILE_UPDATES
         assert rows == simulate.TILE or rows * n < 2 * simulate.TILE_UPDATES
+
+
+def test_wide_chains_take_shorter_tiles():
+    # a tile step's uniform table fits in TILE_BYTES, down to one row
+    for n in (2 ** 12, 2 ** 12 + 1, 10 ** 4, 10 ** 5, 2 ** 21, 2 ** 22):
+        rows = simulate._tile_rows(n)
+        assert rng.BLOCK % rows == 0 and rows <= simulate.TILE
+        assert 8 * rows * n <= simulate.TILE_BYTES or rows == 1
+        assert rows == simulate.TILE or 16 * rows * n > simulate.TILE_BYTES
+    assert simulate._tile_rows(2 ** 12) == simulate.TILE
 
 
 def test_projections_without_h_keep_only_the_nodes():
