@@ -25,6 +25,11 @@ Conventions
   such a state.  ``vjp(x, t, g) -> J^T g`` is the transposed-Jacobian
   product, which must equal ``jacobian(x, t).T @ g``; it lets the
   Gaussian companion walk backward without forming n x n matrices.
+* Thresholds must lie in [0,1] wherever the simulator reads them.  At
+  step 0 every replicate holds the start state X0, so the simulator reads
+  S and C (or P) of every node at X0 once per run and range-checks both,
+  even the threshold a node does not compare with; a later step checks
+  only the threshold each node reads.
 """
 
 import math
@@ -428,11 +433,16 @@ def constant_rule(n, c):
     def ev(x, t):
         return np.broadcast_to(c, np.shape(x)).copy()
 
-    zero = np.zeros((n, n))
+    by_count = None
+    if (c == c[0]).all():
+        def by_count(k, t):
+            return np.full(np.shape(k), c[0]), np.full(np.shape(k), c[0])
+
     return OccupancyRule(
         n=n, evaluate=ev, split=(ev, ev),
-        jacobian=lambda x, t: zero.copy(),
+        jacobian=lambda x, t: np.zeros((n, n)),
         coeff_oracle=lambda t: CoefficientSet(0.0, 0.0, 0.0, 0.0, 0.0),
+        by_count=by_count, vjp=lambda x, t, g: np.zeros(np.shape(g)),
         homogeneous=True, name=f"constant({n})")
 
 

@@ -18,6 +18,17 @@ the uniforms with, and raise RangeError as :func:`occlab.rules.evaluate_rule`
 does; W's thresholds at p_t are computed once per step.  A call whose
 result arrays would exceed ``rules.MAX_RESULT_BYTES`` raises TooLargeError
 before allocating them.
+
+Every replicate starts at X0, so X's thresholds at step 0 are computed
+once per run, from the one-row state X0, and range-checked at every node,
+S and C alike, before any result array is allocated (a later step checks
+only the threshold each node reads).  For count-table and elementwise
+rules they are the bits a batched evaluation gives.  A rule that forms
+its thresholds by a matrix product (non-uniform spreading, hanski, the
+graph rule) may round its one-row value an ulp away from a batched row's
+(at most 3.3e-16 for non-uniform spreading and 1.4e-16 for hanski at
+n = 800), which moves a bit only when a uniform lands in that gap: a
+chance of about 2e-16 per comparison.
 """
 
 import math
@@ -62,20 +73,26 @@ class BinaryEnsemble:
     discrepancy: Optional[np.ndarray] = None  # (R, T+1, n) uint8
 
 
+def _select(u, s, c, x):
+    """Bits u <= S where x is 1 and u <= C where it is 0, for thresholds s
+    and c that broadcast against the uniforms u: u <= C, with (u <= S) xor
+    (u <= C) flipped in where x is 1.  These are the bits of
+    ``u <= np.where(x == 1, s, c)`` at a third of its cost."""
+    bits = (u <= c).view(np.uint8)
+    flip = (u <= s).view(np.uint8)
+    flip ^= bits
+    flip &= x
+    bits ^= flip
+    return bits
+
+
 def _draw_bits(rule, x, t, u):
     """One transition for a (rows, n) batch of binary states given uniforms u."""
     if rule.by_count is not None:
         # exchangeable nodes: one occupied and one empty threshold per row,
-        # looked up by the row's occupied count.  The bits are u <= C, with
-        # (u <= S) xor (u <= C) flipped in where x is 1; this selects the
-        # same bits as np.where(x == 1, S, C) at a third of its cost
+        # looked up by the row's occupied count
         s, c = map(_check_range, rule.by_count(x.sum(axis=1, dtype=np.int64), t))
-        bits = (u <= c[:, None]).view(np.uint8)
-        flip = (u <= s[:, None]).view(np.uint8)
-        flip ^= bits
-        flip &= x
-        bits ^= flip
-        return bits
+        return _select(u, s[:, None], c[:, None], x)
     xf = x.astype(np.float64)
     if rule.split is not None:
         surv, col = rule.split
@@ -87,10 +104,31 @@ def _draw_bits(rule, x, t, u):
     return (u <= _check_range(thresh)).astype(np.uint8)
 
 
+def _first_thresholds(rule, X0):
+    """Range-checked (S, C) of every node at the one-row state X0 at step 0,
+    shaped to broadcast against a tile's (rows, n) uniforms; S = C = P for
+    a rule without a split."""
+    if rule.by_count is not None:
+        s, c = (v[:, None] for v in rule.by_count(np.array([X0.sum(dtype=np.int64)]), 0))
+    else:
+        x = X0[None, :].astype(np.float64)
+        if rule.split is not None:
+            surv, col = rule.split
+            s, c = surv(x, 0), col(x, 0)
+        else:
+            s = c = rule.evaluate(x, 0)
+    return tuple(_check_range(np.asarray(v, dtype=np.float64)) for v in (s, c))
+
+
 def _checked(rule, X0, T, R, couple, p_traj, specs):
-    """Validated (X0, p_traj, companion) and the caller's result arrays, one
-    ``np.empty`` per (shape, dtype) in ``specs``, with companion[t] = W's
-    thresholds (S_t, C_t) or None; raises before allocating anything."""
+    """Validated (X0, p_traj), the step's thresholds and the caller's result
+    arrays, one ``np.empty`` per (shape, dtype) in ``specs``; raises before
+    allocating anything.
+
+    The thresholds are ``first``, X's (S, C) at X0 from
+    :func:`_first_thresholds` (None when T = 0), and ``companion[t]``, W's
+    (S_t, C_t) at p_t (None without coupling).
+    """
     if R < 1:
         raise ValueError("R must be >= 1")
     if R > rng.MAX_ROWS:
@@ -113,9 +151,11 @@ def _checked(rule, X0, T, R, couple, p_traj, specs):
         p_traj = np.asarray(p_traj, dtype=np.float64)
         if p_traj.shape[0] < T + 1:
             raise ValueError("p_traj must cover steps 0..T")
+    first = _first_thresholds(rule, X0) if T else None
     companion = ([tuple(map(_check_range, rule_conditionals(rule, p_traj[t], t)))
                   for t in range(T)] if couple else None)
-    return X0, p_traj, companion, [np.empty(shape, dtype) for shape, dtype in specs]
+    return (X0, p_traj, first, companion,
+            [np.empty(shape, dtype) for shape, dtype in specs])
 
 
 def _usable_cpus():
@@ -150,8 +190,12 @@ def _map_threads(fn, items, workers):
             fn(item)
 
 
-def _run_chunks(rule, X0, T, R, seed, companion, workers, record):
+def _run_chunks(rule, X0, first, T, R, seed, companion, workers, record):
     """Run R replicates from X0 for T steps in tiles of :func:`_tile_rows` rows.
+
+    Every row holds X0 at t = 0, so that step compares the uniforms with
+    ``first`` (from :func:`_checked`), computed once per run; later steps
+    evaluate the rule on the tile's rows.
 
     The tile size depends on n alone, never on the worker count, and every
     row's update is independent of the rows batched with it, so results do
@@ -172,10 +216,10 @@ def _run_chunks(rule, X0, T, R, seed, companion, workers, record):
         record(r0, 0, x, w, j)
         for t in range(T):
             u = rng.uniforms(seed, t, rule.n, r0=r0, rows=rows)
-            x = _draw_bits(rule, x, t, u)
+            x = _select(u, *first, x) if t == 0 else _draw_bits(rule, x, t, u)
             if couple:
-                w = (u <= np.where(w == 1, *companion[t])).astype(np.uint8)
-                j = np.maximum(j, (x != w).astype(np.uint8))
+                w = _select(u, *companion[t], w)
+                j |= x != w
             record(r0, t + 1, x, w, j)
 
     tile = _tile_rows(rule.n)
@@ -190,7 +234,7 @@ def simulate_ensemble(rule, X0, T, R, seed, couple=False, p_traj=None, workers=1
     indicators J are tracked alongside X.
     """
     specs = [((R, T + 1, rule.n), np.uint8)] * (3 if couple else 1)
-    X0, p_traj, companion, arrays = _checked(rule, X0, T, R, couple, p_traj, specs)
+    X0, p_traj, first, companion, arrays = _checked(rule, X0, T, R, couple, p_traj, specs)
     states, coupled, disc = arrays if couple else (arrays[0], None, None)
 
     def record(r0, t, x, w, j):
@@ -199,7 +243,7 @@ def simulate_ensemble(rule, X0, T, R, seed, couple=False, p_traj=None, workers=1
             coupled[r0:r0 + len(x), t] = w
             disc[r0:r0 + len(x), t] = j
 
-    _run_chunks(rule, X0, T, R, seed, companion, workers, record)
+    _run_chunks(rule, X0, first, T, R, seed, companion, workers, record)
     return BinaryEnsemble(n=rule.n, T=T, R=R, seed=seed, states=states,
                           coupled=coupled, discrepancy=disc)
 
@@ -222,8 +266,8 @@ def simulate_projections(rule, X0, T, R, seed, h, p_traj, keep_nodes=None,
         specs["nodes"] = ((R, T + 1, len(keep_nodes)), np.uint8)
     if couple:
         specs["jbar"] = ((R, T + 1), np.float64)
-    X0, p_traj, companion, arrays = _checked(rule, X0, T, R, couple, p_traj,
-                                             list(specs.values()))
+    X0, p_traj, first, companion, arrays = _checked(rule, X0, T, R, couple, p_traj,
+                                                    list(specs.values()))
     out = dict(zip(specs, arrays))
     h = None if h is None else np.asarray(h, dtype=np.float64)
     scale = 1.0 / np.sqrt(rule.n)
@@ -235,9 +279,9 @@ def simulate_projections(rule, X0, T, R, seed, h, p_traj, keep_nodes=None,
         if keep_nodes is not None:
             out["nodes"][rows, t] = x[:, keep_nodes]
         if couple:
-            out["jbar"][rows, t] = j.mean(axis=1)
+            out["jbar"][rows, t] = np.count_nonzero(j, axis=1) / rule.n
 
-    _run_chunks(rule, X0, T, R, seed, companion, workers, record)
+    _run_chunks(rule, X0, first, T, R, seed, companion, workers, record)
     return out
 
 
@@ -255,19 +299,19 @@ def simulate_counts(rule, X0, T, R, seed, couple=False, p_traj=None, workers=1,
         specs["jbar"] = ((R, T + 1), np.float64)
     if keep_states:
         specs["states"] = ((R, T + 1, rule.n), np.uint8)
-    X0, p_traj, companion, arrays = _checked(rule, X0, T, R, couple, p_traj,
-                                             list(specs.values()))
+    X0, p_traj, first, companion, arrays = _checked(rule, X0, T, R, couple, p_traj,
+                                                    list(specs.values()))
     out = dict(zip(specs, arrays))
 
     def record(r0, t, x, w, j):
         rows = slice(r0, r0 + len(x))
         out["counts"][rows, t] = x.sum(axis=1)
         if couple:
-            out["jbar"][rows, t] = j.mean(axis=1)
+            out["jbar"][rows, t] = np.count_nonzero(j, axis=1) / rule.n
         if keep_states:
             out["states"][rows, t] = x
 
-    _run_chunks(rule, X0, T, R, seed, companion, workers, record)
+    _run_chunks(rule, X0, first, T, R, seed, companion, workers, record)
     return out
 
 

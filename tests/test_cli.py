@@ -152,6 +152,16 @@ def test_huge_mean_field_equilibrium_exits_3_before_dense_jacobians(tmp_path, ca
     assert not (tmp_path / "o" / "manifest.json").exists()
 
 
+def test_huge_constant_rule_simulates_without_a_dense_jacobian(tmp_path, capsys):
+    # the rule's zero Jacobian (298 GiB at n = 200000) is made only on call
+    path = write_config(tmp_path, {"model": {"type": "constant", "n": 200000, "c": 0.3},
+                                   "task": "simulate", "parameters": {"T": 1, "R": 2}})
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    rows = list(csv.DictReader(open(tmp_path / "o" / "summary.csv")))
+    assert abs(float(rows[1]["mean_occupancy"]) - 0.3) < 0.01
+
+
 @pytest.mark.parametrize("model,t,failed", [
     # the rate bound needs t >= 1: recorded as an error
     (SPREADING, 0, "projection_rate"),

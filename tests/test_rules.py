@@ -41,6 +41,21 @@ def test_constant_rule_evaluation():
     assert np.array_equal(dk.evaluate(xs, 0), np.full(xs.shape, 0.3))
 
 
+def test_constant_rule_hooks_agree_with_what_they_replace():
+    x, g = sample_cube(5, 1, seed=6)[0], np.linspace(-1.0, 1.0, 5)
+    equal, unequal = ol.constant_rule(5, 0.3), ol.constant_rule(5, np.linspace(0.1, 0.9, 5))
+    for rule in (equal, unequal):
+        assert np.array_equal(ol.rule_jacobian(rule, x), np.zeros((5, 5)))
+        assert np.array_equal(rule.vjp(x, 0, g), rule.jacobian(x, 0).T @ g)
+    # a count table only where every node shares one probability
+    assert unequal.by_count is None
+    k = np.array([0, 2, 5])
+    s, c = equal.by_count(k, 0)
+    assert np.array_equal(s, np.full(3, 0.3)) and np.array_equal(c, np.full(3, 0.3))
+    surv, col = equal.split
+    assert np.array_equal(surv(x, 0), np.full(5, s[0]))
+
+
 def test_domain_error_outside_cube():
     rule = ol.constant_rule(3, 0.5)
     with pytest.raises(DomainError):

@@ -11,7 +11,7 @@ from occlab.models import (DomanyKinzel, SpreadingModel, dk_rule, equidistribute
                            hanski_rule, mean_field, spreading_rule)
 from occlab.models import dk_device_time, dk_exact_mean_zeta2, random_product_rule
 from occlab.deterministic import det_trajectory
-from occlab.rules import evaluate_rule
+from occlab.rules import evaluate_rule, rule_conditionals
 from occlab.simulate import (empirical_law, exact_law, law_mean,
                              simulate_ensemble, simulate_projections,
                              state_index, state_table, total_variation)
@@ -362,3 +362,107 @@ def test_projections_without_h_keep_only_the_nodes():
     assert set(res) == {"nodes"}
     ens = simulate_ensemble(rule, X0, 2, 700, seed=4)
     assert np.array_equal(res["nodes"], ens.states)
+
+
+def _per_row_chain(rule, X0, T, R, seed, couple, p_traj):
+    """Reference (states, coupled, discrepancy): every step, t = 0 included,
+    evaluates the rule on all R rows, and W's bits come from
+    u <= np.where(w == 1, S_t, C_t)."""
+    x = np.repeat(X0[None, :], R, axis=0)
+    w, j = x.copy(), np.zeros_like(x)
+    steps = [(x, w, j)]
+    for t in range(T):
+        u = rng.uniforms(seed, t, rule.n, rows=R)
+        xf = x.astype(np.float64)
+        if rule.by_count is not None:
+            s, c = rule.by_count(x.sum(axis=1), t)
+            thresh = np.where(x == 1, s[:, None], c[:, None])
+        elif rule.split is not None:
+            surv, col = rule.split
+            thresh = np.where(x == 1, surv(xf, t), col(xf, t))
+        else:
+            thresh = rule.evaluate(xf, t)
+        x = (u <= thresh).astype(np.uint8)
+        if couple:
+            w = (u <= np.where(w == 1, *rule_conditionals(rule, p_traj[t], t))).astype(np.uint8)
+            j = np.maximum(j, (x != w).astype(np.uint8))
+        steps.append((x, w, j))
+    return [np.stack(arrays, axis=1) for arrays in zip(*steps)]
+
+
+def _step_zero_rules(n):
+    g = np.random.default_rng(17)
+    reactions = g.uniform(0.0, 2.0 / n, (n, n))
+    np.fill_diagonal(reactions, 0.0)
+    A = g.random((n, n))
+    A /= 1.25 * A.sum(axis=1, keepdims=True)
+    return {
+        "mean_field": (spreading_rule(mean_field(n, rbar=1.5, mu=0.4, reinfection=True)), True),
+        "torus_iid_start": (dk_rule(DomanyKinzel(n=n, q1=0.3, q2=0.8, p0=0.4),
+                                    iid_start=True), False),
+        "hanski": (hanski_rule(equidistributed(n)), True),
+        "nonuniform": (spreading_rule(SpreadingModel(R_matrix=reactions, mu=0.4)), False),
+        "evaluate_only": (ol.linear_rule(A), False),
+        "constant": (ol.constant_rule(n, 0.3), True),
+        "constant_unequal": (ol.constant_rule(n, np.linspace(0.1, 0.9, n)), False),
+    }
+
+
+@pytest.mark.parametrize("T", [0, 1, 3])
+@pytest.mark.parametrize("label", ["mean_field", "torus_iid_start", "hanski", "nonuniform",
+                                   "evaluate_only", "constant", "constant_unequal"])
+def test_step_zero_once_matches_per_row_chain(label, T):
+    # R crosses a block boundary and ends in a partial tile
+    n, R = 40, rng.BLOCK + 300
+    rule, couple = _step_zero_rules(n)[label]
+    X0 = (np.random.default_rng(3).random(n) < 0.5).astype(np.uint8)
+    p = det_trajectory(rule, X0.astype(float), T).p if couple else None
+    states, coupled, disc = _per_row_chain(rule, X0, T, R, 8, couple, p)
+    for workers in (1, 2):
+        ens = simulate_ensemble(rule, X0, T, R, seed=8, couple=couple, p_traj=p,
+                                workers=workers)
+        assert np.array_equal(ens.states, states)
+        counts = simulate.simulate_counts(rule, X0, T, R, seed=8, couple=couple,
+                                          p_traj=p, workers=workers)
+        assert np.array_equal(counts["counts"], states.sum(axis=2))
+        if couple:
+            assert np.array_equal(ens.coupled, coupled)
+            assert np.array_equal(ens.discrepancy, disc)
+            assert np.array_equal(counts["jbar"], disc.mean(axis=2))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_step_zero_is_evaluated_once_per_run(workers):
+    n, T, R = 30, 3, rng.BLOCK + 300
+    seen = {"S": [], "C": []}
+
+    def recorded(key, value):
+        def threshold(x, t):
+            seen[key].append((t, x.shape[0]))
+            return value + 0.5 * np.roll(x, 1, axis=-1)
+        return threshold
+
+    rule = ol.OccupancyRule(n=n, split=(recorded("S", 0.4), recorded("C", 0.1)))
+    X0 = (np.arange(n) % 3 == 0).astype(np.uint8)
+    simulate_ensemble(rule, X0, T, R, seed=2, workers=workers)
+    for calls in seen.values():
+        assert [rows for t, rows in calls if t == 0] == [1]
+        assert sum(rows for t, rows in calls if t > 0) == (T - 1) * R
+
+
+def test_step_zero_checks_both_thresholds_before_allocating():
+    # an empty start reads only C at step 0, yet S is out of range there
+    n, R = 8, 2 ** 19
+    rule = ol.OccupancyRule(n=n, split=(lambda x, t: np.full(np.shape(x), -0.5),
+                                        lambda x, t: np.full(np.shape(x), 0.3)))
+    X0 = np.zeros(n, dtype=np.uint8)
+    tracemalloc.start()
+    try:
+        with pytest.raises(RangeError):
+            simulate_ensemble(rule, X0, 1, R, seed=0)   # 8 MiB of states
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    # no step, no thresholds read
+    assert simulate_ensemble(rule, X0, 0, 3, seed=0).states.shape == (3, 1, n)
