@@ -64,10 +64,6 @@ TILE_BYTES = 2 ** 24
 class BinaryEnsemble:
     """R replicate trajectories of an n-node chain over steps 0..T."""
 
-    n: int
-    T: int
-    R: int
-    seed: int
     states: np.ndarray                      # (R, T+1, n) uint8
     coupled: Optional[np.ndarray] = None    # (R, T+1, n) uint8
     discrepancy: Optional[np.ndarray] = None  # (R, T+1, n) uint8
@@ -120,44 +116,6 @@ def _first_thresholds(rule, X0):
     return tuple(_check_range(np.asarray(v, dtype=np.float64)) for v in (s, c))
 
 
-def _checked(rule, X0, T, R, couple, p_traj, specs):
-    """Validated (X0, p_traj), the step's thresholds and the caller's result
-    arrays, one ``np.empty`` per (shape, dtype) in ``specs``; raises before
-    allocating anything.
-
-    The thresholds are ``first``, X's (S, C) at X0 from
-    :func:`_first_thresholds` (None when T = 0), and ``companion[t]``, W's
-    (S_t, C_t) at p_t (None without coupling).
-    """
-    if R < 1:
-        raise ValueError("R must be >= 1")
-    if R > rng.MAX_ROWS:
-        raise TooLargeError(f"R = {R} exceeds the {rng.MAX_ROWS} replicates "
-                            "the keyed streams address")
-    require_bytes(sum(np.dtype(dtype).itemsize * math.prod(shape) for shape, dtype in specs)
-                  + (16 * T * rule.n if couple else 0))
-    X0 = np.asarray(X0, dtype=np.uint8)
-    if X0.shape != (rule.n,):
-        raise ValueError(f"X0 must have shape ({rule.n},)")
-    if X0.max(initial=0) > 1:
-        raise ValueError("X0 must be a binary state")
-    if couple:
-        if rule.split is None:
-            raise SplitRequiredError(
-                "coupling is defined through the survival/colonization split")
-        if p_traj is None:
-            raise ValueError("coupled simulation needs the deterministic trajectory")
-    if p_traj is not None:
-        p_traj = np.asarray(p_traj, dtype=np.float64)
-        if p_traj.shape[0] < T + 1:
-            raise ValueError("p_traj must cover steps 0..T")
-    first = _first_thresholds(rule, X0) if T else None
-    companion = ([tuple(map(_check_range, rule_conditionals(rule, p_traj[t], t)))
-                  for t in range(T)] if couple else None)
-    return (X0, p_traj, first, companion,
-            [np.empty(shape, dtype) for shape, dtype in specs])
-
-
 def _usable_cpus():
     """CPUs this process may run on."""
     try:
@@ -190,40 +148,76 @@ def _map_threads(fn, items, workers):
             fn(item)
 
 
-def _run_chunks(rule, X0, first, T, R, seed, companion, workers, record):
-    """Run R replicates from X0 for T steps in tiles of :func:`_tile_rows` rows.
+def _jbar(t, x, w, j):
+    """Share of each row's nodes that have ever disagreed between X and W:
+    an exact integer count over n, so the same bits as ``j.mean(axis=1)``."""
+    return np.count_nonzero(j, axis=1) / j.shape[1]
 
-    Every row holds X0 at t = 0, so that step compares the uniforms with
-    ``first`` (from :func:`_checked`), computed once per run; later steps
-    evaluate the rule on the tile's rows.
 
-    The tile size depends on n alone, never on the worker count, and every
-    row's update is independent of the rows batched with it, so results do
-    not depend on ``workers``.  ``record(r0, t, x, w, j)`` receives the
-    (rows, n) states of the tile starting at replicate r0 after every step
-    t = 0..T; ``w`` and ``j`` are None when ``companion`` (from
-    :func:`_checked`) is.  Tiles write disjoint rows, so they run on up to
-    ``workers`` threads, no more than there are tiles or usable CPUs, in
-    any order.
+def _simulate(rule, X0, T, R, seed, couple, p_traj, workers, keep):
+    """Run R replicates from X0 for T steps and keep what ``keep`` names.
+
+    ``keep`` maps an output name to ``(shape, dtype, value)``: the result
+    is an (R, T+1, *shape) array of ``dtype`` whose rows of a tile at step
+    t hold ``value(t, x, w, j)`` of the tile's (rows, n) states after that
+    step (``w`` and ``j`` are None without coupling).  Every check runs,
+    and X's step-0 thresholds ``first`` (:func:`_first_thresholds`) and
+    W's thresholds ``companion[t]`` at p_t are computed, before any result
+    array is allocated.
+
+    Replicates run in tiles of :func:`_tile_rows` rows.  Every row holds X0
+    at t = 0, so that step compares the uniforms with ``first``; later
+    steps evaluate the rule on the tile's rows.  The tile size depends on n
+    alone, never on the worker count, and every row's update is independent
+    of the rows batched with it, so results do not depend on ``workers``.
+    Tiles write disjoint rows, so they run on :func:`_map_threads`.
     """
-    couple = companion is not None
+    if R < 1:
+        raise ValueError("R must be >= 1")
+    if R > rng.MAX_ROWS:
+        raise TooLargeError(f"R = {R} exceeds the {rng.MAX_ROWS} replicates "
+                            "the keyed streams address")
+    require_bytes(R * (T + 1) * sum(np.dtype(dtype).itemsize * math.prod(shape)
+                                    for shape, dtype, _ in keep.values())
+                  + (16 * T * rule.n if couple else 0))
+    X0 = np.asarray(X0, dtype=np.uint8)
+    if X0.shape != (rule.n,):
+        raise ValueError(f"X0 must have shape ({rule.n},)")
+    if X0.max(initial=0) > 1:
+        raise ValueError("X0 must be a binary state")
+    if couple:
+        if rule.split is None:
+            raise SplitRequiredError(
+                "coupling is defined through the survival/colonization split")
+        if p_traj is None:
+            raise ValueError("coupled simulation needs the deterministic trajectory")
+    if p_traj is not None:
+        p_traj = np.asarray(p_traj, dtype=np.float64)
+        if p_traj.ndim != 2 or p_traj.shape[0] < T + 1 or p_traj.shape[1] != rule.n:
+            raise ValueError(f"p_traj must cover steps 0..T of {rule.n} nodes")
+    first = _first_thresholds(rule, X0) if T else None
+    companion = ([tuple(map(_check_range, rule_conditionals(rule, p_traj[t], t)))
+                  for t in range(T)] if couple else None)
+    out = {key: np.empty((R, T + 1, *shape), dtype) for key, (shape, dtype, _) in keep.items()}
 
     def run_tile(r0):
-        rows = min(tile, R - r0)
-        x = np.repeat(X0[None, :], rows, axis=0)
+        rows = slice(r0, min(r0 + tile, R))
+        x = np.repeat(X0[None, :], rows.stop - r0, axis=0)
         w = x.copy() if couple else None
         j = np.zeros_like(x) if couple else None
-        record(r0, 0, x, w, j)
-        for t in range(T):
-            u = rng.uniforms(seed, t, rule.n, r0=r0, rows=rows)
-            x = _select(u, *first, x) if t == 0 else _draw_bits(rule, x, t, u)
-            if couple:
-                w = _select(u, *companion[t], w)
-                j |= x != w
-            record(r0, t + 1, x, w, j)
+        for t in range(T + 1):
+            for key, (_, _, value) in keep.items():
+                out[key][rows, t] = value(t, x, w, j)
+            if t < T:
+                u = rng.uniforms(seed, t, rule.n, r0=r0, rows=len(x))
+                x = _select(u, *first, x) if t == 0 else _draw_bits(rule, x, t, u)
+                if couple:
+                    w = _select(u, *companion[t], w)
+                    j |= x != w
 
     tile = _tile_rows(rule.n)
     _map_threads(run_tile, range(0, R, tile), workers)
+    return out
 
 
 def simulate_ensemble(rule, X0, T, R, seed, couple=False, p_traj=None, workers=1):
@@ -233,19 +227,12 @@ def simulate_ensemble(rule, X0, T, R, seed, couple=False, p_traj=None, workers=1
     at the supplied deterministic trajectory ``p_traj``) and the discrepancy
     indicators J are tracked alongside X.
     """
-    specs = [((R, T + 1, rule.n), np.uint8)] * (3 if couple else 1)
-    X0, p_traj, first, companion, arrays = _checked(rule, X0, T, R, couple, p_traj, specs)
-    states, coupled, disc = arrays if couple else (arrays[0], None, None)
-
-    def record(r0, t, x, w, j):
-        states[r0:r0 + len(x), t] = x
-        if couple:
-            coupled[r0:r0 + len(x), t] = w
-            disc[r0:r0 + len(x), t] = j
-
-    _run_chunks(rule, X0, first, T, R, seed, companion, workers, record)
-    return BinaryEnsemble(n=rule.n, T=T, R=R, seed=seed, states=states,
-                          coupled=coupled, discrepancy=disc)
+    keep = {"states": ((rule.n,), np.uint8, lambda t, x, w, j: x)}
+    if couple:
+        keep["coupled"] = ((rule.n,), np.uint8, lambda t, x, w, j: w)
+        keep["discrepancy"] = ((rule.n,), np.uint8, lambda t, x, w, j: j)
+    out = _simulate(rule, X0, T, R, seed, couple, p_traj, workers, keep)
+    return BinaryEnsemble(out["states"], out.get("coupled"), out.get("discrepancy"))
 
 
 def simulate_projections(rule, X0, T, R, seed, h, p_traj, keep_nodes=None,
@@ -257,32 +244,25 @@ def simulate_projections(rule, X0, T, R, seed, h, p_traj, keep_nodes=None,
     ``h`` is None), and optionally ``nodes`` of shape (R, T+1,
     len(keep_nodes)) with raw bits for a column subset, plus ``jbar``
     (R, T+1) when ``couple=True``.  Bit stream and update path match
-    :func:`simulate_ensemble` exactly.
+    :func:`simulate_ensemble` exactly.  ``h`` must have shape (n,) and
+    comes with ``p_traj``; ``keep_nodes`` must be integers in [0, n).
     """
-    specs = {}
+    n = rule.n
+    keep = {}
     if h is not None:
-        specs["proj"] = ((R, T + 1), np.float64)
+        h = np.asarray(h, dtype=np.float64)
+        if h.shape != (n,) or p_traj is None:
+            raise ValueError(f"h must have shape ({n},) and come with p_traj")
+        p, scale = np.asarray(p_traj, dtype=np.float64), 1.0 / np.sqrt(n)
+        keep["proj"] = ((), np.float64, lambda t, x, w, j: scale * ((x - p[t][None, :]) @ h))
     if keep_nodes is not None:
-        specs["nodes"] = ((R, T + 1, len(keep_nodes)), np.uint8)
+        idx = np.asarray(keep_nodes)
+        if idx.ndim != 1 or idx.dtype.kind not in "iu" or not ((idx >= 0) & (idx < n)).all():
+            raise ValueError(f"keep_nodes must be integers in [0, {n})")
+        keep["nodes"] = ((len(idx),), np.uint8, lambda t, x, w, j: x[:, idx])
     if couple:
-        specs["jbar"] = ((R, T + 1), np.float64)
-    X0, p_traj, first, companion, arrays = _checked(rule, X0, T, R, couple, p_traj,
-                                                    list(specs.values()))
-    out = dict(zip(specs, arrays))
-    h = None if h is None else np.asarray(h, dtype=np.float64)
-    scale = 1.0 / np.sqrt(rule.n)
-
-    def record(r0, t, x, w, j):
-        rows = slice(r0, r0 + len(x))
-        if h is not None:
-            out["proj"][rows, t] = scale * ((x - p_traj[t][None, :]) @ h)
-        if keep_nodes is not None:
-            out["nodes"][rows, t] = x[:, keep_nodes]
-        if couple:
-            out["jbar"][rows, t] = np.count_nonzero(j, axis=1) / rule.n
-
-    _run_chunks(rule, X0, first, T, R, seed, companion, workers, record)
-    return out
+        keep["jbar"] = ((), np.float64, _jbar)
+    return _simulate(rule, X0, T, R, seed, couple, p_traj, workers, keep)
 
 
 def simulate_counts(rule, X0, T, R, seed, couple=False, p_traj=None, workers=1,
@@ -294,25 +274,12 @@ def simulate_counts(rule, X0, T, R, seed, couple=False, p_traj=None, workers=1,
     bits ``states`` (R, T+1, n) when ``keep_states=True``.  Bit stream and
     update path match :func:`simulate_ensemble` exactly.
     """
-    specs = {"counts": ((R, T + 1), np.int64)}
+    keep = {"counts": ((), np.int64, lambda t, x, w, j: x.sum(axis=1))}
     if couple:
-        specs["jbar"] = ((R, T + 1), np.float64)
+        keep["jbar"] = ((), np.float64, _jbar)
     if keep_states:
-        specs["states"] = ((R, T + 1, rule.n), np.uint8)
-    X0, p_traj, first, companion, arrays = _checked(rule, X0, T, R, couple, p_traj,
-                                                    list(specs.values()))
-    out = dict(zip(specs, arrays))
-
-    def record(r0, t, x, w, j):
-        rows = slice(r0, r0 + len(x))
-        out["counts"][rows, t] = x.sum(axis=1)
-        if couple:
-            out["jbar"][rows, t] = np.count_nonzero(j, axis=1) / rule.n
-        if keep_states:
-            out["states"][rows, t] = x
-
-    _run_chunks(rule, X0, first, T, R, seed, companion, workers, record)
-    return out
+        keep["states"] = ((rule.n,), np.uint8, lambda t, x, w, j: x)
+    return _simulate(rule, X0, T, R, seed, couple, p_traj, workers, keep)
 
 
 # ---------------------------------------------------------------------------

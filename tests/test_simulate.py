@@ -416,8 +416,9 @@ def test_step_zero_once_matches_per_row_chain(label, T):
     n, R = 40, rng.BLOCK + 300
     rule, couple = _step_zero_rules(n)[label]
     X0 = (np.random.default_rng(3).random(n) < 0.5).astype(np.uint8)
-    p = det_trajectory(rule, X0.astype(float), T).p if couple else None
+    p = det_trajectory(rule, X0.astype(float), T).p
     states, coupled, disc = _per_row_chain(rule, X0, T, R, 8, couple, p)
+    projs = []
     for workers in (1, 2):
         ens = simulate_ensemble(rule, X0, T, R, seed=8, couple=couple, p_traj=p,
                                 workers=workers)
@@ -425,10 +426,17 @@ def test_step_zero_once_matches_per_row_chain(label, T):
         counts = simulate.simulate_counts(rule, X0, T, R, seed=8, couple=couple,
                                           p_traj=p, workers=workers)
         assert np.array_equal(counts["counts"], states.sum(axis=2))
+        res = simulate_projections(rule, X0, T, R, 8, h=np.ones(n), p_traj=p,
+                                   keep_nodes=np.arange(n), workers=workers, couple=couple)
+        assert np.array_equal(res["nodes"], states)
+        projs.append(res["proj"])
         if couple:
             assert np.array_equal(ens.coupled, coupled)
             assert np.array_equal(ens.discrepancy, disc)
             assert np.array_equal(counts["jbar"], disc.mean(axis=2))
+            assert np.array_equal(res["jbar"], disc.mean(axis=2))
+    assert np.array_equal(projs[0], projs[1])
+    assert np.allclose(projs[0], n ** -0.5 * (states - p) @ np.ones(n), rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -466,3 +474,22 @@ def test_step_zero_checks_both_thresholds_before_allocating():
     assert peak < 2 ** 20
     # no step, no thresholds read
     assert simulate_ensemble(rule, X0, 0, 3, seed=0).states.shape == (3, 1, n)
+
+
+@pytest.mark.parametrize("bad", [{"p_traj": None}, {"h": np.ones(7)},
+                                 {"p_traj": np.full((2, 7), 0.3)},
+                                 {"keep_nodes": [10]}, {"keep_nodes": [0.5]}],
+                         ids=["h_without_p_traj", "short_h", "narrow_p_traj",
+                              "node_out_of_range", "fractional_node"])
+def test_projection_inputs_checked_before_allocating(bad):
+    n, R = 8, 2 ** 19
+    args = {"h": np.ones(n), "p_traj": np.full((2, n), 0.3), **bad}
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError):   # 8 MiB of projections
+            simulate_projections(ol.constant_rule(n, 0.3), np.zeros(n, dtype=np.uint8),
+                                 1, R, 0, **args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
