@@ -8,7 +8,7 @@ occupancy, dynamic random graphs), and distributional diagnostics.
 
 from .errors import (DegenerateSigmaError, DomainError, NotConvergedError,
                      OcclabError, RangeError, SchemaError, SingularMatrixError,
-                     SplitRequiredError, TooLargeError)
+                     TooLargeError)
 from .rules import (CoefficientSchedule, CoefficientSet, OccupancyRule,
                     coefficient_schedule, coefficients, constant_rule,
                     estimate_coefficients, evaluate_rule, injected_variance,

@@ -17,10 +17,6 @@ class RangeError(OcclabError):
     """A rule returned a value outside [0, 1] beyond tolerance (malformed model)."""
 
 
-class SplitRequiredError(OcclabError):
-    """An operation needs the survival/colonization split and the rule has none."""
-
-
 class TooLargeError(OcclabError):
     """Problem size exceeds the cap of an exact (enumerative) algorithm."""
 

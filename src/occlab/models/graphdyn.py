@@ -31,7 +31,7 @@ import numpy as np
 from ..deterministic import det_trajectory
 from ..errors import TooLargeError
 from ..gaussian import accumulated_variance, backward
-from ..rules import CoefficientSet, OccupancyRule, state_table
+from ..rules import CoefficientSet, OccupancyRule, require_bytes, state_table
 
 
 @dataclass(frozen=True)
@@ -68,6 +68,7 @@ class GraphDynModel:
 
 
 def complete_host(v, q, f, **kw):
+    require_bytes(9 * v * v)  # triu_indices' v x v mask and two int64 index arrays
     a, b = np.triu_indices(v, k=1)
     return GraphDynModel(host_edges=np.column_stack([a, b]), v=v, q=q, f=f, **kw)
 
@@ -83,11 +84,13 @@ def edge_state_to_adjacency(model, x):
 
 
 def graph_rule(model):
-    """Occupancy rule on host edges with analytic split and Jacobian."""
+    """Occupancy rule on host edges with analytic split, and an analytic
+    Jacobian when the model gives ``f_prime`` (finite differences otherwise)."""
     n = model.n_edges
     v = model.v
     q = model.q
     ea, eb = model.host_edges[:, 0], model.host_edges[:, 1]
+    require_bytes(8 * n * v)
     incidence = np.zeros((n, v))
     incidence[np.arange(n), ea] = 1.0
     incidence[np.arange(n), eb] = 1.0
@@ -105,8 +108,6 @@ def graph_rule(model):
         return model.f(args_of(x))
 
     def jacobian(x, t=0):
-        if model.f_prime is None:
-            raise ValueError("model lacks f_prime; use the finite-difference path")
         x = np.asarray(x, dtype=np.float64)
         arg = args_of(x)
         fa = model.f(arg)
@@ -132,7 +133,8 @@ def graph_rule(model):
                               gamma=gamma, delta=delta)
 
     return OccupancyRule(
-        n=n, split=(survive, colonize), jacobian=jacobian,
+        n=n, split=(survive, colonize),
+        jacobian=jacobian if model.f_prime is not None else None,
         coeff_oracle=coeff_oracle, homogeneous=True,
         name=f"graphdyn(v={v},edges={n},q={q})")
 

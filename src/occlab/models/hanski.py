@@ -32,7 +32,7 @@ import numpy as np
 
 from ..errors import DomainError
 from ..gaussian import accumulated_variance, backward
-from ..rules import CoefficientSet, OccupancyRule
+from ..rules import CoefficientSet, OccupancyRule, require_bytes
 
 
 def default_colonization(y):
@@ -78,6 +78,7 @@ def equidistributed(n, **kw):
 
 def _connectivity_matrix(model):
     """M[i, j] = a(z_j) D(z_i, z_j) / n with zero diagonal."""
+    require_bytes(8 * model.n * model.n)
     z = model.z
     M = model.dispersal(z[:, None], z[None, :]) * model.a(z)[None, :] / model.n
     np.fill_diagonal(M, 0.0)
@@ -85,7 +86,9 @@ def _connectivity_matrix(model):
 
 
 def hanski_rule(model):
-    """Occupancy rule with analytic split, Jacobian and coefficient budget."""
+    """Occupancy rule with analytic split and coefficient budget, and an
+    analytic Jacobian when the model gives ``c_prime`` (finite differences
+    otherwise)."""
     n = model.n
     M = _connectivity_matrix(model)
     s_vec = np.asarray(model.s(model.z), dtype=np.float64)
@@ -103,8 +106,6 @@ def hanski_rule(model):
     def jacobian(x, t=0):
         x = np.asarray(x, dtype=np.float64)
         conn = x @ M.T
-        if model.c_prime is None:
-            raise ValueError("model lacks c_prime; use the finite-difference path")
         J = (1.0 - x)[:, None] * model.c_prime(conn)[:, None] * M
         J[np.arange(n), np.arange(n)] = s_vec - model.c(conn)
         return J
@@ -126,7 +127,8 @@ def hanski_rule(model):
                               gamma=gamma, delta=delta)
 
     return OccupancyRule(
-        n=n, split=(survive, colonize), jacobian=jacobian,
+        n=n, split=(survive, colonize),
+        jacobian=jacobian if model.c_prime is not None else None,
         coeff_oracle=coeff_oracle, homogeneous=True,
         name=f"hanski(n={n})")
 
@@ -166,6 +168,7 @@ def hanski_limit(model, rho0, T, G=512):
 
     ``rho0`` is the initial density: a callable on [0,1] or a (G,) array.
     """
+    require_bytes(8 * G * G)  # the dispersal kernel D between grid nodes
     nodes, weights = _grid(G)
     rho = np.empty((T + 1, G))
     rho[0] = rho0(nodes) if callable(rho0) else np.asarray(rho0, dtype=np.float64)

@@ -3,7 +3,7 @@
 import numpy as np
 
 from .. import rng
-from ..rules import OccupancyRule
+from ..rules import OccupancyRule, require_bytes
 
 
 def random_product_rule(n, seed, strength=0.8):
@@ -16,6 +16,7 @@ def random_product_rule(n, seed, strength=0.8):
     """
     if not 0 <= strength <= 1:
         raise ValueError("strength must lie in [0, 1]")
+    require_bytes(2 * 8 * n * n)
     a = strength * rng.uniforms(rng.derive_seed(seed, "rand-a"), 0, n, rows=n,
                                 tag=rng.TAG_SAMPLER)
     b = strength * rng.uniforms(rng.derive_seed(seed, "rand-b"), 1, n, rows=n,

@@ -7,10 +7,10 @@ error bounds) consumes rules through this interface.
 
 Conventions
 -----------
-* A rule gives its survival/colonization split ``(S, C)``, from which
-  ``evaluate`` is derived as ``P_i(x) = x_i * S_i(x) + (1 - x_i) * C_i(x)``,
-  or it gives ``evaluate`` alone (or both, where the derived form rounds
-  differently or costs more).  Neither ``S_i`` nor ``C_i`` may depend on
+* Every rule gives its survival/colonization split ``(S, C)``, from which
+  ``evaluate`` is derived as ``P_i(x) = x_i * S_i(x) + (1 - x_i) * C_i(x)``
+  unless the rule also gives ``evaluate``, where the derived form rounds
+  differently or costs more.  Neither ``S_i`` nor ``C_i`` may depend on
   coordinate ``i`` (so ``P_i`` is affine in its own coordinate).
 * ``evaluate(x, t)`` must accept ``x`` of shape (n,) or (batch..., n) and
   return the per-node probabilities with the same leading shape.  It must
@@ -27,7 +27,7 @@ Conventions
   Gaussian companion walk backward without forming n x n matrices.
 * Thresholds must lie in [0,1] wherever the simulator reads them.  At
   step 0 every replicate holds the start state X0, so the simulator reads
-  S and C (or P) of every node at X0 once per run and range-checks both,
+  S and C of every node at X0 once per run and range-checks both,
   even the threshold a node does not compare with; a later step checks
   only the threshold each node reads.
 """
@@ -60,8 +60,8 @@ class OccupancyRule:
     """A global transition rule for an n-node occupancy chain."""
 
     n: int
+    split: Tuple[Callable, Callable]
     evaluate: Optional[Callable[[np.ndarray, int], np.ndarray]] = None
-    split: Optional[Tuple[Callable, Callable]] = None
     jacobian: Optional[Callable[[np.ndarray, int], np.ndarray]] = None
     coeff_oracle: Optional[Callable[[int], "CoefficientSet"]] = None
     by_count: Optional[Callable[[np.ndarray, int], Tuple[np.ndarray, np.ndarray]]] = None
@@ -72,8 +72,6 @@ class OccupancyRule:
     def __post_init__(self):
         if self.evaluate is not None:
             return
-        if self.split is None:
-            raise TypeError("a rule needs evaluate or a split (S, C)")
         surv, col = self.split
 
         def evaluate(x, t=0):
@@ -215,26 +213,12 @@ def rule_jacobian(rule, x, t=0):
 
 
 def rule_conditionals(rule, x, t=0):
-    """Per-node retention and acquisition probabilities (S_i, C_i) at x.
-
-    Uses the declared split when present; otherwise exploits the fact that
-    each P_i is affine in its own coordinate, so S_i = P_i at x_i := 1 and
-    C_i = P_i at x_i := 0 recover the conditionals from two evaluations.
-    """
+    """Per-node retention and acquisition probabilities (S_i, C_i) at x,
+    read from the rule's split after the domain check."""
     x = _check_domain(x, rule.n)
-    if rule.split is not None:
-        surv, col = rule.split
-        return (np.asarray(surv(x, t), dtype=np.float64),
-                np.asarray(col(x, t), dtype=np.float64))
-    n = rule.n
-    idx = np.arange(n)
-    hi = np.repeat(x[None, :], n, axis=0)
-    hi[idx, idx] = 1.0
-    lo = np.repeat(x[None, :], n, axis=0)
-    lo[idx, idx] = 0.0
-    s = np.asarray(rule.evaluate(hi, t), dtype=np.float64)[idx, idx]
-    c = np.asarray(rule.evaluate(lo, t), dtype=np.float64)[idx, idx]
-    return s, c
+    surv, col = rule.split
+    return (np.asarray(surv(x, t), dtype=np.float64),
+            np.asarray(col(x, t), dtype=np.float64))
 
 
 def injected_variance(rule, p_prev, t_prev=0):
@@ -447,19 +431,34 @@ def constant_rule(n, c):
 
 
 def linear_rule(A):
-    """Linear rule P(x) = A x with a substochastic nonnegative matrix A."""
+    """Linear rule P(x) = A x with a substochastic nonnegative matrix A.
+
+    Its split sets x_i to 1 and to 0 in row i of A x:
+    S = x A^T + diag(A) (1 - x) and C = x A^T - diag(A) x.
+    """
     A = np.asarray(A, dtype=np.float64)
     n = A.shape[0]
     if A.min() < 0 or A.sum(axis=1).max() > 1 + EDGE_TOL:
         raise RangeError("linear rule needs nonnegative rows summing to <= 1")
 
+    d = A.diagonal()
+
+    # given, not derived: the derived form costs two products and rounds
+    # differently
     def ev(x, t):
         return np.asarray(x) @ A.T
+
+    def survive(x, t):
+        return ev(x, t) + d * (1.0 - np.asarray(x))
+
+    def colonize(x, t):
+        return ev(x, t) - d * np.asarray(x)
 
     off = ~np.eye(n, dtype=bool)
     cs = CoefficientSet(alpha=float((np.abs(A) * off).sum(axis=0).max()),
                         beta=float(math.sqrt((A[off] ** 2).sum() / n)),
                         big_gamma=0.0, gamma=0.0, delta=0.0)
-    return OccupancyRule(n=n, evaluate=ev, jacobian=lambda x, t: A.copy(),
+    return OccupancyRule(n=n, evaluate=ev, split=(survive, colonize),
+                         jacobian=lambda x, t: A.copy(),
                          coeff_oracle=lambda t: cs, homogeneous=True,
                          name=f"linear({n})")

@@ -25,10 +25,10 @@ S and C alike, before any result array is allocated (a later step checks
 only the threshold each node reads).  For count-table and elementwise
 rules they are the bits a batched evaluation gives.  A rule that forms
 its thresholds by a matrix product (non-uniform spreading, hanski, the
-graph rule) may round its one-row value an ulp away from a batched row's
-(at most 3.3e-16 for non-uniform spreading and 1.4e-16 for hanski at
-n = 800), which moves a bit only when a uniform lands in that gap: a
-chance of about 2e-16 per comparison.
+graph and linear rules) may round its one-row value an ulp away from a
+batched row's (at most 3.3e-16 for non-uniform spreading and 1.4e-16 for
+hanski at n = 800), which moves a bit only when a uniform lands in that
+gap: a chance of about 2e-16 per comparison.
 """
 
 import math
@@ -41,7 +41,7 @@ from typing import Optional
 import numpy as np
 
 from . import rng
-from .errors import SplitRequiredError, TooLargeError
+from .errors import TooLargeError
 from .rules import (_check_range, evaluate_rule, require_bytes, rule_conditionals,
                     state_table)
 
@@ -90,29 +90,20 @@ def _draw_bits(rule, x, t, u):
         s, c = map(_check_range, rule.by_count(x.sum(axis=1, dtype=np.int64), t))
         return _select(u, s[:, None], c[:, None], x)
     xf = x.astype(np.float64)
-    if rule.split is not None:
-        surv, col = rule.split
-        s = np.asarray(surv(xf, t), dtype=np.float64)
-        c = np.asarray(col(xf, t), dtype=np.float64)
-        thresh = np.where(x == 1, s, c)
-    else:
-        thresh = np.asarray(rule.evaluate(xf, t), dtype=np.float64)
+    surv, col = rule.split
+    s = np.asarray(surv(xf, t), dtype=np.float64)
+    c = np.asarray(col(xf, t), dtype=np.float64)
+    thresh = np.where(x == 1, s, c)
     return (u <= _check_range(thresh)).astype(np.uint8)
 
 
 def _first_thresholds(rule, X0):
     """Range-checked (S, C) of every node at the one-row state X0 at step 0,
-    shaped to broadcast against a tile's (rows, n) uniforms; S = C = P for
-    a rule without a split."""
+    shaped to broadcast against a tile's (rows, n) uniforms."""
     if rule.by_count is not None:
         s, c = (v[:, None] for v in rule.by_count(np.array([X0.sum(dtype=np.int64)]), 0))
     else:
-        x = X0[None, :].astype(np.float64)
-        if rule.split is not None:
-            surv, col = rule.split
-            s, c = surv(x, 0), col(x, 0)
-        else:
-            s = c = rule.evaluate(x, 0)
+        s, c = rule_conditionals(rule, X0[None, :], 0)
     return tuple(_check_range(np.asarray(v, dtype=np.float64)) for v in (s, c))
 
 
@@ -185,12 +176,8 @@ def _simulate(rule, X0, T, R, seed, couple, p_traj, workers, keep):
         raise ValueError(f"X0 must have shape ({rule.n},)")
     if X0.max(initial=0) > 1:
         raise ValueError("X0 must be a binary state")
-    if couple:
-        if rule.split is None:
-            raise SplitRequiredError(
-                "coupling is defined through the survival/colonization split")
-        if p_traj is None:
-            raise ValueError("coupled simulation needs the deterministic trajectory")
+    if couple and p_traj is None:
+        raise ValueError("coupled simulation needs the deterministic trajectory")
     if p_traj is not None:
         p_traj = np.asarray(p_traj, dtype=np.float64)
         if p_traj.ndim != 2 or p_traj.shape[0] < T + 1 or p_traj.shape[1] != rule.n:

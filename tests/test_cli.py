@@ -107,6 +107,12 @@ def test_bad_input_exits_2_without_traceback(tmp_path, capsys, model, task, para
 @pytest.mark.parametrize("model,task,params", [
     # more replicates than the keyed streams address
     ({"type": "constant", "n": 3, "c": 0.4}, "simulate", {"R": 5_000_000_000}),
+    # n x n, G x G or v x v tables (7.3 TiB or 931 GiB) refused before allocation
+    ({"type": "hanski", "n": 1_000_000}, "simulate", {}),
+    ({"type": "random_product", "n": 1_000_000}, "simulate", {}),
+    ({"type": "hanski", "n": 8}, "hanski-limit", {"grid": 1_000_000}),
+    ({**GRAPH, "v": 1_000_000}, "simulate", {}),
+    (GRAPH, "graphon", {"v_list": [1_000_000]}),
 ])
 def test_model_error_exits_3_without_traceback(tmp_path, capsys, model, task, params):
     path = write_config(tmp_path, {"model": model, "task": task, "parameters": params})
@@ -114,6 +120,17 @@ def test_model_error_exits_3_without_traceback(tmp_path, capsys, model, task, pa
     err = capsys.readouterr().err
     assert err.startswith("model error:") and "Traceback" not in err
     assert not (tmp_path / "o" / "manifest.json").exists()
+
+
+def test_coupled_linear_simulation_exits_0(tmp_path, capsys):
+    path = write_config(tmp_path, {"model": {"type": "linear", "A": [[0.1, 0.2], [0.3, 0.1]]},
+                                   "task": "simulate",
+                                   "parameters": {"T": 3, "R": 50, "couple": True,
+                                                  "x0": "half"}})
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    rows = list(csv.DictReader(open(tmp_path / "o" / "summary.csv")))
+    assert len(rows) == 4 and all(0 <= float(r["jbar_mean"]) <= 1 for r in rows)
 
 
 def test_huge_simulation_exits_3_before_allocating(tmp_path, capsys):

@@ -135,6 +135,14 @@ def test_spectral_radius_examples():
     assert spectral_radius(R) == pytest.approx(rbar * (n - 1) / n, abs=1e-12)
 
 
+def test_spectral_radius_power_iteration_above_dense_cap():
+    # uniform reactions r (11^T - I): the Perron root is (n - 1) r
+    n, r = 2100, 0.5 / 2100
+    R = np.full((n, n), r)
+    np.fill_diagonal(R, 0.0)
+    assert spectral_radius(R) == pytest.approx((n - 1) * r, abs=1e-9)
+
+
 def test_spectral_radius_rejects_bad_input():
     with pytest.raises(ValueError):
         spectral_radius(np.ones((2, 3)))

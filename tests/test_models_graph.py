@@ -58,6 +58,16 @@ def test_graphon_step_range_and_symmetry():
         assert W.min() >= 0 and W.max() <= 1
 
 
+def test_jacobian_without_f_prime_by_finite_differences():
+    f = lambda y: 0.8 * np.asarray(y, dtype=np.float64) ** 2
+    fp = lambda y: 1.6 * np.asarray(y, dtype=np.float64)
+    analytic = graph_rule(complete_host(5, 0.5, f, f_prime=fp))
+    rule = graph_rule(complete_host(5, 0.5, f))
+    assert rule.jacobian is None
+    x = np.random.default_rng(2).uniform(0.1, 0.9, rule.n)
+    assert np.abs(ol.rule_jacobian(rule, x) - analytic.jacobian(x, 0)).max() <= 1e-6
+
+
 def test_chain_stays_inside_host():
     model = logistic_model(8)
     rule = graph_rule(model)

@@ -67,6 +67,14 @@ def test_injected_density_vs_marginal_split():
         assert np.allclose(marg, inj + (s_g - cg) ** 2 * prev, atol=1e-12)
 
 
+def test_jacobian_without_c_prime_by_finite_differences():
+    analytic = hanski_rule(equidistributed(8))
+    rule = hanski_rule(equidistributed(8, c_prime=None))
+    assert rule.jacobian is None
+    x = np.random.default_rng(2).uniform(0.1, 0.9, 8)
+    assert np.abs(ol.rule_jacobian(rule, x) - analytic.jacobian(x, 0)).max() <= 1e-6
+
+
 def test_transfer_operator_against_finite_jacobian():
     # the grid transfer operator is the n -> infinity limit of h -> J^T h
     n, G = 400, 400

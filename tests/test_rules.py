@@ -68,11 +68,12 @@ def test_domain_error_outside_cube():
 
 
 def test_range_error_for_malformed_rule():
-    bad = ol.OccupancyRule(n=2, evaluate=lambda x, t: np.asarray(x) * 1.5)
+    bad = ol.OccupancyRule(n=2, split=(lambda x, t: np.full(np.shape(x), 1.5),
+                                       lambda x, t: np.zeros(np.shape(x))))
     with pytest.raises(RangeError):
         ol.evaluate_rule(bad, np.array([1.0, 1.0]))
     # a NaN compares false with both bounds, so it must be caught on its own
-    nan = ol.OccupancyRule(n=2, evaluate=lambda x, t: np.asarray(x) * np.nan)
+    nan = ol.OccupancyRule(n=2, split=(lambda x, t: np.full(np.shape(x), np.nan),) * 2)
     with pytest.raises(RangeError):
         ol.evaluate_rule(nan, np.array([0.5, 0.5]))
 
@@ -80,6 +81,9 @@ def test_range_error_for_malformed_rule():
 def test_rule_needs_evaluate_or_split():
     with pytest.raises(TypeError):
         ol.OccupancyRule(n=3)
+    # evaluate alone is not enough: the simulator and the companions read (S, C)
+    with pytest.raises(TypeError):
+        ol.OccupancyRule(n=3, evaluate=lambda x, t: np.zeros(np.shape(x)))
 
 
 def test_split_identity_on_sampled_points():
@@ -148,6 +152,18 @@ def test_linear_rule_jacobian_constant():
         assert np.allclose(ol.rule_jacobian(rule, x), A)
 
 
+def test_linear_rule_split_fixes_the_own_coordinate():
+    # S_i is P_i at x_i := 1 and C_i is P_i at x_i := 0
+    A = np.array([[0.2, 0.3, 0.1], [0.0, 0.5, 0.2], [0.4, 0.1, 0.1]])
+    surv, col = ol.linear_rule(A).split
+    idx = np.arange(3)
+    for x in sample_cube(3, 5, seed=4):
+        hi, lo = np.repeat(x[None, :], 3, axis=0), np.repeat(x[None, :], 3, axis=0)
+        hi[idx, idx], lo[idx, idx] = 1.0, 0.0
+        assert np.allclose(surv(x, 0), (hi @ A.T)[idx, idx], rtol=0, atol=1e-15)
+        assert np.allclose(col(x, 0), (lo @ A.T)[idx, idx], rtol=0, atol=1e-15)
+
+
 def test_analytic_coefficients_dominate_sampled():
     for rule in zoo_rules():
         if rule.coeff_oracle is None:
@@ -175,7 +191,8 @@ def test_sampled_coefficients_against_symbolic_cubic():
         b = np.roll(x, -2, axis=-1)
         return c + w * a * b * (1 - a)
 
-    rule = ol.OccupancyRule(n=3, evaluate=ev, homogeneous=True)
+    # P_i ignores x_i, so S_i = C_i = P_i
+    rule = ol.OccupancyRule(n=3, split=(ev, ev), evaluate=ev, homogeneous=True)
     got = estimate_coefficients(rule, budget=256, seed=6)
     # d_{i+1} P_i = w b (1 - 2a): sup = w; d_{i+2} P_i = w a(1-a): sup = w/4
     # alpha = per column one of each: w + w/4
@@ -246,6 +263,3 @@ def test_injected_variance_matches_split_form():
     s, c = surv(p, 0), col(p, 0)
     expect = p * s * (1 - s) + (1 - p) * c * (1 - c)
     assert np.allclose(ol.injected_variance(rule, p), expect)
-    # and without the declared split, via the affine-coordinate recovery
-    bare = ol.OccupancyRule(n=6, evaluate=rule.evaluate)
-    assert np.allclose(ol.injected_variance(bare, p), expect)

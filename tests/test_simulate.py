@@ -6,7 +6,7 @@ import pytest
 
 import occlab as ol
 from occlab import rng, simulate
-from occlab.errors import DomainError, RangeError, SplitRequiredError, TooLargeError
+from occlab.errors import DomainError, RangeError, TooLargeError
 from occlab.models import (DomanyKinzel, SpreadingModel, dk_rule, equidistributed,
                            hanski_rule, mean_field, spreading_rule)
 from occlab.models import dk_device_time, dk_exact_mean_zeta2, random_product_rule
@@ -44,11 +44,9 @@ def test_step_bernoulli_marginal():
 def test_marginal_correctness_fixed_state():
     rule = spreading_rule(mean_field(6, rbar=0.7, mu=0.4, reinfection=True))
     x = np.array([1, 0, 1, 1, 0, 0], dtype=np.uint8)
-    frozen = ol.OccupancyRule(
-        n=6, evaluate=lambda y, t: np.broadcast_to(
-            rule.evaluate(x.astype(float), 0), np.shape(y)).copy())
-    ens = simulate_ensemble(frozen, x, 1, 10 ** 5, seed=4)
     target = rule.evaluate(x.astype(float), 0)
+    frozen = ol.constant_rule(6, target)
+    ens = simulate_ensemble(frozen, x, 1, 10 ** 5, seed=4)
     hat = ens.states[:, 1, :].mean(axis=0)
     bar = 4 * np.sqrt(target * (1 - target) / 10 ** 5)
     assert (np.abs(hat - target) <= bar).all()
@@ -77,13 +75,6 @@ def test_determinism_across_workers_and_reruns():
     assert np.array_equal(c.states[:, 4, :], d["nodes"][:, 4, :])
 
 
-def test_coupled_requires_split():
-    rule = ol.OccupancyRule(n=2, evaluate=lambda x, t: 0.5 * np.ones(np.shape(x)))
-    with pytest.raises(SplitRequiredError):
-        simulate_ensemble(rule, np.zeros(2, dtype=np.uint8), 1, 2, seed=0,
-                          couple=True, p_traj=np.full((2, 2), 0.5))
-
-
 @pytest.mark.parametrize("couple", [False, True])
 @pytest.mark.parametrize("start", [0, 1])
 def test_simulators_range_check_thresholds(start, couple):
@@ -102,10 +93,9 @@ def test_simulators_range_check_thresholds(start, couple):
         malformed, by_count=lambda k, t: (np.full(k.shape, np.nan), np.full(k.shape, 2.0)))
     with pytest.raises(RangeError):
         simulate_ensemble(counted, X0, 2, 10, seed=0, couple=couple, p_traj=p)
-    if not couple:   # a rule without a split is compared with its evaluate
-        high = ol.OccupancyRule(n=3, evaluate=lambda x, t: np.full(np.shape(x), 1.5))
-        with pytest.raises(RangeError):
-            simulate_ensemble(high, X0, 2, 10, seed=0)
+    high = ol.OccupancyRule(n=3, split=(lambda x, t: np.full(np.shape(x), 1.5),) * 2)
+    with pytest.raises(RangeError):
+        simulate_ensemble(high, X0, 2, 10, seed=0, couple=couple, p_traj=p)
 
 
 def test_non_binary_start_rejected():
@@ -377,11 +367,9 @@ def _per_row_chain(rule, X0, T, R, seed, couple, p_traj):
         if rule.by_count is not None:
             s, c = rule.by_count(x.sum(axis=1), t)
             thresh = np.where(x == 1, s[:, None], c[:, None])
-        elif rule.split is not None:
+        else:
             surv, col = rule.split
             thresh = np.where(x == 1, surv(xf, t), col(xf, t))
-        else:
-            thresh = rule.evaluate(xf, t)
         x = (u <= thresh).astype(np.uint8)
         if couple:
             w = (u <= np.where(w == 1, *rule_conditionals(rule, p_traj[t], t))).astype(np.uint8)
@@ -402,7 +390,7 @@ def _step_zero_rules(n):
                                     iid_start=True), False),
         "hanski": (hanski_rule(equidistributed(n)), True),
         "nonuniform": (spreading_rule(SpreadingModel(R_matrix=reactions, mu=0.4)), False),
-        "evaluate_only": (ol.linear_rule(A), False),
+        "linear": (ol.linear_rule(A), False),
         "constant": (ol.constant_rule(n, 0.3), True),
         "constant_unequal": (ol.constant_rule(n, np.linspace(0.1, 0.9, n)), False),
     }
@@ -410,7 +398,7 @@ def _step_zero_rules(n):
 
 @pytest.mark.parametrize("T", [0, 1, 3])
 @pytest.mark.parametrize("label", ["mean_field", "torus_iid_start", "hanski", "nonuniform",
-                                   "evaluate_only", "constant", "constant_unequal"])
+                                   "linear", "constant", "constant_unequal"])
 def test_step_zero_once_matches_per_row_chain(label, T):
     # R crosses a block boundary and ends in a partial tile
     n, R = 40, rng.BLOCK + 300
