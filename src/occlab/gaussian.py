@@ -31,9 +31,12 @@ solution of the discrete Lyapunov equation Q = J Q J^T + V.
 
 The projected forms need only products D_s g.  When the rule supplies
 ``vjp`` the backward walk takes them from it, and no n x n matrix is
-formed; the dense Jacobians J_0..J_{T-1} are built lazily, on the first
-read of ``GaussianApprox.jacobians`` (by ``covariances``,
-``simulate_gaussian`` or a walk for a rule without ``vjp``).
+formed.  The (T, n, n) stack of Jacobians J_0..J_{T-1} is built on the
+first read of ``GaussianApprox.jacobians``, which only a walk of a rule
+without ``vjp`` makes.  ``covariances`` and ``simulate_gaussian`` read
+each J_t once, in time order, so they build one n x n Jacobian per step
+and hold it only for that step (or read the stack when a walk has built
+it).
 """
 
 from dataclasses import dataclass
@@ -117,6 +120,13 @@ class GaussianApprox:
             self._jacobians = J
         return self._jacobians
 
+    def _jacobian(self, t):
+        """J_t from the stack when a walk has built it, otherwise built for
+        this step alone (the stack stays unbuilt)."""
+        if self._jacobians is not None:
+            return self._jacobians[t]
+        return rule_jacobian(self.rule, self.base.p[t], t)
+
     def backward(self, h, t):
         """Yield D_{r,t} h for r = t, t-1, ..., 0 (D_u = transposed Jacobian),
         through the rule's ``vjp`` when it has one."""
@@ -154,13 +164,14 @@ class GaussianApprox:
         return accumulated_variance(lambda r, gg: self.noise_form(r, *gg), pairs, m)
 
     def covariances(self):
-        """Full covariance recursion Sigma_0..Sigma_T, cached; O(T n^2) memory."""
+        """Full covariance recursion Sigma_0..Sigma_T, cached: the (T+1, n, n)
+        result plus one n x n Jacobian and the step's products at a time."""
         if self._sigma is None:
             n = self.n
-            jac = self.jacobians
+            require_bytes(8 * (self.T + 1) * n * n)
             sig = np.zeros((self.T + 1, n, n))
             for t in range(self.T):
-                J = jac[t]
+                J = self._jacobian(t)
                 sig[t + 1] = J @ sig[t] @ J.T + np.diag(self.V[t + 1])
             self._sigma = sig
         return self._sigma
@@ -170,20 +181,23 @@ class GaussianApprox:
 
 
 def simulate_gaussian(approx, R, seed):
-    """R sample paths of Z_t, using the keyed normal streams; (R, T+1, n)."""
+    """R sample paths of Z_t, using the keyed normal streams; (R, T+1, n).
+
+    Step-major: J_{t-1} is built once per step and advances every block of
+    ``rng.BLOCK`` rows from step t - 1, with the normals keyed by (t, rows)."""
     n, T = approx.n, approx.T
+    require_bytes(8 * R * (T + 1) * n)
     p = approx.base.p
     sd = np.sqrt(approx.V)
     out = np.empty((R, T + 1, n))
-    for r0 in range(0, R, rng.BLOCK):
-        rows = min(rng.BLOCK, R - r0)
-        z = np.repeat(p[0][None, :], rows, axis=0)
-        out[r0:r0 + rows, 0] = z
-        for t in range(1, T + 1):
+    out[:, 0] = p[0]
+    for t in range(1, T + 1):
+        J = approx._jacobian(t - 1)
+        for r0 in range(0, R, rng.BLOCK):
+            rows = min(rng.BLOCK, R - r0)
             eps = rng.normals(seed, t, n, r0=r0, rows=rows)
-            z = p[t][None, :] + (z - p[t - 1][None, :]) @ approx.jacobians[t - 1].T \
-                + eps * sd[t][None, :]
-            out[r0:r0 + rows, t] = z
+            out[r0:r0 + rows, t] = p[t][None, :] \
+                + (out[r0:r0 + rows, t - 1] - p[t - 1][None, :]) @ J.T + eps * sd[t][None, :]
     return out
 
 

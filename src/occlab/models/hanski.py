@@ -32,7 +32,7 @@ import numpy as np
 
 from ..errors import DomainError
 from ..gaussian import accumulated_variance, backward
-from ..rules import CoefficientSet, OccupancyRule, require_bytes
+from ..rules import FD_STEP, CoefficientSet, OccupancyRule, require_bytes
 
 
 def default_colonization(y):
@@ -228,11 +228,19 @@ def transfer_apply(model, limit, h, t):
 
     (J_t h)(z) = (s(z) - c[C_t(z)]) h(z)
                  + a(z) * integral D(z, w) h(w) c'[C_t(w)] (1 - rho_t(w)) dw
-    evaluated on the grid; ``h`` is a callable or a grid array.
+    evaluated on the grid; ``h`` is a callable or a grid array.  Without
+    ``model.c_prime``, c' is a central difference of c at step ``FD_STEP``,
+    one-sided where C_t(w) < FD_STEP (c is read only at C >= 0).
     """
     nodes, weights = limit.grid, limit.weights
     hg = h(nodes) if callable(h) else np.asarray(h, dtype=np.float64)
-    cg = model.c(limit.connectivity[t])
-    cpg = model.c_prime(limit.connectivity[t])
+    conn = limit.connectivity[t]
+    cg = model.c(conn)
+    if model.c_prime is not None:
+        cpg = model.c_prime(conn)
+    else:
+        dn = np.where(conn < FD_STEP, conn, conn - FD_STEP)
+        up = conn + FD_STEP
+        cpg = (model.c(up) - model.c(dn)) / (up - dn)
     integral = limit.dispersal @ (weights * hg * cpg * (1.0 - limit.rho[t]))
     return (limit.s - cg) * hg + limit.a * integral

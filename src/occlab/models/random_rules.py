@@ -3,7 +3,7 @@
 import numpy as np
 
 from .. import rng
-from ..rules import OccupancyRule, require_bytes
+from ..rules import OccupancyRule, product_rows, require_bytes
 
 
 def random_product_rule(n, seed, strength=0.8):
@@ -26,9 +26,7 @@ def random_product_rule(n, seed, strength=0.8):
 
     def prod(coef, x):
         x = np.asarray(x, dtype=np.float64)
-        flat = x.reshape(-1, n)
-        out = np.exp(np.log1p(-coef[None, :, :] * flat[:, None, :]).sum(axis=2))
-        return out.reshape(x.shape)
+        return product_rows(coef, x.reshape(-1, n)).reshape(x.shape)
 
     def survive(x, t=0):
         return prod(a, x)

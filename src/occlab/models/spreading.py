@@ -44,7 +44,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from ..rules import CoefficientSet, OccupancyRule, require_bytes
+from ..rules import CoefficientSet, OccupancyRule, product_rows, require_bytes
 from ..deterministic import (det_trajectory, find_equilibrium, spectral_radius)
 
 
@@ -157,11 +157,7 @@ def _product_factor(model):
                 log_keep = np.log1p(-R).T
             out = np.exp(flat @ log_keep)
         else:
-            out = np.empty_like(flat)
-            for lo in range(0, flat.shape[0], 64):   # keep the n^2 broadcast small
-                xb = flat[lo:lo + 64]
-                out[lo:lo + 64] = np.exp(
-                    np.log1p(-R[None, :, :] * xb[:, None, :]).sum(axis=2))
+            out = product_rows(R, flat)
         return out.reshape(x.shape)
     return factor
 
@@ -210,19 +206,23 @@ def spreading_rule(model):
         return 1.0 - x, (1.0 - mu) - (1.0 - pf)
 
     def jacobian(x, t=0):
+        # assembled in one n x n array: J_ij = coef_i * (-d_j prod_factor_i)
         x = np.asarray(x, dtype=np.float64)
         pf = prod_factor(x)
-        # inner[i, j] = -d_j prod_factor_i
         if model.domain_form == "exponential":
-            inner = S_mat / n * pf[:, None]
+            jac = np.divide(S_mat, n)
+            np.multiply(jac, pf[:, None], out=jac)
         else:
             # product form: d_j prod_{k != i}(1 - r_ik x_k) = -r_ij * deleted product
             # (1 - r_ij x_j >= 1 - r_ij > 0, so dividing the factor out is safe);
             # a uniform r broadcasts to the same off-diagonal entries as R
-            partial = pf[:, None] / (1.0 - react * x[None, :])
-            inner = react * partial
+            jac = np.empty((n, n))
+            np.multiply(react, x[None, :], out=jac)
+            np.subtract(1.0, jac, out=jac)
+            np.divide(pf[:, None], jac, out=jac)
+            np.multiply(react, jac, out=jac)
         coef, diag = coef_diag(x, pf)
-        jac = coef[:, None] * inner
+        np.multiply(coef[:, None], jac, out=jac)
         jac[np.arange(n), np.arange(n)] = diag
         return jac
 

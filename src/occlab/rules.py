@@ -48,6 +48,9 @@ EDGE_TOL = 1e-12
 #: tables, a dense Jacobian or reaction matrix)
 MAX_RESULT_BYTES = 2 ** 32
 
+#: most bytes of one (rows, n, n) block in :func:`product_rows`
+PRODUCT_BLOCK_BYTES = 2 ** 25
+
 #: central-difference step for first derivatives
 FD_STEP = 1e-6
 #: steps for sampled second/third derivative estimation (see estimate_coefficients)
@@ -169,6 +172,23 @@ def require_bytes(nbytes):
     if nbytes > MAX_RESULT_BYTES:
         raise TooLargeError(f"the results need {nbytes / 2 ** 30:.3g} GiB, above the "
                             f"{MAX_RESULT_BYTES / 2 ** 30:.3g} GiB cap")
+
+
+def product_rows(coef, x):
+    """prod_j (1 - coef_ij x_j) for every row of the (rows, n) array x, as
+    exp of a log1p sum; (rows, m) for an (m, n) coef.
+
+    The (rows, m, n) broadcast is formed in blocks of at most
+    ``PRODUCT_BLOCK_BYTES`` (one row at least); rows that fit in one block
+    are computed in one expression.  A row's value does not depend on its
+    block, so the blocking never changes a bit."""
+    step = max(1, PRODUCT_BLOCK_BYTES // (8 * coef.size))
+    if x.shape[0] > step:
+        out = np.empty((x.shape[0], coef.shape[0]))
+        for lo in range(0, x.shape[0], step):
+            out[lo:lo + step] = product_rows(coef, x[lo:lo + step])
+        return out
+    return np.exp(np.log1p(-coef[None, :, :] * x[:, None, :]).sum(axis=2))
 
 
 def evaluate_rule(rule, x, t=0):

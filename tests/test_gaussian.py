@@ -7,10 +7,12 @@ import pytest
 
 import occlab as ol
 from occlab.bounds import clt_rate_bound
-from occlab.errors import NotConvergedError, SingularMatrixError
+from occlab import rng
+from occlab.errors import NotConvergedError, SingularMatrixError, TooLargeError
 from occlab.gaussian import (GaussianApprox, lyapunov_solve, sigma_form,
                              simulate_gaussian)
-from occlab.models import DomanyKinzel, dk_rule, mean_field, spreading_rule
+from occlab.models import (DomanyKinzel, SpreadingModel, dk_rule, equidistributed,
+                           hanski_rule, mean_field, spreading_rule)
 from occlab.rules import coefficient_schedule, injected_variance
 
 
@@ -199,6 +201,95 @@ def test_lazy_covariances_equal_eager_recursion():
     assert ga._jacobians is None
     assert np.array_equal(ga.covariances(), sig)
     assert np.array_equal(ga.jacobians, J)
+
+
+def _traced_peak(f):
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _nonuniform_approx(n, T, seed=0):
+    # non-uniform reactions: the rule has a dense Jacobian and no vjp
+    g = np.random.default_rng(seed)
+    R = g.uniform(0.0, 3.0 / n, (n, n))
+    np.fill_diagonal(R, 0.0)
+    rule = spreading_rule(SpreadingModel(R_matrix=R, mu=0.4, reinfection=True))
+    assert rule.vjp is None
+    return rule, GaussianApprox.from_rule(rule, g.uniform(0.05, 0.5, n), T)
+
+
+def test_covariances_hold_one_jacobian_at_a_time():
+    # the (T, n, n) stack of Jacobians alone would be T n^2 floats beside
+    # the (T + 1) n^2 of the result
+    n, T = 400, 10
+    _, ga = _nonuniform_approx(n, T)
+    peak = _traced_peak(ga.covariances)
+    assert ga._jacobians is None
+    assert peak < 8 * n * n * (T + 1 + 5)
+
+
+def test_covariances_reuse_a_stack_a_walk_built():
+    rule, ga = _nonuniform_approx(30, 4)
+    calls = []
+
+    def counted(x, t):
+        calls.append(t)
+        return rule.jacobian(x, t)
+
+    walked = GaussianApprox(dataclasses.replace(rule, jacobian=counted), ga.base)
+    walked.projected_variance(np.ones(30), 4)   # a walk without vjp builds the stack
+    assert calls == [0, 1, 2, 3]
+    assert np.array_equal(walked.covariances(), ga.covariances())
+    assert calls == [0, 1, 2, 3]
+
+
+def test_gaussian_results_are_size_checked_before_allocation():
+    # a 10^5-node mean field: Sigma would be 160 GB, the paths 16 GB
+    n = 10 ** 5
+    approx = GaussianApprox.from_rule(
+        spreading_rule(mean_field(n, rbar=1.5, mu=0.4)), np.full(n, 0.5), 1)
+
+    def refused(f):
+        with pytest.raises(TooLargeError):
+            f()
+
+    assert _traced_peak(lambda: refused(approx.covariances)) < 2 ** 20
+    assert _traced_peak(lambda: refused(lambda: simulate_gaussian(approx, 10 ** 4, 1))) < 2 ** 20
+
+
+@pytest.mark.parametrize("label", ["hanski", "linear", "mean-field"])
+def test_simulate_gaussian_matches_block_major_loop(label):
+    # the loop simulate_gaussian ran before it went step-major (each block of
+    # rows walked all T steps, reading the stacked Jacobians), copied here as
+    # the reference; R spans two blocks
+    n, T, R, seed = 12, 3, rng.BLOCK + 9, 8
+    if label == "hanski":
+        rule = hanski_rule(equidistributed(n))
+    elif label == "linear":
+        rule = ol.linear_rule(np.full((n, n), 0.9 / n))
+    else:
+        rule = spreading_rule(mean_field(n, rbar=1.4, mu=0.4, reinfection=True))
+    p0 = np.random.default_rng(n).uniform(0.1, 0.9, n)
+    ga = GaussianApprox.from_rule(rule, p0, T)
+    Z = simulate_gaussian(ga, R, seed)
+    assert ga._jacobians is None
+
+    p, sd = ga.base.p, np.sqrt(ga.V)
+    want = np.empty((R, T + 1, n))
+    for r0 in range(0, R, rng.BLOCK):
+        rows = min(rng.BLOCK, R - r0)
+        z = np.repeat(p[0][None, :], rows, axis=0)
+        want[r0:r0 + rows, 0] = z
+        for t in range(1, T + 1):
+            eps = rng.normals(seed, t, n, r0=r0, rows=rows)
+            z = p[t][None, :] + (z - p[t - 1][None, :]) @ ga.jacobians[t - 1].T \
+                + eps * sd[t][None, :]
+            want[r0:r0 + rows, t] = z
+    assert np.array_equal(Z, want)
 
 
 def test_transposed_jacobian_column_budget():

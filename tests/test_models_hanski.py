@@ -75,6 +75,22 @@ def test_jacobian_without_c_prime_by_finite_differences():
     assert np.abs(ol.rule_jacobian(rule, x) - analytic.jacobian(x, 0)).max() <= 1e-6
 
 
+@pytest.mark.parametrize("rho0", [0.0, 0.4])
+def test_limit_without_c_prime_by_finite_differences(rho0):
+    # rho0 = 0 puts C_0 at 0, where the difference is one-sided
+    analytic = equidistributed(8)
+    model = equidistributed(8, c_prime=None)
+    lim = hanski_limit(model, lambda z: np.full_like(z, rho0), T=3, G=256)
+    assert lim.connectivity[:3].any() == (rho0 > 0)
+    h = np.cos(2 * np.pi * lim.grid)
+    for t in range(3):
+        got = transfer_apply(model, lim, h, t)
+        assert np.abs(got - transfer_apply(analytic, lim, h, t)).max() <= 1e-6
+    h_fn = lambda z: 1.0 + 0.5 * np.sin(2 * np.pi * z)
+    want = grid_projected_variance(analytic, lim, h_fn, 3)
+    assert abs(grid_projected_variance(model, lim, h_fn, 3) - want) <= 1e-6 * want
+
+
 def test_transfer_operator_against_finite_jacobian():
     # the grid transfer operator is the n -> infinity limit of h -> J^T h
     n, G = 400, 400

@@ -11,6 +11,7 @@ from occlab.gaussian import GaussianApprox
 from occlab.models import (DomanyKinzel, dk_device_time, dk_exact_mean_zeta2,
                            dk_rule, epidemic_threshold, mean_field,
                            model_from_descriptor, spreading_rule, SpreadingModel)
+from occlab.models.spreading import _product_factor
 from occlab.rules import coefficient_schedule, rule_jacobian
 from occlab.simulate import exact_law, law_mean, simulate_projections, state_table
 
@@ -93,6 +94,68 @@ def test_mean_field_fast_path_matches_dense_path():
     assert np.abs(ra.evaluate(xs, 0) - rb.evaluate(xs, 0)).max() <= 1e-12
     bits = (xs > 0.5).astype(float)
     assert np.abs(ra.evaluate(bits, 0) - rb.evaluate(bits, 0)).max() <= 1e-12
+
+
+def _nonuniform_reactions(n, seed):
+    R = np.random.default_rng(seed).uniform(0.0, 2.0 / n, (n, n))
+    np.fill_diagonal(R, 0.0)
+    return R
+
+
+@pytest.mark.parametrize("reinfection", [False, True])
+@pytest.mark.parametrize("form", ["product", "exponential"])
+@pytest.mark.parametrize("uniform", [True, False])
+def test_spreading_jacobian_matches_three_array_form(uniform, form, reinfection):
+    # the Jacobian as spreading_rule built it from three n x n arrays
+    # (partial, inner, jac), copied here as the reference
+    n, mu = 40, 0.4
+    R = dense_mean_field(n, 1.3) if uniform else _nonuniform_reactions(n, 4)
+    model = SpreadingModel(R_matrix=R, mu=mu, reinfection=reinfection, domain_form=form)
+    assert (model._uniform_r is not None) == uniform
+    rule = spreading_rule(model)
+    g = np.random.default_rng(6)
+    for x in (g.random(n), (g.random(n) < 0.5).astype(np.float64)):
+        if form == "exponential":
+            S_mat = n * np.abs(np.log1p(-R))
+            pf = np.exp(-(x @ S_mat.T) / n)
+            inner = S_mat / n * pf[:, None]
+        else:
+            react = R if model._uniform_r is None else model._uniform_r
+            pf = _product_factor(model)(x)
+            partial = pf[:, None] / (1.0 - react * x[None, :])
+            inner = react * partial
+        if reinfection:
+            coef, diag = mu * x + (1.0 - x), (1.0 - mu * pf) - (1.0 - pf)
+        else:
+            coef, diag = 1.0 - x, (1.0 - mu) - (1.0 - pf)
+        want = coef[:, None] * inner
+        want[np.arange(n), np.arange(n)] = diag
+        assert np.array_equal(rule.jacobian(x, 0), want)
+
+
+@pytest.mark.parametrize("case", ["mean-field", "mean-field-reinfection", "mean-field-exponential",
+                                  "nonuniform-exponential", "nonuniform-binary"])
+def test_spreading_jacobian_holds_one_matrix(case):
+    # the three-array form kept about 3 n^2 floats alive
+    n = 500
+    form = "exponential" if case.endswith("exponential") else "product"
+    if case.startswith("mean-field"):
+        model = mean_field(n, rbar=1.5, mu=0.4, reinfection=case.endswith("reinfection"),
+                           domain_form=form)
+    else:
+        model = SpreadingModel(R_matrix=_nonuniform_reactions(n, 5), mu=0.4, reinfection=True,
+                               domain_form=form)
+    rule = spreading_rule(model)
+    g = np.random.default_rng(7)
+    x = (g.random(n) < 0.5).astype(np.float64) if case.endswith("binary") else g.random(n)
+    rule.jacobian(x, 0)   # builds the binary path's cached log table first
+    tracemalloc.start()
+    try:
+        rule.jacobian(x, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * 8 * n * n
 
 
 @pytest.mark.parametrize("reinfection", [False, True])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from occlab.errors import DomainError, RangeError
 from occlab.models import (DomanyKinzel, SpreadingModel, dk_rule, equidistributed,
                            hanski_rule, mean_field, model_from_descriptor,
                            random_product_rule, spreading_rule)
+from occlab import rules
 from occlab.rules import (CoefficientSet, coefficient_schedule, fd_jacobian,
                           estimate_coefficients)
 
@@ -143,6 +145,33 @@ def test_fd_jacobian_one_sided_at_faces():
     x = np.array([0.0, 1.0, 0.3, 0.0])
     gap = np.abs(ol.rule_jacobian(rule, x) - fd_jacobian(rule, x)).max()
     assert gap <= 1e-5
+
+
+def test_product_rows_blocks_keep_every_bit(monkeypatch):
+    g = np.random.default_rng(12)
+    coef = g.uniform(0.0, 0.8, (30, 40))
+    x = g.random((25, 40))
+    whole = np.exp(np.log1p(-coef[None, :, :] * x[:, None, :]).sum(axis=2))
+    monkeypatch.setattr(rules, "PRODUCT_BLOCK_BYTES", 3 * 8 * coef.size)   # 3-row blocks
+    assert np.array_equal(rules.product_rows(coef, x), whole)
+    assert np.array_equal(rules.product_rows(coef, x[:1]), whole[:1])
+    monkeypatch.setattr(rules, "PRODUCT_BLOCK_BYTES", 1)   # a row is never split
+    assert np.array_equal(rules.product_rows(coef, x), whole)
+
+
+def test_random_product_rows_are_bounded_in_bytes(monkeypatch):
+    # 300 rows at n = 200 broadcast to 96 MB in one block
+    n = 200
+    monkeypatch.setattr(rules, "PRODUCT_BLOCK_BYTES", 2 ** 20)
+    rule = random_product_rule(n, seed=4)
+    x = np.random.default_rng(4).random((300, n))
+    tracemalloc.start()
+    try:
+        rule.split[0](x, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
 
 
 def test_linear_rule_jacobian_constant():
