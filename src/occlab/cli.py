@@ -179,7 +179,7 @@ def _gaussian(config, params, seed, workers):
     h = _vector(params, "h", "ones", rule.n, np.float64)
     p0 = _vector(params, "p0", 0.5, rule.n, np.float64)
     approx = GaussianApprox.from_rule(rule, p0, int(params.get("T", 10)))
-    var = np.array([approx.projected_variance(h, t) for t in range(approx.T + 1)])
+    var = approx.projected_variances(h)
     return {"projected_variance.csv": _long_table(["t", "projected_variance"], var)}
 
 

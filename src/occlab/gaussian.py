@@ -31,12 +31,14 @@ solution of the discrete Lyapunov equation Q = J Q J^T + V.
 
 The projected forms need only products D_s g.  When the rule supplies
 ``vjp`` the backward walk takes them from it, and no n x n matrix is
-formed.  The (T, n, n) stack of Jacobians J_0..J_{T-1} is built on the
-first read of ``GaussianApprox.jacobians``, which only a walk of a rule
-without ``vjp`` makes.  ``covariances`` and ``simulate_gaussian`` read
-each J_t once, in time order, so they build one n x n Jacobian per step
-and hold it only for that step (or read the stack when a walk has built
-it).
+formed; otherwise a walk builds J_r for its step r and holds only that
+one.  ``projected_variances`` walks every t at once, so it builds each
+J_r a single time for all T + 1 variances, and ``cross_covariance``
+steps its two walks together.  ``covariances`` and
+``simulate_gaussian`` read each J_t once, in time order, and hold it
+only for that step too.  The (T, n, n) stack of Jacobians J_0..J_{T-1}
+is built only by an explicit read of ``GaussianApprox.jacobians``; once
+built, every walk and recursion reads it instead of building J_t again.
 """
 
 from dataclasses import dataclass
@@ -121,21 +123,27 @@ class GaussianApprox:
         return self._jacobians
 
     def _jacobian(self, t):
-        """J_t from the stack when a walk has built it, otherwise built for
-        this step alone (the stack stays unbuilt)."""
+        """J_t from the stack when a ``jacobians`` read has built it,
+        otherwise built for this step alone (the stack stays unbuilt)."""
         if self._jacobians is not None:
             return self._jacobians[t]
         return rule_jacobian(self.rule, self.base.p[t], t)
+
+    def _transposed(self, r):
+        """g -> D_r g: the rule's ``vjp`` at p_r, or J_r^T with J_r from
+        :meth:`_jacobian`, built once for every g it is applied to."""
+        vjp = self.rule.vjp
+        if vjp is not None:
+            return lambda g: vjp(self.base.p[r], r, g)
+        JT = self._jacobian(r).T
+        return lambda g: JT @ g
 
     def backward(self, h, t):
         """Yield D_{r,t} h for r = t, t-1, ..., 0 (D_u = transposed Jacobian),
         through the rule's ``vjp`` when it has one."""
         if not 0 <= t <= self.T:
             raise ValueError("need 0 <= t <= T")
-        vjp = self.rule.vjp
-        if vjp is not None:
-            return backward(lambda r, g: vjp(self.base.p[r], r, g), h, t)
-        return backward(lambda r, g: self.jacobians[r].T @ g, h, t)
+        return backward(lambda r, g: self._transposed(r)(g), h, t)
 
     def propagate(self, h, s, t):
         """Apply D_{s,t} = D_s ... D_{t-1} to h; the empty window s = t
@@ -154,14 +162,38 @@ class GaussianApprox:
         """Variance of <xi_t, h> via the propagated one-step sums."""
         return accumulated_variance(self.noise_form, self.backward(h, t), t)
 
+    def projected_variances(self, h):
+        """Variances of <xi_t, h> for t = 0..T in one backward sweep.
+
+        The walk of every t is stepped by the same D_r, taken once per r for
+        all of them, and each sum is accumulated in the order of
+        :meth:`projected_variance`, so the values are its bits; the sweep
+        holds T vectors and one Jacobian."""
+        var = np.zeros(self.T + 1)
+        walks = {}                      # t -> D_{r,t} h at the current r
+        for r in range(self.T, 0, -1):
+            walks[r] = np.asarray(h, dtype=np.float64).copy()
+            for t, g in walks.items():
+                var[t] += self.noise_form(r, g)
+            if r > 1:   # D_{r-1} lives only for this statement
+                walks = dict(zip(walks, map(self._transposed(r - 1), walks.values())))
+        return var
+
     def cross_covariance(self, s, t, h, h2):
         """Covariance of <xi_s, h> with <xi_t, h'>."""
         if not (0 <= s <= self.T and 0 <= t <= self.T):
             raise ValueError("times must lie in [0, T]")
         m = min(s, t)
-        pairs = zip(islice(self.backward(h, s), s - m, None),
-                    islice(self.backward(h2, t), t - m, None))
-        return accumulated_variance(lambda r, gg: self.noise_form(r, *gg), pairs, m)
+        total = 0.0
+        if m == 0:
+            return total
+        # both walks share each D_r below m, taken once for the two of them
+        g, g2 = self.propagate(h, m, s), self.propagate(h2, m, t)
+        for r in range(m, 0, -1):
+            total += self.noise_form(r, g, g2)
+            if r > 1:
+                g, g2 = map(self._transposed(r - 1), (g, g2))
+        return total
 
     def covariances(self):
         """Full covariance recursion Sigma_0..Sigma_T, cached: the (T+1, n, n)

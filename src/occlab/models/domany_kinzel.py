@@ -42,8 +42,15 @@ class DomanyKinzel:
             raise ValueError("need q1 <= q2: survival is (q2 - q1) x_{i+1}")
 
 
-def _right(x):
-    return np.roll(x, -1, axis=-1)
+def _right(x, scale):
+    """scale * x shifted one node along the ring (node i reads node i + 1),
+    formed in one array."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    out[..., :-1] = x[..., 1:]
+    out[..., -1] = x[..., 0]
+    out *= scale
+    return out
 
 
 def dk_rule(model, iid_start=True):
@@ -53,10 +60,10 @@ def dk_rule(model, iid_start=True):
     b = q2 - 2.0 * q1
 
     def survive_dk(x, t=0):
-        return (q2 - q1) * _right(np.asarray(x, dtype=np.float64))
+        return _right(x, q2 - q1)
 
     def colonize_dk(x, t=0):
-        return q1 * _right(np.asarray(x, dtype=np.float64))
+        return _right(x, q1)
 
     def jac_dk(x, t=0):
         x = np.asarray(x, dtype=np.float64)

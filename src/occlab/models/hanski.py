@@ -96,8 +96,8 @@ def hanski_rule(model):
         raise ValueError("survival probabilities must lie in [0, 1]")
 
     def survive(x, t=0):
-        x = np.asarray(x, dtype=np.float64)
-        return np.broadcast_to(s_vec, x.shape).copy()
+        # a read-only view: the chain step reads S, it never writes it
+        return np.broadcast_to(s_vec, np.shape(x))
 
     def colonize(x, t=0):
         x = np.asarray(x, dtype=np.float64)

@@ -179,16 +179,19 @@ def product_rows(coef, x):
     exp of a log1p sum; (rows, m) for an (m, n) coef.
 
     The (rows, m, n) broadcast is formed in blocks of at most
-    ``PRODUCT_BLOCK_BYTES`` (one row at least); rows that fit in one block
-    are computed in one expression.  A row's value does not depend on its
-    block, so the blocking never changes a bit."""
+    ``PRODUCT_BLOCK_BYTES`` (one row at least), each negated and logged in
+    place, so a call holds one block at a time.  A row's value does not
+    depend on its block, so the blocking never changes a bit."""
     step = max(1, PRODUCT_BLOCK_BYTES // (8 * coef.size))
     if x.shape[0] > step:
         out = np.empty((x.shape[0], coef.shape[0]))
         for lo in range(0, x.shape[0], step):
             out[lo:lo + step] = product_rows(coef, x[lo:lo + step])
         return out
-    return np.exp(np.log1p(-coef[None, :, :] * x[:, None, :]).sum(axis=2))
+    block = np.multiply(coef[None, :, :], x[:, None, :])
+    np.negative(block, out=block)
+    np.log1p(block, out=block)
+    return np.exp(block.sum(axis=2))
 
 
 def evaluate_rule(rule, x, t=0):

@@ -5,7 +5,7 @@ node i of replicate r at step t reads one keyed Philox draw, so the
 coupling is well defined, replicates are independent, and every run is
 bit-for-bit reproducible from (rule, X0, seed, R, T) at any worker count.
 Replicates advance through all T steps in tiles of ``TILE`` rows (more
-for chains of fewer than 128 nodes, fewer for chains of more than 4096),
+for chains of fewer than 128 nodes, fewer for chains of more than 256),
 each reading its rows of the keyed table, and a run's ``workers`` threads
 share its tiles.
 
@@ -21,14 +21,24 @@ before allocating them.
 
 Every replicate starts at X0, so X's thresholds at step 0 are computed
 once per run, from the one-row state X0, and range-checked at every node,
-S and C alike, before any result array is allocated (a later step checks
-only the threshold each node reads).  For count-table and elementwise
-rules they are the bits a batched evaluation gives.  A rule that forms
-its thresholds by a matrix product (non-uniform spreading, hanski, the
-graph and linear rules) may round its one-row value an ulp away from a
-batched row's (at most 3.3e-16 for non-uniform spreading and 1.4e-16 for
-hanski at n = 800), which moves a bit only when a uniform lands in that
-gap: a chance of about 2e-16 per comparison.
+S and C alike, before any result array is allocated.  For count-table
+and elementwise rules they are the bits a batched evaluation gives.  A
+rule that forms its thresholds by a matrix product (non-uniform
+spreading, hanski, the graph and linear rules) may round its one-row
+value an ulp away from a batched row's (at most 3.3e-16 for non-uniform
+spreading and 1.4e-16 for hanski at n = 800), which moves a bit only
+when a uniform lands in that gap: a chance of about 2e-16 per comparison.
+
+A later step checks its S and C whole too, and only when one fails
+decides on the thresholds the nodes read, so it raises only for a value
+some node compares with.  Every step, W's included, picks its bits from
+S and C with one flip-select.
+
+The projections n^{-1/2} (x.h - p_t.h) take x.h by numpy's einsum loop on
+a tile's uint8 rows and p_t.h once per run by the same loop, one row of
+p_traj at a time.  Neither calls BLAS or forms a float (rows, n) table,
+so a count-table tile step makes no BLAS call at all.  Both dot products
+sum in the same order, so the t = 0 column is exactly 0 when p_0 = X0.
 """
 
 import math
@@ -41,7 +51,7 @@ from typing import Optional
 import numpy as np
 
 from . import rng
-from .errors import TooLargeError
+from .errors import RangeError, TooLargeError
 from .rules import (_check_range, evaluate_rule, require_bytes, rule_conditionals,
                     state_table)
 
@@ -56,8 +66,11 @@ TILE = rng.BLOCK // 8
 #: hand-offs of the interpreter lock outweigh the work
 TILE_UPDATES = 2 ** 16
 #: most bytes of one tile step's uniform table, kept on wide chains by
-#: shorter tiles, so a worker's memory does not grow with n
-TILE_BYTES = 2 ** 24
+#: shorter tiles, so a worker's memory does not grow with n.  A step frees
+#: all its tables when it ends; at 1 MiB they stay in the cache and in the
+#: heap the allocator keeps.  At 8 MiB (512 rows of 2048 nodes) glibc gave
+#: the heap back after every step and faulted it in again.
+TILE_BYTES = 2 ** 20
 
 
 @dataclass
@@ -82,29 +95,27 @@ def _select(u, s, c, x):
     return bits
 
 
-def _draw_bits(rule, x, t, u):
-    """One transition for a (rows, n) batch of binary states given uniforms u."""
-    if rule.by_count is not None:
-        # exchangeable nodes: one occupied and one empty threshold per row,
-        # looked up by the row's occupied count
-        s, c = map(_check_range, rule.by_count(x.sum(axis=1, dtype=np.int64), t))
-        return _select(u, s[:, None], c[:, None], x)
-    xf = x.astype(np.float64)
-    surv, col = rule.split
-    s = np.asarray(surv(xf, t), dtype=np.float64)
-    c = np.asarray(col(xf, t), dtype=np.float64)
-    thresh = np.where(x == 1, s, c)
-    return (u <= _check_range(thresh)).astype(np.uint8)
+def _thresholds(rule, x, t, whole=True):
+    """(S, C) of every node of the binary (rows, n) states x at step t,
+    shaped to broadcast against the rows' (rows, n) uniforms: one pair per
+    row from ``by_count`` when the rule has it, the split otherwise.
 
-
-def _first_thresholds(rule, X0):
-    """Range-checked (S, C) of every node at the one-row state X0 at step 0,
-    shaped to broadcast against a tile's (rows, n) uniforms."""
+    Both are range-checked whole.  With ``whole=False`` a failure stands
+    only if some node reads a failing value: S where x is 1, C where it
+    is 0."""
     if rule.by_count is not None:
-        s, c = (v[:, None] for v in rule.by_count(np.array([X0.sum(dtype=np.int64)]), 0))
+        s, c = (np.asarray(v, dtype=np.float64)[:, None]
+                for v in rule.by_count(x.sum(axis=1, dtype=np.int64), t))
     else:
-        s, c = rule_conditionals(rule, X0[None, :], 0)
-    return tuple(_check_range(np.asarray(v, dtype=np.float64)) for v in (s, c))
+        xf = x.astype(np.float64)
+        s, c = (np.asarray(f(xf, t), dtype=np.float64) for f in rule.split)
+    try:
+        return _check_range(s), _check_range(c)
+    except RangeError:
+        if whole:
+            raise
+        _check_range(np.where(x == 1, s, c))
+        return s, c
 
 
 def _usable_cpus():
@@ -139,6 +150,21 @@ def _map_threads(fn, items, workers):
             fn(item)
 
 
+def _trajectory(p_traj, T, n):
+    """p_traj as float64, after ValueError unless it covers steps 0..T of n nodes."""
+    p_traj = np.asarray(p_traj, dtype=np.float64)
+    if p_traj.ndim != 2 or p_traj.shape[0] < T + 1 or p_traj.shape[1] != n:
+        raise ValueError(f"p_traj must cover steps 0..T of {n} nodes")
+    return p_traj
+
+
+def _dot(a, h):
+    """a @ h for the (rows, n) array a, uint8 or float64, by numpy's own
+    einsum loop: no BLAS call, and a uint8 a is cast a buffer at a time,
+    never as a whole float (rows, n) table."""
+    return np.einsum("ij,j->i", a, h)
+
+
 def _jbar(t, x, w, j):
     """Share of each row's nodes that have ever disagreed between X and W:
     an exact integer count over n, so the same bits as ``j.mean(axis=1)``."""
@@ -152,14 +178,15 @@ def _simulate(rule, X0, T, R, seed, couple, p_traj, workers, keep):
     is an (R, T+1, *shape) array of ``dtype`` whose rows of a tile at step
     t hold ``value(t, x, w, j)`` of the tile's (rows, n) states after that
     step (``w`` and ``j`` are None without coupling).  Every check runs,
-    and X's step-0 thresholds ``first`` (:func:`_first_thresholds`) and
+    and X's step-0 thresholds ``first`` (:func:`_thresholds` at X0) and
     W's thresholds ``companion[t]`` at p_t are computed, before any result
     array is allocated.
 
     Replicates run in tiles of :func:`_tile_rows` rows.  Every row holds X0
     at t = 0, so that step compares the uniforms with ``first``; later
-    steps evaluate the rule on the tile's rows.  The tile size depends on n
-    alone, never on the worker count, and every row's update is independent
+    steps evaluate the rule on the tile's rows.  Every step picks its bits
+    with :func:`_select`.  The tile size depends on n alone, never on the
+    worker count, and every row's update is independent
     of the rows batched with it, so results do not depend on ``workers``.
     Tiles write disjoint rows, so they run on :func:`_map_threads`.
     """
@@ -179,10 +206,8 @@ def _simulate(rule, X0, T, R, seed, couple, p_traj, workers, keep):
     if couple and p_traj is None:
         raise ValueError("coupled simulation needs the deterministic trajectory")
     if p_traj is not None:
-        p_traj = np.asarray(p_traj, dtype=np.float64)
-        if p_traj.ndim != 2 or p_traj.shape[0] < T + 1 or p_traj.shape[1] != rule.n:
-            raise ValueError(f"p_traj must cover steps 0..T of {rule.n} nodes")
-    first = _first_thresholds(rule, X0) if T else None
+        p_traj = _trajectory(p_traj, T, rule.n)
+    first = _thresholds(rule, X0[None, :], 0) if T else None
     companion = ([tuple(map(_check_range, rule_conditionals(rule, p_traj[t], t)))
                   for t in range(T)] if couple else None)
     out = {key: np.empty((R, T + 1, *shape), dtype) for key, (shape, dtype, _) in keep.items()}
@@ -197,7 +222,7 @@ def _simulate(rule, X0, T, R, seed, couple, p_traj, workers, keep):
                 out[key][rows, t] = value(t, x, w, j)
             if t < T:
                 u = rng.uniforms(seed, t, rule.n, r0=r0, rows=len(x))
-                x = _select(u, *first, x) if t == 0 else _draw_bits(rule, x, t, u)
+                x = _select(u, *(first if t == 0 else _thresholds(rule, x, t, whole=False)), x)
                 if couple:
                     w = _select(u, *companion[t], w)
                     j |= x != w
@@ -240,8 +265,12 @@ def simulate_projections(rule, X0, T, R, seed, h, p_traj, keep_nodes=None,
         h = np.asarray(h, dtype=np.float64)
         if h.shape != (n,) or p_traj is None:
             raise ValueError(f"h must have shape ({n},) and come with p_traj")
-        p, scale = np.asarray(p_traj, dtype=np.float64), 1.0 / np.sqrt(n)
-        keep["proj"] = ((), np.float64, lambda t, x, w, j: scale * ((x - p[t][None, :]) @ h))
+        # p_t.h one row at a time, summed as a tile's uint8 rows are (a float
+        # (T+1, n) table in one call sums in other chunks above 8192 nodes),
+        # so the t = 0 column is exactly 0 when X0 = p_0
+        ph = [_dot(pt[None, :], h)[0] for pt in _trajectory(p_traj, T, n)[:T + 1]]
+        scale = 1.0 / np.sqrt(n)
+        keep["proj"] = ((), np.float64, lambda t, x, w, j: scale * (_dot(x, h) - ph[t]))
     if keep_nodes is not None:
         idx = np.asarray(keep_nodes)
         if idx.ndim != 1 or idx.dtype.kind not in "iu" or not ((idx >= 0) & (idx < n)).all():

@@ -232,7 +232,7 @@ def test_covariances_hold_one_jacobian_at_a_time():
     assert peak < 8 * n * n * (T + 1 + 5)
 
 
-def test_covariances_reuse_a_stack_a_walk_built():
+def test_walks_build_each_jacobian_once_and_covariances_reuse_a_read_stack():
     rule, ga = _nonuniform_approx(30, 4)
     calls = []
 
@@ -241,10 +241,62 @@ def test_covariances_reuse_a_stack_a_walk_built():
         return rule.jacobian(x, t)
 
     walked = GaussianApprox(dataclasses.replace(rule, jacobian=counted), ga.base)
-    walked.projected_variance(np.ones(30), 4)   # a walk without vjp builds the stack
+    # a walk without vjp builds J_{t-1}..J_1 once each and keeps none of them
+    assert walked.projected_variance(np.ones(30), 4) == ga.projected_variance(np.ones(30), 4)
+    assert calls == [3, 2, 1] and walked._jacobians is None
+    calls.clear()
+    walked.projected_variances(np.ones(30))    # all T + 1 walks at once
+    assert calls == [3, 2, 1] and walked._jacobians is None
+    calls.clear()
+    h2 = np.linspace(-1.0, 1.0, 30)
+    assert walked.cross_covariance(3, 4, np.ones(30), h2) == ga.cross_covariance(
+        3, 4, np.ones(30), h2)                 # two walks, one J_r each step
+    assert calls == [3, 2, 1] and walked._jacobians is None
+    # an explicit read builds the stack, which covariances and walks reuse
+    calls.clear()
+    assert np.array_equal(walked.jacobians, ga.jacobians)
     assert calls == [0, 1, 2, 3]
     assert np.array_equal(walked.covariances(), ga.covariances())
+    walked.projected_variance(np.ones(30), 4)
     assert calls == [0, 1, 2, 3]
+
+
+def _walk_rules(n):
+    g = np.random.default_rng(7)
+    reactions = g.uniform(0.0, 3.0 / n, (n, n))
+    np.fill_diagonal(reactions, 0.0)
+    return {"hanski": hanski_rule(equidistributed(n)),
+            "nonuniform": spreading_rule(SpreadingModel(R_matrix=reactions, mu=0.4)),
+            "mean_field": spreading_rule(mean_field(n, rbar=1.4, mu=0.4, reinfection=True)),
+            "torus": dk_rule(DomanyKinzel(n=n, q1=0.3, q2=0.8, p0=0.4), iid_start=True),
+            "constant": ol.constant_rule(n, 0.3)}
+
+
+@pytest.mark.parametrize("label", ["hanski", "nonuniform"])
+def test_walks_build_no_jacobian_stack(label):
+    # the (T, n, n) stack alone would be 10 n^2 floats; a walk holds one J_r
+    n, T = 300, 10
+    rule = _walk_rules(n)[label]
+    assert rule.vjp is None
+    ga = GaussianApprox.from_rule(rule, np.random.default_rng(1).uniform(0.05, 0.5, n), T)
+    h = np.linspace(0.5, 1.5, n)
+    sched = coefficient_schedule(rule, T)
+    for walk in (lambda: ga.projected_variance(h, T), lambda: ga.projected_variances(h),
+                 lambda: clt_rate_bound(sched, h, 1, ga, T)):
+        assert _traced_peak(walk) < 8 * n * n * 2
+        assert ga._jacobians is None
+
+
+@pytest.mark.parametrize("label", ["hanski", "nonuniform", "mean_field", "torus", "constant"])
+def test_one_sweep_variances_equal_the_per_t_walks(label):
+    n, T = 40, 12
+    rule = _walk_rules(n)[label]
+    ga = GaussianApprox.from_rule(rule, np.random.default_rng(2).uniform(0.05, 0.9, n), T)
+    h = np.random.default_rng(3).uniform(-1.0, 2.0, n)
+    swept = ga.projected_variances(h)
+    assert swept.shape == (T + 1,) and swept[0] == 0.0
+    assert np.array_equal(swept, [ga.projected_variance(h, t) for t in range(T + 1)])
+    assert ga._jacobians is None
 
 
 def test_gaussian_results_are_size_checked_before_allocation():

@@ -37,9 +37,9 @@ GOLDEN = {
     "ensemble-coupled":
         "ac5288df2d80011b1533664ef88a3283d43cc4c8db903c40b3078766223c1fd8",
     "projections":
-        "9f91f9a24862b2d30d37b204c6b0e72aa961418097d592fd155bb9e76f8a6c6c",
+        "88b280d940d149e8beeac796b65191f9fbc55df46470ebc763b14833299a60e5",
     "projections-coupled":
-        "b5487753aeda4442b89743ae20b63d7e2abc090c73f4c86012b93ea658a8f871",
+        "f2114f1008a6a36c43775a4db266dce72911028fe0f601f4dcadfd0c6a467ae2",
     "simulate":
         "8057ccb941ed9679e5ae9471cc386b7b728474260ccb928a7fcc86b95619adac",
     "simulate-uncoupled":
@@ -53,7 +53,7 @@ GOLDEN = {
     "bounds":
         "31f21954d8102c20325dc98988c38ab79305dde2bc7d34a59324789b225742cb",
     "clt-sweep":
-        "0565b8f12914611180f42387a249fa5b556bb29348a6692d2fa127fa56dd9759",
+        "79b3dce4d2aa0e0dd4109fcd95ae864fc80d4eb129d0ea246e448ae51349f91b",
     "lln-sweep":
         "02c7a803fac703724e9cd00a1c70ecc2f3937534e20ad22323c56bd4eb6125b0",
     "graphon":

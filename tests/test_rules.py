@@ -159,6 +159,20 @@ def test_product_rows_blocks_keep_every_bit(monkeypatch):
     assert np.array_equal(rules.product_rows(coef, x), whole)
 
 
+def test_product_rows_hold_one_block_at_a_time():
+    # 700 rows at m = n = 300 make 46-row blocks of 31.6 MiB; each is
+    # negated and logged in place, where a copy would double the peak
+    g = np.random.default_rng(13)
+    coef, x = g.uniform(0.0, 0.8, (300, 300)), g.random((700, 300))
+    tracemalloc.start()
+    try:
+        rules.product_rows(coef, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.2 * rules.PRODUCT_BLOCK_BYTES
+
+
 def test_random_product_rows_are_bounded_in_bytes(monkeypatch):
     # 300 rows at n = 200 broadcast to 96 MB in one block
     n = 200

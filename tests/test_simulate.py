@@ -10,6 +10,7 @@ from occlab.errors import DomainError, RangeError, TooLargeError
 from occlab.models import (DomanyKinzel, SpreadingModel, dk_rule, equidistributed,
                            hanski_rule, mean_field, spreading_rule)
 from occlab.models import dk_device_time, dk_exact_mean_zeta2, random_product_rule
+from occlab.models import complete_host, graph_rule
 from occlab.deterministic import det_trajectory
 from occlab.rules import evaluate_rule, rule_conditionals
 from occlab.simulate import (empirical_law, exact_law, law_mean,
@@ -258,8 +259,9 @@ def test_projection_stream_matches_ensemble():
 
 
 def test_tile_size_changes_no_chain(monkeypatch):
-    # n takes TILE-row tiles; R crosses a block boundary and ends in a partial tile
-    n, T, R = simulate.TILE, 3, rng.BLOCK + 300
+    # the widest chain that takes TILE-row tiles; R crosses a block
+    # boundary and ends in a partial tile
+    n, T, R = simulate.TILE_BYTES // (8 * simulate.TILE), 3, rng.BLOCK + 300
     assert simulate._tile_rows(n) == simulate.TILE
     g = np.random.default_rng(5)
     reactions = g.uniform(0.0, 2.0 / n, (n, n))
@@ -286,6 +288,8 @@ def test_tile_size_changes_no_chain(monkeypatch):
 
     tiled = outputs()
     monkeypatch.setattr(simulate, "TILE", rng.BLOCK)
+    monkeypatch.setattr(simulate, "TILE_BYTES", 8 * rng.BLOCK * n)   # one-block tiles
+    assert simulate._tile_rows(n) == rng.BLOCK
     blocked = outputs()
     monkeypatch.setattr(simulate, "TILE_BYTES", 8 * 96 * n)   # 64-row tiles
     assert simulate._tile_rows(n) == 64
@@ -326,7 +330,8 @@ def test_threads_capped_at_tiles_and_cpus(monkeypatch):
 
 
 def test_narrow_chains_take_taller_tiles():
-    for n in range(1, 2 * simulate.TILE):
+    # every chain whose TILE-row uniform table fits in TILE_BYTES
+    for n in range(1, simulate.TILE_BYTES // (8 * simulate.TILE) + 1):
         rows = simulate._tile_rows(n)
         assert rng.BLOCK % rows == 0 and rows >= simulate.TILE
         assert rows == rng.BLOCK or rows * n >= simulate.TILE_UPDATES
@@ -335,12 +340,12 @@ def test_narrow_chains_take_taller_tiles():
 
 def test_wide_chains_take_shorter_tiles():
     # a tile step's uniform table fits in TILE_BYTES, down to one row
-    for n in (2 ** 12, 2 ** 12 + 1, 10 ** 4, 10 ** 5, 2 ** 21, 2 ** 22):
+    for n in (257, 800, 1023, 2 ** 11, 2 ** 12, 2 ** 12 + 1, 10 ** 4, 10 ** 5, 2 ** 21, 2 ** 22):
         rows = simulate._tile_rows(n)
         assert rng.BLOCK % rows == 0 and rows <= simulate.TILE
         assert 8 * rows * n <= simulate.TILE_BYTES or rows == 1
         assert rows == simulate.TILE or 16 * rows * n > simulate.TILE_BYTES
-    assert simulate._tile_rows(2 ** 12) == simulate.TILE
+    assert simulate._tile_rows(simulate.TILE_BYTES // (8 * simulate.TILE)) == simulate.TILE
 
 
 def test_projections_without_h_keep_only_the_nodes():
@@ -393,16 +398,24 @@ def _step_zero_rules(n):
         "linear": (ol.linear_rule(A), False),
         "constant": (ol.constant_rule(n, 0.3), True),
         "constant_unequal": (ol.constant_rule(n, np.linspace(0.1, 0.9, n)), False),
+        "nonuniform_reinfection": (spreading_rule(
+            SpreadingModel(R_matrix=reactions, mu=0.4, reinfection=True)), True),
+        # its nodes are the 36 edges of a 9-vertex host
+        "graph": (graph_rule(complete_host(9, q=0.6, f=lambda y: 0.5 * np.asarray(y))), True),
+        "random_product": (random_product_rule(n, seed=29), False),
     }
 
 
 @pytest.mark.parametrize("T", [0, 1, 3])
 @pytest.mark.parametrize("label", ["mean_field", "torus_iid_start", "hanski", "nonuniform",
-                                   "linear", "constant", "constant_unequal"])
+                                   "linear", "constant", "constant_unequal",
+                                   "nonuniform_reinfection", "graph", "random_product"])
 def test_step_zero_once_matches_per_row_chain(label, T):
-    # R crosses a block boundary and ends in a partial tile
-    n, R = 40, rng.BLOCK + 300
-    rule, couple = _step_zero_rules(n)[label]
+    # R crosses a block boundary and ends in a partial tile; every later
+    # split step's flip-select must give the reference's np.where bits
+    R = rng.BLOCK + 300
+    rule, couple = _step_zero_rules(40)[label]
+    n = rule.n
     X0 = (np.random.default_rng(3).random(n) < 0.5).astype(np.uint8)
     p = det_trajectory(rule, X0.astype(float), T).p
     states, coupled, disc = _per_row_chain(rule, X0, T, R, 8, couple, p)
@@ -481,3 +494,44 @@ def test_projection_inputs_checked_before_allocating(bad):
     finally:
         tracemalloc.stop()
     assert peak < 2 ** 20
+
+
+@pytest.mark.parametrize("counted", [False, True])
+def test_later_steps_check_only_the_thresholds_nodes_read(counted):
+    # S = 1.5 after step 0 is out of range, but a chain that starts empty
+    # never colonises (C = 0), so no node reads it
+    n = 6
+
+    def survive(x, t):
+        return np.full(np.shape(x), 0.5 if t == 0 else 1.5)
+
+    rule = ol.OccupancyRule(n=n, split=(survive, lambda x, t: np.zeros(np.shape(x))))
+    if counted:
+        rule = dataclasses.replace(rule, by_count=lambda k, t: (
+            np.full(k.shape, 0.5 if t == 0 else 1.5), np.zeros(k.shape)))
+    empty = simulate_ensemble(rule, np.zeros(n, dtype=np.uint8), 3, 50, seed=1)
+    assert empty.states.max() == 0
+    with pytest.raises(RangeError):
+        simulate_ensemble(rule, np.ones(n, dtype=np.uint8), 3, 50, seed=1)
+
+
+@pytest.mark.parametrize("label, n", [("mean_field", 3200), ("hanski", 700),
+                                      ("mean_field", 12_000)])
+def test_projections_match_the_dense_formula(label, n):
+    # three tiles, so two workers share them; above 8192 nodes a whole float
+    # table would be summed in other chunks than the uint8 rows, and the
+    # t = 0 column would miss 0
+    rule = (spreading_rule(mean_field(n, rbar=1.6, mu=0.4, reinfection=True))
+            if label == "mean_field" else hanski_rule(equidistributed(n)))
+    g = np.random.default_rng(n)
+    X0 = (g.random(n) < 0.5).astype(np.uint8)
+    h = g.uniform(-1.0, 2.0, n)
+    T, R = 3, 2 * simulate._tile_rows(n) + 77
+    p = det_trajectory(rule, X0.astype(float), T).p
+    states = simulate_ensemble(rule, X0, T, R, seed=9).states
+    dense = n ** -0.5 * (states - p[None, :, :]) @ h
+    projs = [simulate_projections(rule, X0, T, R, 9, h=h, p_traj=p, workers=workers)["proj"]
+             for workers in (1, 2)]
+    assert np.array_equal(projs[0], projs[1])
+    assert np.abs(projs[0] - dense).max() <= 1e-12
+    assert (projs[0][:, 0] == 0.0).all()
