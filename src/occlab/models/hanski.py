@@ -22,10 +22,20 @@ in the finite chain's sweep, :func:`occlab.gaussian.accumulated_variance`.
 
 Defaults (our choice, not canonical): habitat [0, 1] with uniform measure,
 c(y) = y / (1 + y), D(z, w) = exp(-|z - w| / ell).
+
+Under the default kernel no n x n (or G x G) table is formed for a sum
+over patches: :class:`_ExpKernel` applies D in O(n) per row, so the
+chain step, the deterministic map, the connectivity inside the Jacobian,
+the transposed-Jacobian product ``vjp`` (set when the model gives
+``c_prime``) and the grid limit all run matrix-free.  A custom ``kernel``
+keeps the dense connectivity matrix, the only general option.  The rule
+still forms that matrix for the coefficient oracle and the dense Jacobian.
 """
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import accumulate
 from typing import Callable, Optional
 
 import numpy as np
@@ -76,6 +86,117 @@ def equidistributed(n, **kw):
     return HanskiModel(z=(np.arange(n) + 0.5) / n, **kw)
 
 
+#: locations per dense diagonal block of :class:`_ExpKernel`
+KERNEL_BLOCK = 32
+#: most bytes of block tables :class:`_ExpKernel` keeps; a larger set is
+#: built a chunk of this size at a time on every call
+KERNEL_BLOCK_BYTES = 2 ** 25
+
+
+def _carry(q, f):
+    """q[k] += f[k-1] q[k-1] for k = 1, 2, ... in turn, in place on the rows
+    of the (blocks, columns) array q.  A single column runs on Python
+    floats, which is faster than two numpy calls a block."""
+    seq = q[:, 0].tolist() if q.shape[1] == 1 else list(q)
+    q[:] = np.reshape(list(accumulate(zip(seq, [0.0, *f.tolist()]),
+                                      lambda acc, qf: qf[0] + qf[1] * acc,
+                                      initial=0.0))[1:], q.shape)
+
+
+class _ExpKernel:
+    """w -> sum_j exp(-|z_i - z_j| / ell) w_j along the last axis of w, over
+    j != i (or every j with ``diagonal``), in O(n) per row with no n x n table.
+
+    The locations are sorted once (ties allowed) and cut into blocks of
+    ``KERNEL_BLOCK``.  Pairs within a block are summed by its dense block,
+    pairs across blocks through two carries.  The carry from the left is
+    the weight of the blocks before block k at its first location, passed
+    on to the next block by exp(-(first_{k+1} - first_k) / ell); the carry
+    from the right mirrors it at each block's last location.  Every
+    exponent is <= 0, so nothing overflows at any ell > 0; a term that
+    underflows is 0.  One matmul per block applies the dense block and
+    spreads both carries over the block.
+    """
+
+    def __init__(self, z, ell, diagonal=False):
+        z = np.asarray(z, dtype=np.float64)
+        n, b = len(z), KERNEL_BLOCK
+        self.order = None if (np.diff(z) >= 0).all() else np.argsort(z, kind="stable")
+        # the last block is padded at the largest location with zero weights
+        zb = np.full(-(-n // b) * b, z.max())
+        zb[:n] = z if self.order is None else z[self.order]
+        self.n, self.ell, self.diagonal = n, ell, diagonal
+        self.zb = zb.reshape(-1, b)
+        first, last = self.zb[:, :1], self.zb[:, -1:]
+        with np.errstate(under="ignore", over="ignore"):
+            self.from_first = np.exp((first - self.zb) / ell)     # (blocks, b)
+            self.to_last = np.exp((self.zb - last) / ell)
+            self.gap = np.exp((last[:-1] - first[1:]) / ell)      # (blocks - 1, 1)
+            self.step_first = np.exp((first[:-1] - first[1:]) / ell)[:, 0]
+            self.step_last = np.exp((last[:-1] - last[1:]) / ell)[:, 0]
+        self.chunk = max(1, KERNEL_BLOCK_BYTES // (8 * (b + 2) * b))
+        self.kept = None
+
+    def _tables(self, lo):
+        """The tables of the chunk of blocks from lo.  When all blocks fit in
+        one chunk they are built on the first call and kept (two threads
+        that race to it build the same tables); otherwise every call
+        builds each chunk again."""
+        if len(self.zb) > self.chunk:
+            return self._build(lo, lo + self.chunk)
+        if self.kept is None:
+            self.kept = self._build(0, len(self.zb))
+        return self.kept
+
+    def _build(self, lo, hi):
+        """(blocks, b + 2, b) tables of blocks lo..hi-1: the dense block, then
+        the rows that spread the carries from the left and from the right."""
+        zb, b = self.zb[lo:hi], KERNEL_BLOCK
+        tab = np.empty((len(zb), b + 2, b))
+        d = tab[:, :b]
+        np.subtract(zb[:, :, None], zb[:, None, :], out=d)
+        np.abs(d, out=d)
+        with np.errstate(under="ignore", over="ignore"):
+            np.divide(d, -self.ell, out=d)
+            np.exp(d, out=d)
+        if not self.diagonal:
+            d[:, np.arange(b), np.arange(b)] = 0.0
+        tab[:, b] = self.from_first[lo:hi]
+        tab[:, b + 1] = self.to_last[lo:hi]
+        return tab
+
+    def __call__(self, w):
+        w = np.asarray(w, dtype=np.float64)
+        n, (nb, b) = self.n, self.zb.shape
+        flat = w.reshape(-1, n)
+        if self.order is not None:
+            flat = flat[:, self.order]
+        # per block: the sorted weights (zero-padded), then the two carries
+        ws = np.zeros((len(flat), nb, b + 2))
+        cut = n - n % b
+        ws[:, :cut // b, :b] = flat[:, :cut].reshape(len(flat), -1, b)
+        ws[:, -1, :n - cut] = flat[:, cut:]
+        wk = ws[:, :, :b]
+        out = np.empty((len(flat), nb, b))
+        with np.errstate(under="ignore"):
+            # block k's sum at block k + 1's first location, carried rightward,
+            # and block k + 1's sum at block k's last location, carried leftward
+            from_left = np.einsum("rkj,kj->kr", wk[:, :-1], self.to_last[:-1]) * self.gap
+            from_right = np.einsum("rkj,kj->kr", wk[:, 1:], self.from_first[1:]) * self.gap
+            _carry(from_left, self.step_first[1:])
+            _carry(from_right[::-1], self.step_last[-2::-1])
+            ws[:, 1:, b] = from_left.T
+            ws[:, :-1, b + 1] = from_right.T
+            for lo in range(0, nb, self.chunk):
+                hi = lo + self.chunk
+                np.matmul(ws[:, lo:hi].transpose(1, 0, 2), self._tables(lo),
+                          out=out[:, lo:hi].transpose(1, 0, 2))
+        res = out.reshape(len(flat), nb * b)[:, :n]
+        if self.order is not None:
+            res[:, self.order] = res.copy()
+        return res.reshape(w.shape)
+
+
 def _connectivity_matrix(model):
     """M[i, j] = a(z_j) D(z_i, z_j) / n with zero diagonal."""
     require_bytes(8 * model.n * model.n)
@@ -88,24 +209,42 @@ def _connectivity_matrix(model):
 def hanski_rule(model):
     """Occupancy rule with analytic split and coefficient budget, and an
     analytic Jacobian when the model gives ``c_prime`` (finite differences
-    otherwise)."""
+    otherwise), plus an O(n) ``vjp`` when it also keeps the default kernel."""
     n = model.n
     M = _connectivity_matrix(model)
     s_vec = np.asarray(model.s(model.z), dtype=np.float64)
     if s_vec.min() < 0 or s_vec.max() > 1:
         raise ValueError("survival probabilities must lie in [0, 1]")
+    vjp = None
+    if model.kernel is None:
+        kernel = _ExpKernel(model.z, model.kernel_scale)
+        weight = np.asarray(model.a(model.z), dtype=np.float64) / n
+
+        def connectivity(x):
+            return kernel(x * weight)
+
+        if model.c_prime is not None:
+            def vjp(x, t, g):
+                # J^T g = M^T ((1 - x) c'(conn) g) + (s - c(conn)) g, where
+                # M^T v = (a / n) K v as the kernel K is symmetric
+                x = np.asarray(x, dtype=np.float64)
+                conn = connectivity(x)
+                return (weight * kernel((1.0 - x) * model.c_prime(conn) * g)
+                        + (s_vec - model.c(conn)) * g)
+    else:
+        def connectivity(x):
+            return x @ M.T
 
     def survive(x, t=0):
         # a read-only view: the chain step reads S, it never writes it
         return np.broadcast_to(s_vec, np.shape(x))
 
     def colonize(x, t=0):
-        x = np.asarray(x, dtype=np.float64)
-        return model.c(x @ M.T)
+        return model.c(connectivity(np.asarray(x, dtype=np.float64)))
 
     def jacobian(x, t=0):
         x = np.asarray(x, dtype=np.float64)
-        conn = x @ M.T
+        conn = connectivity(x)
         J = (1.0 - x)[:, None] * model.c_prime(conn)[:, None] * M
         J[np.arange(n), np.arange(n)] = s_vec - model.c(conn)
         return J
@@ -129,6 +268,7 @@ def hanski_rule(model):
     return OccupancyRule(
         n=n, split=(survive, colonize),
         jacobian=jacobian if model.c_prime is not None else None,
+        vjp=vjp,
         coeff_oracle=coeff_oracle, homogeneous=True,
         name=f"hanski(n={n})")
 
@@ -144,7 +284,7 @@ class HanskiLimit:
     rho: np.ndarray           # (T+1, G) occupancy density
     variance: np.ndarray      # (T+1, G) variance density
     connectivity: np.ndarray  # (T+1, G) limiting connectivity C_t(z)
-    dispersal: np.ndarray     # (G, G) kernel D(z, w) between grid nodes
+    dispersal: Callable       # f -> sum_w D(z, w) f(w) over grid nodes, (G,) -> (G,)
     s: np.ndarray             # (G,) survival probability s(z) on the grid
     a: np.ndarray             # (G,) weight density a(z) on the grid
 
@@ -167,8 +307,11 @@ def hanski_limit(model, rho0, T, G=512):
     """Advance the limiting density, variance density and connectivity.
 
     ``rho0`` is the initial density: a callable on [0,1] or a (G,) array.
+    The default kernel is applied matrix-free, in O(G) per step; a custom
+    ``kernel`` is formed as a G x G matrix.
     """
-    require_bytes(8 * G * G)  # the dispersal kernel D between grid nodes
+    # the (T+1, G) tables, plus the G x G kernel only for a custom one
+    require_bytes(8 * G * (3 * (T + 1) + (G if model.kernel is not None else 0)))
     nodes, weights = _grid(G)
     rho = np.empty((T + 1, G))
     rho[0] = rho0(nodes) if callable(rho0) else np.asarray(rho0, dtype=np.float64)
@@ -178,11 +321,14 @@ def hanski_limit(model, rho0, T, G=512):
 
     a_g = model.a(nodes)
     s_g = model.s(nodes)
-    D = model.dispersal(nodes[:, None], nodes[None, :])
+    if model.kernel is None:
+        dispersal = _ExpKernel(nodes, model.kernel_scale, diagonal=True)
+    else:
+        dispersal = partial(np.matmul, model.dispersal(nodes[:, None], nodes[None, :]))
     var = np.zeros((T + 1, G))
     conn = np.empty((T + 1, G))
     for t in range(T):
-        conn[t] = D @ (weights * a_g * rho[t])
+        conn[t] = dispersal(weights * a_g * rho[t])
         cg = model.c(conn[t])
         rho[t + 1] = s_g * rho[t] + cg * (1.0 - rho[t])
         if rho[t + 1].min() < -1e-12 or rho[t + 1].max() > 1 + 1e-12:
@@ -190,9 +336,9 @@ def hanski_limit(model, rho0, T, G=512):
         rho[t + 1] = np.clip(rho[t + 1], 0.0, 1.0)
         var[t + 1] = (s_g * (1.0 - s_g) * rho[t] + cg * (1.0 - cg) * (1.0 - rho[t])
                       + (s_g - cg) ** 2 * var[t])
-    conn[T] = D @ (weights * a_g * rho[T])
+    conn[T] = dispersal(weights * a_g * rho[T])
     return HanskiLimit(grid=nodes, weights=weights, rho=rho, variance=var,
-                       connectivity=conn, dispersal=D, s=s_g, a=a_g)
+                       connectivity=conn, dispersal=dispersal, s=s_g, a=a_g)
 
 
 def injected_noise_density(model, limit, t):
@@ -242,5 +388,5 @@ def transfer_apply(model, limit, h, t):
         dn = np.where(conn < FD_STEP, conn, conn - FD_STEP)
         up = conn + FD_STEP
         cpg = (model.c(up) - model.c(dn)) / (up - dn)
-    integral = limit.dispersal @ (weights * hg * cpg * (1.0 - limit.rho[t]))
+    integral = limit.dispersal(weights * hg * cpg * (1.0 - limit.rho[t]))
     return (limit.s - cg) * hg + limit.a * integral

@@ -189,8 +189,8 @@ def spreading_rule(model):
             return 1.0 - mu * prod_factor(x)
     else:
         def survive(x, t=0):
-            x = np.asarray(x, dtype=np.float64)
-            return np.broadcast_to(1.0 - mu, x.shape).copy()
+            # a read-only view: the chain step reads S, it never writes it
+            return np.broadcast_to(1.0 - mu, np.shape(x))
 
     def evaluate(x, t=0):
         # the derived x * S + (1 - x) * C, with one product factor for S and C

@@ -26,7 +26,7 @@ and elementwise rules they are the bits a batched evaluation gives.  A
 rule that forms its thresholds by a matrix product (non-uniform
 spreading, hanski, the graph and linear rules) may round its one-row
 value an ulp away from a batched row's (at most 3.3e-16 for non-uniform
-spreading and 1.4e-16 for hanski at n = 800), which moves a bit only
+spreading and 1.1e-16 for hanski at n = 800), which moves a bit only
 when a uniform lands in that gap: a chance of about 2e-16 per comparison.
 
 A later step checks its S and C whole too, and only when one fails

@@ -107,10 +107,11 @@ def test_bad_input_exits_2_without_traceback(tmp_path, capsys, model, task, para
 @pytest.mark.parametrize("model,task,params", [
     # more replicates than the keyed streams address
     ({"type": "constant", "n": 3, "c": 0.4}, "simulate", {"R": 5_000_000_000}),
-    # n x n, G x G or v x v tables (7.3 TiB or 931 GiB) refused before allocation
+    # n x n or v x v tables (7.3 TiB or 931 GiB) refused before allocation
     ({"type": "hanski", "n": 1_000_000}, "simulate", {}),
     ({"type": "random_product", "n": 1_000_000}, "simulate", {}),
-    ({"type": "hanski", "n": 8}, "hanski-limit", {"grid": 1_000_000}),
+    # the three (T + 1, G) tables of a 10^9-node grid (134 GiB)
+    ({"type": "hanski", "n": 8}, "hanski-limit", {"grid": 1_000_000_000}),
     ({**GRAPH, "v": 1_000_000}, "simulate", {}),
     (GRAPH, "graphon", {"v_list": [1_000_000]}),
 ])
@@ -131,6 +132,17 @@ def test_coupled_linear_simulation_exits_0(tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
     rows = list(csv.DictReader(open(tmp_path / "o" / "summary.csv")))
     assert len(rows) == 4 and all(0 <= float(r["jbar_mean"]) <= 1 for r in rows)
+
+
+def test_million_node_hanski_limit_grid_exits_0(tmp_path, capsys):
+    # the default kernel is applied matrix-free: O(T G) work and memory
+    path = write_config(tmp_path, {"model": {"type": "hanski", "n": 8},
+                                   "task": "hanski-limit",
+                                   "parameters": {"grid": 1_000_000}})
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    rows = list(csv.DictReader(open(tmp_path / "o" / "hanski_limit.csv")))
+    assert len(rows) == 6 and all(0 <= float(r["mean_density"]) <= 1 for r in rows)
 
 
 def test_huge_simulation_exits_3_before_allocating(tmp_path, capsys):

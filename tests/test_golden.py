@@ -45,11 +45,11 @@ GOLDEN = {
     "simulate-uncoupled":
         "92e8559a99337b28cf496beed9c3cbe3f9ac460b8256f96a2996bf75f5e3018b",
     "deterministic":
-        "4f936d4842aead3ecce2264de39686ed18d21db8dcda59d212a9c4e107f5fba5",
+        "22150696424b3c1636d1fc3ff4c6858aa88015a7fe6f7bb18003863987796f98",
     "equilibrium":
         "6332535a9f93f4305392f5ac8786aec9e7b7bda63ca70413bb9e6b230a2d0238",
     "gaussian":
-        "a6d4523453886ce605151c633e9486d7e2b663d2e7fd2eb61009f6b5c6039cb4",
+        "d0cd4fa6a471b31a92e755651243f810aea1e88c34a9326d8b8a5201d00ad111",
     "bounds":
         "31f21954d8102c20325dc98988c38ab79305dde2bc7d34a59324789b225742cb",
     "clt-sweep":

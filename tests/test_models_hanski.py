@@ -1,13 +1,118 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import occlab as ol
 from occlab.deterministic import det_trajectory
 from occlab.gaussian import GaussianApprox
-from occlab.models import equidistributed, hanski_limit, hanski_rule
-from occlab.models.hanski import (grid_projected_variance,
+from occlab.models import equidistributed, hanski, hanski_limit, hanski_rule
+from occlab.models.hanski import (KERNEL_BLOCK, HanskiModel, _connectivity_matrix,
+                                  _ExpKernel, grid_projected_variance,
                                   injected_noise_density, transfer_apply)
 from occlab.simulate import simulate_projections
+
+
+def _dense_twin(model):
+    """The same model with its exponential kernel given as a custom one,
+    which takes the dense path."""
+    ell = model.kernel_scale
+    return dataclasses.replace(model, kernel=lambda z1, z2: np.exp(-np.abs(z1 - z2) / ell))
+
+
+@pytest.mark.parametrize("n", [1, 2, KERNEL_BLOCK - 1, KERNEL_BLOCK, KERNEL_BLOCK + 1, 801])
+@pytest.mark.parametrize("ell", [0.25, 1e-2, 1e-4])
+@pytest.mark.parametrize("order", ["sorted", "unsorted", "ties"])
+def test_kernel_operator_matches_connectivity_matrix(n, ell, order):
+    g = np.random.default_rng([n, int(1 / ell)])
+    z = g.random(n)
+    if order == "ties":   # runs of equal locations, shuffled
+        z = g.permutation(np.repeat(z[: -(-n // 3)], 3)[:n])
+    elif order == "sorted":
+        z.sort()
+    model = HanskiModel(z=z, a=lambda w: 0.5 + w, kernel_scale=ell)
+    x = g.random((5, n))
+    want = x @ _connectivity_matrix(model).T
+    with np.errstate(all="raise"):
+        kernel = _ExpKernel(z, ell)
+        got = kernel(x * model.a(z) / n)
+        assert kernel(np.ones((2, 3, n))).shape == (2, 3, n)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(initial=1e-300)
+
+
+@pytest.mark.parametrize("ell", [0.3, 1e-4])
+def test_kernel_operator_with_the_diagonal_matches_dense_kernel(ell):
+    z = np.random.default_rng(5).random(3 * KERNEL_BLOCK + 5)
+    w = np.random.default_rng(6).normal(size=len(z))
+    want = np.exp(-np.abs(z[:, None] - z[None, :]) / ell) @ w
+    with np.errstate(all="raise"):
+        got = _ExpKernel(z, ell, diagonal=True)(w)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_kernel_operator_streams_blocks_past_its_table_cap(monkeypatch):
+    # above the cap the dense blocks are built a chunk at a time per call
+    z = np.random.default_rng(7).random(10 * KERNEL_BLOCK)
+    w = np.random.default_rng(8).normal(size=(3, len(z)))
+    whole = _ExpKernel(z, 0.1)
+    monkeypatch.setattr(hanski, "KERNEL_BLOCK_BYTES", 3 * 8 * (KERNEL_BLOCK + 2) * KERNEL_BLOCK)
+    chunked = _ExpKernel(z, 0.1)
+    assert np.array_equal(chunked(w), whole(w))
+    assert whole.kept is not None and chunked.kept is None
+
+
+@pytest.mark.parametrize("z", [equidistributed(300).z,
+                               np.random.default_rng(9).random(300)])
+def test_vjp_matches_dense_jacobian(z):
+    rule = hanski_rule(HanskiModel(z=z, a=lambda w: 0.5 + w, kernel_scale=0.2))
+    g = np.random.default_rng(10)
+    for x in (g.random(300), (g.random(300) < 0.5).astype(float)):
+        gv = g.normal(size=300)
+        want = rule.jacobian(x, 0).T @ gv
+        assert np.abs(rule.vjp(x, 0, gv) - want).max() <= 1e-13 * np.abs(want).max()
+    assert hanski_rule(equidistributed(8, c_prime=None)).vjp is None
+
+
+def test_dense_kernel_rule_agrees_with_the_operator():
+    model = HanskiModel(z=np.random.default_rng(11).random(200), kernel_scale=0.2)
+    rule, dense = hanski_rule(model), hanski_rule(_dense_twin(model))
+    x = np.random.default_rng(12).random((4, 200))
+    for f, f_dense in zip(rule.split, dense.split):
+        assert np.abs(f(x, 0) - f_dense(x, 0)).max() <= 1e-15
+    assert dense.vjp is None   # a custom kernel is walked by its dense Jacobians
+
+
+def test_chain_bits_equal_the_dense_kernel_chain():
+    model = equidistributed(800)
+    rule, dense = hanski_rule(model), hanski_rule(_dense_twin(model))
+    X0 = (np.random.default_rng(14).random(800) < 0.5).astype(np.uint8)
+    p = det_trajectory(rule, X0.astype(float), 3).p
+    h = np.linspace(0.5, 1.5, 800)
+    got, want = (simulate_projections(r, X0, 3, 600, 15, h=h, p_traj=p,
+                                      keep_nodes=np.arange(0, 800, 7), couple=True)
+                 for r in (rule, dense))
+    for key in ("proj", "nodes", "jbar"):
+        assert np.array_equal(got[key], want[key])
+
+
+@pytest.mark.parametrize("c_prime", [True, False])
+def test_limit_matches_dense_kernel_limit(c_prime):
+    model = equidistributed(8, kernel_scale=0.15, a=lambda z: 1.0 + z,
+                            **({} if c_prime else {"c_prime": None}))
+    dense = _dense_twin(model)
+    rho0 = lambda z: 0.3 + 0.4 * z
+    lim, ref = (hanski_limit(m, rho0, T=4, G=300) for m in (model, dense))
+    for key in ("rho", "variance", "connectivity"):
+        assert np.abs(getattr(lim, key) - getattr(ref, key)).max() <= 1e-13
+    # a central difference of c turns C's rounding into about eps / FD_STEP
+    tol = 1e-13 if c_prime else 1e-9
+    h = np.cos(2 * np.pi * lim.grid)
+    for t in range(4):
+        assert np.abs(transfer_apply(model, lim, h, t)
+                      - transfer_apply(dense, ref, h, t)).max() <= tol
+    h_fn = lambda z: 1.0 + 0.5 * np.sin(2 * np.pi * z)
+    want = grid_projected_variance(dense, ref, h_fn, 4)
+    assert abs(grid_projected_variance(model, lim, h_fn, 4) - want) <= tol * want
 
 
 def test_pure_survival_decay():
