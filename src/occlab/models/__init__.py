@@ -11,7 +11,7 @@ from .hanski import (HanskiLimit, HanskiModel, equidistributed,
 from .graphdyn import (GraphDynModel, complete_host, cut_norm_exact,
                        deterministic_edge_matrices, edge_state_to_adjacency,
                        graph_rule, graphon_step, graphon_trajectory,
-                       homomorphism_density, injected_noise_matrix,
-                       lambda_kernel, triangle_clt_variance, triangle_density)
+                       homomorphism_density, lambda_kernel,
+                       triangle_clt_variance, triangle_density)
 from .random_rules import random_product_rule
 from .descriptors import model_from_descriptor

@@ -16,10 +16,10 @@ with d_t the degree function of W_t.  The same recursion on the host's own
 step partition reproduces the finite deterministic trajectory exactly.
 
 Graph functionals: cut norms (exact by enumeration up to 16 vertices),
-homomorphism densities for small simple graphs, and the edge-kernel
-transfer and noise forms that govern the normal limit of the triangle
-density along the chain; the limit variance is the finite chain's backward
-sweep (:func:`occlab.gaussian.accumulated_variance`) run on edge kernels.
+homomorphism densities for small simple graphs, and the variance of the
+triangle density's normal limit along the chain, which is the Gaussian
+companion's projected variance (:class:`occlab.gaussian.GaussianApprox`)
+on the graph rule, walked backward through the rule's ``vjp``.
 """
 
 import math
@@ -30,7 +30,7 @@ import numpy as np
 
 from ..deterministic import det_trajectory
 from ..errors import TooLargeError
-from ..gaussian import accumulated_variance, backward
+from ..gaussian import GaussianApprox
 from ..rules import CoefficientSet, OccupancyRule, require_bytes, state_table
 
 
@@ -85,7 +85,8 @@ def edge_state_to_adjacency(model, x):
 
 def graph_rule(model):
     """Occupancy rule on host edges with analytic split, and an analytic
-    Jacobian when the model gives ``f_prime`` (finite differences otherwise)."""
+    Jacobian and an O(n v) ``vjp`` when the model gives ``f_prime``
+    (finite differences otherwise)."""
     n = model.n_edges
     v = model.v
     q = model.q
@@ -110,14 +111,22 @@ def graph_rule(model):
     def jacobian(x, t=0):
         x = np.asarray(x, dtype=np.float64)
         arg = args_of(x)
-        fa = model.f(arg)
         fp = model.f_prime(arg) * (1.0 - x) / (2.0 * v)
         # edges e' sharing a vertex with e move e's degree argument by 1/(2v)
-        shared = ((incidence @ incidence.T) > 0).astype(np.float64)
-        np.fill_diagonal(shared, 0.0)
-        J = fp[:, None] * shared
-        J[np.arange(n), np.arange(n)] = q - fa
+        J = incidence @ incidence.T
+        np.minimum(J, 1.0, out=J)
+        J *= fp[:, None]
+        J[np.arange(n), np.arange(n)] = q - model.f(arg)
         return J
+
+    def vjp(x, t, g):
+        # J^T g: a vertex sum of a = f'(arg) (1 - x) g / (2v) over the edges
+        # at each end, less the edge's own a counted at both ends
+        x = np.asarray(x, dtype=np.float64)
+        arg = args_of(x)
+        a = model.f_prime(arg) * (1.0 - x) / (2.0 * v) * g
+        s = a @ incidence
+        return s[ea] + s[eb] - 2.0 * a + (q - model.f(arg)) * g
 
     def coeff_oracle(t):
         # conservative budget: an edge has at most 2(v-2) incident neighbours,
@@ -135,6 +144,7 @@ def graph_rule(model):
     return OccupancyRule(
         n=n, split=(survive, colonize),
         jacobian=jacobian if model.f_prime is not None else None,
+        vjp=vjp if model.f_prime is not None else None,
         coeff_oracle=coeff_oracle, homogeneous=True,
         name=f"graphdyn(v={v},edges={n},q={q})")
 
@@ -207,51 +217,6 @@ def lambda_kernel(W_t):
     return 3.0 * (W_t @ W_t) / W_t.shape[0]
 
 
-def _edge_stats(model, P):
-    d = P.sum(axis=1)
-    ea, eb = model.host_edges[:, 0], model.host_edges[:, 1]
-    arg = np.zeros((model.v, model.v))
-    arg_e = (d[ea] - P[ea, eb] + d[eb] - P[ea, eb]) / (2.0 * model.v)
-    arg[ea, eb] = arg_e
-    arg[eb, ea] = arg_e
-    return arg
-
-
-def transfer_apply(model, U, P, host, arg=None):
-    """Adjoint propagation of an edge kernel one step back along the chain.
-
-    Matrix form of (J h)_j = sum_i h_i dP_i/dx_j at the deterministic edge
-    state P (a symmetric v x v matrix supported on host cells).  Here and
-    below ``host`` is ``model.host_adjacency()``, built once by the caller,
-    and ``arg``, when given, is ``_edge_stats(model, P)``.
-    """
-    arg = _edge_stats(model, P) if arg is None else arg
-    w = model.f(arg)
-    K = host * (1.0 - P) * model.f_prime(arg) / (2.0 * model.v)
-    KU = K * U
-    row = KU.sum(axis=1)
-    out = U * (model.q - w) + (row[:, None] + row[None, :] - 2.0 * KU)
-    return host * out
-
-
-def injected_noise_matrix(model, P_prev, host, arg=None):
-    """Conditional-variance diagonal of one edge step, as a v x v matrix.
-
-    q(1-q) P + host (1-P) w(1-w) at the previous deterministic state; the
-    marginal form P'(1-P') exceeds it by (q - w)^2 P(1-P).
-    """
-    arg = _edge_stats(model, P_prev) if arg is None else arg
-    w = model.f(arg)
-    q = model.q
-    return q * (1.0 - q) * P_prev + host * w * (1.0 - w) * (1.0 - P_prev)
-
-
-def sigma2_step(model, U, P_prev, host, arg=None):
-    """Injected variance of the edge projection <xi, U> for one step from P_prev."""
-    var = injected_noise_matrix(model, P_prev, host, arg) * host
-    return float((U * U * var).sum() / (2.0 * model.n_edges))
-
-
 def deterministic_edge_matrices(model, A0, T):
     """Finite deterministic recursion as symmetric v x v matrices."""
     rule = graph_rule(model)
@@ -265,14 +230,11 @@ def triangle_clt_variance(model, A0, t):
     """Predicted variance of v n^{-1/2} (triangle density - deterministic value).
 
     Linearizing the triangle density at the deterministic state gives the
-    edge projection with kernel U = (2/v) Lambda_t, whose accumulated
-    variance sum_{r=1..t} sigma_r^2[J_r ... J_{t-1} U] is the backward sweep.
+    edge projection with kernel U = (2/v) Lambda_t, whose variance is the
+    Gaussian companion's projected variance on the graph rule.
     """
-    P_seq = deterministic_edge_matrices(model, A0, t)
-    host = model.host_adjacency()
-    # the walk and the noise both read states 0..t-1: one _edge_stats each
-    args = [_edge_stats(model, P) for P in P_seq[:t]]
-    U = (2.0 / model.v) * lambda_kernel(P_seq[t]) * host
-    walk = backward(lambda r, g: transfer_apply(model, g, P_seq[r], host, args[r]), U, t)
-    return accumulated_variance(
-        lambda r, g: sigma2_step(model, g, P_seq[r - 1], host, args[r - 1]), walk, t)
+    ea, eb = model.host_edges[:, 0], model.host_edges[:, 1]
+    approx = GaussianApprox.from_rule(graph_rule(model),
+                                      np.asarray(A0, dtype=np.float64)[ea, eb], t)
+    U = (2.0 / model.v) * lambda_kernel(edge_state_to_adjacency(model, approx.base.p[t]))
+    return approx.projected_variance(U[ea, eb], t)

@@ -11,8 +11,9 @@ from occlab import rng
 from occlab.errors import NotConvergedError, SingularMatrixError, TooLargeError
 from occlab.gaussian import (GaussianApprox, lyapunov_solve, sigma_form,
                              simulate_gaussian)
-from occlab.models import (DomanyKinzel, SpreadingModel, dk_rule, equidistributed,
-                           hanski_rule, mean_field, spreading_rule)
+from occlab.models import (DomanyKinzel, GraphDynModel, SpreadingModel, dk_rule,
+                           equidistributed, graph_rule, hanski_rule, mean_field,
+                           spreading_rule)
 from occlab.rules import coefficient_schedule, injected_variance
 
 
@@ -265,11 +266,17 @@ def _walk_rules(n):
     g = np.random.default_rng(7)
     reactions = g.uniform(0.0, 3.0 / n, (n, n))
     np.fill_diagonal(reactions, 0.0)
+    # the first n vertex pairs of the fewest vertices that have n of them
+    v = math.ceil((1 + math.sqrt(1 + 8 * n)) / 2)
+    host = np.column_stack(np.triu_indices(v, k=1))[:n]
+    graph = GraphDynModel(host_edges=host, v=v, q=0.6, f=lambda y: 0.7 * np.asarray(y) ** 2,
+                          f_prime=lambda y: 1.4 * np.asarray(y))
     return {"hanski": hanski_rule(equidistributed(n)),
             "nonuniform": spreading_rule(SpreadingModel(R_matrix=reactions, mu=0.4)),
             "mean_field": spreading_rule(mean_field(n, rbar=1.4, mu=0.4, reinfection=True)),
             "torus": dk_rule(DomanyKinzel(n=n, q1=0.3, q2=0.8, p0=0.4), iid_start=True),
-            "constant": ol.constant_rule(n, 0.3)}
+            "constant": ol.constant_rule(n, 0.3),
+            "graph": graph_rule(graph)}
 
 
 @pytest.mark.parametrize("label", ["hanski", "nonuniform"])
@@ -286,7 +293,8 @@ def test_walks_build_no_jacobian_stack(label):
         assert ga._jacobians is None
 
 
-@pytest.mark.parametrize("label", ["hanski", "nonuniform", "mean_field", "torus", "constant"])
+@pytest.mark.parametrize("label", ["hanski", "nonuniform", "mean_field", "torus", "constant",
+                                   "graph"])
 def test_one_sweep_variances_equal_the_per_t_walks(label):
     n, T = 40, 12
     rule = _walk_rules(n)[label]

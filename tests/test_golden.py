@@ -57,7 +57,7 @@ GOLDEN = {
     "lln-sweep":
         "02c7a803fac703724e9cd00a1c70ecc2f3937534e20ad22323c56bd4eb6125b0",
     "graphon":
-        "0640d0b806cd2a8b1c42b971b41e7ffd08e6490b854e99a6990b67fd093a65fc",
+        "4fd36aafd7d0e187f611cb5b8e4b3689ea6464a88c87df18f25e2b9e2fdbfad2",
     "hanski-limit":
         "15d690de021196a35d91f6ce77c8b5da934a8fd3a423771e4ae795c08e1ffd65",
 }

@@ -1,16 +1,19 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import occlab as ol
 from occlab.errors import SchemaError, TooLargeError
 from occlab.gaussian import GaussianApprox
-from occlab.models import (complete_host, graph_rule, graphon_step,
+from occlab.models import (GraphDynModel, complete_host, graph_rule, graphon_step,
                            graphon_trajectory, homomorphism_density,
                            lambda_kernel, model_from_descriptor,
                            triangle_clt_variance, triangle_density)
 from occlab.models.graphdyn import (cut_norm_exact, deterministic_edge_matrices,
-                                    edge_state_to_adjacency, injected_noise_matrix,
-                                    sigma2_step, transfer_apply)
+                                    edge_state_to_adjacency)
+from occlab.rules import injected_variance, rule_jacobian
 from occlab.simulate import simulate_ensemble
 
 
@@ -68,6 +71,23 @@ def test_jacobian_without_f_prime_by_finite_differences():
     assert np.abs(ol.rule_jacobian(rule, x) - analytic.jacobian(x, 0)).max() <= 1e-6
 
 
+@pytest.mark.parametrize("curve", ["constant", "linear", "quadratic"])
+def test_vjp_matches_dense_jacobian(curve):
+    g = np.random.default_rng(10)
+    keep = g.random((11, 11)) < 0.6
+    partial = np.argwhere(np.triu(keep, 1))
+    complete, _ = model_from_descriptor({"type": "graph", "v": 11, "q": 0.55,
+                                         "attachment": curve, "attachment_scale": 0.7})
+    # the complete host and a non-complete one on the same 11 vertices
+    for model in (complete, dataclasses.replace(complete, host_edges=partial)):
+        rule = graph_rule(model)
+        for x in (g.random(rule.n), (g.random(rule.n) < 0.5).astype(float)):
+            gv = g.normal(size=rule.n)
+            want = rule.jacobian(x, 0).T @ gv
+            assert np.abs(rule.vjp(x, 0, gv) - want).max() <= 1e-13 * np.abs(want).max()
+    assert graph_rule(complete_host(5, 0.5, lambda y: 0.5 * np.asarray(y))).vjp is None
+
+
 def test_chain_stays_inside_host():
     model = logistic_model(8)
     rule = graph_rule(model)
@@ -87,23 +107,24 @@ def test_deterministic_edge_recursion_matches_graphon_step_on_complete_host():
     # graphon_step without self-exclusion differs by O(1/v); check closeness
     W = graphon_trajectory(A0, model.host_adjacency(), model.q, model.f, 3)
     assert np.abs(P[3] - W[3]).max() <= 0.05
-    # and the structural identity: the recursive variance density (the
-    # injected noise plus the (q - w)^2-propagated past, w the colonization
-    # at P) equals the marginal P(1-P) on the host support from a graph
-    host = model.host_adjacency()
-    col = graph_rule(model).split[1]
+    # and the structural identity: the recursive variance (the injected
+    # noise plus the (q - w)^2-propagated past, w the colonization at P)
+    # equals the marginal P(1-P) on the host edges from a graph
+    rule = graph_rule(model)
     ea, eb = model.host_edges[:, 0], model.host_edges[:, 1]
-    var = np.zeros_like(A0)
+    var = np.zeros(model.n_edges)
     for s in range(3):
-        w = edge_state_to_adjacency(model, col(P[s][ea, eb]))
-        var = injected_noise_matrix(model, P[s], host) + (model.q - w) ** 2 * var
-        marginal = P[s + 1] * (1 - P[s + 1]) * host
-        assert np.allclose(var * host, marginal, atol=1e-12)
+        w = rule.split[1](P[s][ea, eb])
+        var = injected_variance(rule, P[s][ea, eb], s) + (model.q - w) ** 2 * var
+        marginal = P[s + 1][ea, eb] * (1 - P[s + 1][ea, eb])
+        assert np.allclose(var, marginal, atol=1e-12)
 
 
 def test_clt_functionals_match_edge_chain_exactly():
+    # the variance walks the graph rule's vjp; the reference walks its
+    # dense Jacobians
     model = logistic_model(10, q=0.7, slope=0.4)
-    rule = graph_rule(model)
+    rule = dataclasses.replace(graph_rule(model), vjp=None)
     A0 = model.host_adjacency()
     ea, eb = model.host_edges[:, 0], model.host_edges[:, 1]
     P_seq = deterministic_edge_matrices(model, A0, 3)
@@ -114,51 +135,45 @@ def test_clt_functionals_match_edge_chain_exactly():
 
 
 def test_triangle_variance_matches_hand_written_loop():
-    # the edge-kernel sweep before it shared occlab.gaussian's backward walk,
-    # copied here as the reference
+    # the backward sweep written out on edge vectors, with dense Jacobians
     model = logistic_model(9, q=0.65, slope=0.45)
+    rule = graph_rule(model)
     g = np.random.default_rng(4)
     A0 = (g.random((9, 9)) < 0.5).astype(np.float64)
     A0 = np.triu(A0, 1) + np.triu(A0, 1).T
-    host = model.host_adjacency()
+    ea, eb = model.host_edges[:, 0], model.host_edges[:, 1]
     for t in range(4):
         P_seq = deterministic_edge_matrices(model, A0, t)
-        U_r = (2.0 / model.v) * lambda_kernel(P_seq[t]) * host
+        u = (2.0 / model.v) * lambda_kernel(P_seq[t])[ea, eb]
         total = 0.0
         for r in range(t, 0, -1):
-            total += sigma2_step(model, U_r, P_seq[r - 1], host)
+            p = P_seq[r - 1][ea, eb]
+            total += (u * u * injected_variance(rule, p, r - 1)).sum() / model.n_edges
             if r > 1:
-                U_r = transfer_apply(model, U_r, P_seq[r - 1], host)
-        assert triangle_clt_variance(model, A0, t) == total
+                u = rule_jacobian(rule, p, r - 1).T @ u
+        assert triangle_clt_variance(model, A0, t) == pytest.approx(total, rel=1e-12, abs=0)
 
 
-def test_triangle_variance_computes_edge_stats_once_per_state(monkeypatch):
-    import occlab.models.graphdyn as gd
+def test_triangle_variance_forms_no_edge_table():
+    # E = 1770 edges: one E x E table would be 25 MB
     model = logistic_model(60, q=0.6, slope=0.5)
     A0 = model.host_adjacency()
-    t = 5
-    want = triangle_clt_variance(model, A0, t)
-    calls = []
-
-    def counted(model_, P):
-        calls.append(P)
-        return real(model_, P)
-
-    real = gd._edge_stats
-    monkeypatch.setattr(gd, "_edge_stats", counted)
-    assert triangle_clt_variance(model, A0, t) == want
-    P_seq = deterministic_edge_matrices(model, A0, t)
-    assert len(calls) == t
-    assert all(np.array_equal(P, P_seq[s]) for s, P in enumerate(calls))
+    E = model.n_edges
+    tracemalloc.start()
+    try:
+        triangle_clt_variance(model, A0, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * E * E
 
 
 def test_injected_noise_below_marginal():
     model = logistic_model(8)
     P = deterministic_edge_matrices(model, model.host_adjacency(), 2)
-    host = model.host_adjacency()
-    inj = injected_noise_matrix(model, P[1], host) * host
-    marg = P[2] * (1 - P[2]) * host
-    assert (inj <= marg + 1e-12).all()
+    ea, eb = model.host_edges[:, 0], model.host_edges[:, 1]
+    inj = injected_variance(graph_rule(model), P[1][ea, eb], 1)
+    assert (inj <= P[2][ea, eb] * (1 - P[2][ea, eb]) + 1e-12).all()
 
 
 def test_triangle_variance_desk_scale():
