@@ -22,8 +22,7 @@ from .deterministic import (DeterministicTrajectory, EquilibriumResult,
 from .gaussian import (GaussianApprox, LyapunovResult, lyapunov_solve,
                        sigma_form, simulate_gaussian)
 from .bounds import (BoundReport, clt_rate_bound, concentration_bound,
-                     concentration_threshold, finite_class_bound,
-                     jbar_moment_bound, linearization_error_bound,
+                     concentration_threshold, jbar_moment_bound,
                      lqr_error_bound, mean_functional_norms,
                      rademacher_exact, rademacher_mc)
 from .analysis import (DistanceReport, NormalTarget, clt_sweep, ks_distance,

@@ -333,9 +333,8 @@ def criterion_9(fast=False):
         x0 = model.host_adjacency()[ea, eb].astype(np.uint8)
         ens = simulate_ensemble(rule, x0, 3, reps,
                                 rng.derive_seed(MASTER_SEED, f"c9v{v}"), workers=WORKERS)
-        c = 1.0
-        for _ in range(3):
-            c = model.q * c + (1 - c) * model.f(c)
+        # the limit edge density: the kernel recursion on the one-cell complete kernel
+        c = gd.graphon_trajectory(np.ones((1, 1)), np.ones((1, 1)), model.q, model.f, 3)[3]
         vals = []
         for r in range(reps):
             A = gd.edge_state_to_adjacency(model, ens.states[r, 3, :].astype(float))

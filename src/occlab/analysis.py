@@ -1,8 +1,8 @@
 """Distributional diagnostics against the Gaussian companion.
 
 Exact empirical Kolmogorov and 1-Wasserstein distances to a normal target
-(or a second sample) with bootstrap standard errors, the per-size checks
-of the CLT (:func:`clt_point`) and of the uniform law of large numbers
+with bootstrap standard errors, the per-size checks of the CLT
+(:func:`clt_point`) and of the uniform law of large numbers
 (:func:`lln_point`), and the convergence sweeps that tabulate them versus
 system size against the closed-form bounds.
 """
@@ -64,18 +64,6 @@ def _ks_one_sample(sorted_x, target):
     return float(max((grid - F).max(), (F - (grid - 1 / m)).max(), 0.0))
 
 
-def _cdf_gap(x, y):
-    """The sorted pooled points and |F_x - F_y| at each of them."""
-    x, y = np.sort(x), np.sort(y)
-    pooled = np.sort(np.concatenate([x, y]))
-    return pooled, np.abs(np.searchsorted(x, pooled, side="right") / len(x)
-                          - np.searchsorted(y, pooled, side="right") / len(y))
-
-
-def _ks_two_sample(x, y):
-    return float(_cdf_gap(x, y)[1].max())
-
-
 def _w1_one_sample(sorted_x, target):
     """Exact integral of |F_emp - F_target| for a normal target."""
     m = len(sorted_x)
@@ -103,11 +91,6 @@ def _w1_one_sample(sorted_x, target):
     return float(total)
 
 
-def _w1_two_sample(x, y):
-    pooled, gap = _cdf_gap(x, y)
-    return float((gap[:-1] * np.diff(pooled)).sum())
-
-
 def _bootstrap(sample, stat, seed):
     m = len(sample)
     vals = np.empty(BOOTSTRAP_RESAMPLES)
@@ -117,33 +100,26 @@ def _bootstrap(sample, stat, seed):
     return float(vals.std(ddof=1))
 
 
-def _distance(metric, stats, sample, target, seed):
-    """``metric`` of the sample against a normal target or a second sample;
-    ``stats`` is the (one-sample, two-sample) statistic pair, each taking
-    the sorted sample first."""
-    one_sample, two_sample = stats
+def _distance(metric, one_sample, sample, target, seed):
+    """``metric`` of the sample against a normal target; ``one_sample``
+    takes the sorted sample and the target."""
     sample = np.asarray(sample, dtype=np.float64)
     if sample.size < 2:
         raise ValueError("need at least two sample points")
-    if isinstance(target, NormalTarget):
-        stat = lambda s: one_sample(s, target)
-        label = f"normal(mean={target.mean:.6g}, var={target.variance:.6g})"
-    else:
-        other = np.asarray(target, dtype=np.float64)
-        stat = lambda s: two_sample(s, other)
-        label = f"sample(size={len(other)})"
+    stat = lambda s: one_sample(s, target)
+    label = f"normal(mean={target.mean:.6g}, var={target.variance:.6g})"
     return DistanceReport(metric=metric, sample_size=len(sample), target=label,
                           value=stat(np.sort(sample)), stderr=_bootstrap(sample, stat, seed))
 
 
 def ks_distance(sample, target, seed=0):
     """Exact sup gap between the empirical CDF and the target CDF."""
-    return _distance("kolmogorov", (_ks_one_sample, _ks_two_sample), sample, target, seed)
+    return _distance("kolmogorov", _ks_one_sample, sample, target, seed)
 
 
 def wasserstein1(sample, target, seed=0):
     """Exact integral of |F_emp - F_target| (area between the CDFs)."""
-    return _distance("wasserstein1", (_w1_one_sample, _w1_two_sample), sample, target, seed)
+    return _distance("wasserstein1", _w1_one_sample, sample, target, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -236,34 +236,3 @@ def rademacher_exact(H_set):
         raise DomainError("exact enumeration is capped at n = 20")
     signs = 1.0 - 2.0 * state_table(n)
     return float((signs @ H.T).max(axis=1).mean() / n)
-
-
-def finite_class_bound(H_sup, class_size, n):
-    """Finite-class complexity bound H sqrt(2 log|class| / n) (constant sqrt 2)."""
-    return float(H_sup * math.sqrt(2.0 * math.log(class_size) / n))
-
-
-# ---------------------------------------------------------------------------
-# linearization error for smooth functionals
-# ---------------------------------------------------------------------------
-
-def linearization_error_bound(d2_max, d3_row_max, coeffs, t, n):
-    """L^1 error of the first-order expansion of a smooth functional.
-
-    ``d2_max`` is max_{j,k} ||d_j d_k f||_inf and ``d3_row_max`` is
-    max_j sum_k ||d_j d_k^2 f||_inf.
-
-    value = sqrt(1 + log n) [1 + sum_{s<t} (1/n + n psi_s^2) t e^{16 alpha_{s,t}}]
-            * [n d2_max + sqrt(n) d3_row_max]
-    """
-    sched = _schedule(coeffs)
-    inner = 1.0 + sum((1.0 / n + n * sched[s].psi ** 2) * t
-                      * _exp(16.0 * sched.alpha_window(s, t))
-                      for s in range(t))
-    value = (math.sqrt(1.0 + math.log(n)) * inner
-             * (n * d2_max + math.sqrt(n) * d3_row_max))
-    return BoundReport(
-        value=value, formula_id="linearization-error",
-        inputs={"t": t, "n": n, "d2_max": float(d2_max),
-                "d3_row_max": float(d3_row_max), "provenance": sched.provenance},
-        caveats=_base_caveats(sched, with_constant=True, growth=inner))

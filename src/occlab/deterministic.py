@@ -95,10 +95,6 @@ class SmithReport:
     spectral_radius_origin: float
     pairs_checked: int
 
-    @property
-    def all_passed(self):
-        return self.positivity and self.jacobian_monotonicity and self.not_all_absorbing
-
 
 def smith_check(rule, sample_budget=64, seed=0):
     """Screen the uniqueness/attraction conditions on sampled ordered pairs."""

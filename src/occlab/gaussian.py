@@ -22,8 +22,7 @@ independent nodes the marginal variance p_t(1-p_t) is reproduced exactly.
 Writing D_s for the transposed Jacobian and D_{s,t} = D_s...D_{t-1} (empty
 product = identity), projections of xi_t = n^{-1/2}(Z_t - p_t) have
 
-    Var <xi_t, h>            = sum_{r=1..t} (1/n) sum_i (D_{r,t} h)_i^2 v_{i,r},
-    Cov[<xi_s,h>, <xi_t,h'>] = the polarized analogue,
+    Var <xi_t, h> = sum_{r=1..t} (1/n) sum_i (D_{r,t} h)_i^2 v_{i,r},
 
 and the matrix covariance obeys Sigma_t = J_{t-1} Sigma_{t-1} J_{t-1}^T
 + diag(v_t); in the homogeneous stable case Sigma_t converges to the
@@ -33,16 +32,12 @@ The projected forms need only products D_s g.  When the rule supplies
 ``vjp`` the backward walk takes them from it, and no n x n matrix is
 formed; otherwise a walk builds J_r for its step r and holds only that
 one.  ``projected_variances`` walks every t at once, so it builds each
-J_r a single time for all T + 1 variances, and ``cross_covariance``
-steps its two walks together.  ``covariances`` and
+J_r a single time for all T + 1 variances.  ``covariances`` and
 ``simulate_gaussian`` read each J_t once, in time order, and hold it
-only for that step too.  The (T, n, n) stack of Jacobians J_0..J_{T-1}
-is built only by an explicit read of ``GaussianApprox.jacobians``; once
-built, every walk and recursion reads it instead of building J_t again.
+only for that step too.
 """
 
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 import scipy.linalg
@@ -86,7 +81,7 @@ def accumulated_variance(noise, walk, t):
 
 
 class GaussianApprox:
-    """Deterministic path plus its variance diagonals and Jacobians."""
+    """Deterministic path plus its variance diagonals."""
 
     def __init__(self, rule, base: DeterministicTrajectory):
         self.rule = rule
@@ -96,7 +91,6 @@ class GaussianApprox:
         self.V = np.zeros_like(base.p)
         for t in range(base.T):
             self.V[t + 1] = injected_variance(rule, base.p[t], t)
-        self._jacobians = None
         self._sigma = None
 
     @classmethod
@@ -111,31 +105,13 @@ class GaussianApprox:
     def T(self):
         return self.base.T
 
-    @property
-    def jacobians(self):
-        """(T, n, n) array whose row t maps p_t -> p_{t+1}, built on first read."""
-        if self._jacobians is None:
-            require_bytes(8 * self.T * self.n * self.n)
-            J = np.empty((self.T, self.n, self.n))
-            for t in range(self.T):
-                J[t] = rule_jacobian(self.rule, self.base.p[t], t)
-            self._jacobians = J
-        return self._jacobians
-
-    def _jacobian(self, t):
-        """J_t from the stack when a ``jacobians`` read has built it,
-        otherwise built for this step alone (the stack stays unbuilt)."""
-        if self._jacobians is not None:
-            return self._jacobians[t]
-        return rule_jacobian(self.rule, self.base.p[t], t)
-
     def _transposed(self, r):
-        """g -> D_r g: the rule's ``vjp`` at p_r, or J_r^T with J_r from
-        :meth:`_jacobian`, built once for every g it is applied to."""
+        """g -> D_r g: the rule's ``vjp`` at p_r, or J_r^T with J_r built
+        for this step alone, once for every g it is applied to."""
         vjp = self.rule.vjp
         if vjp is not None:
             return lambda g: vjp(self.base.p[r], r, g)
-        JT = self._jacobian(r).T
+        JT = rule_jacobian(self.rule, self.base.p[r], r).T
         return lambda g: JT @ g
 
     def backward(self, h, t):
@@ -145,18 +121,10 @@ class GaussianApprox:
             raise ValueError("need 0 <= t <= T")
         return backward(lambda r, g: self._transposed(r)(g), h, t)
 
-    def propagate(self, h, s, t):
-        """Apply D_{s,t} = D_s ... D_{t-1} to h; the empty window s = t
-        returns h unchanged."""
-        if not 0 <= s <= t <= self.T:
-            raise ValueError("need 0 <= s <= t <= T")
-        return next(islice(self.backward(h, t), t - s, None))
-
-    def noise_form(self, t, h, h2=None):
-        """Injected-noise bilinear form n^{-1} sum_i h_i h'_i v_{i,t}."""
+    def noise_form(self, t, h):
+        """Injected-noise quadratic form n^{-1} sum_i h_i^2 v_{i,t}."""
         h = np.asarray(h, dtype=np.float64)
-        h2 = h if h2 is None else np.asarray(h2, dtype=np.float64)
-        return float((h * h2 * self.V[t]).sum() / self.n)
+        return float((h * h * self.V[t]).sum() / self.n)
 
     def projected_variance(self, h, t):
         """Variance of <xi_t, h> via the propagated one-step sums."""
@@ -179,22 +147,6 @@ class GaussianApprox:
                 walks = dict(zip(walks, map(self._transposed(r - 1), walks.values())))
         return var
 
-    def cross_covariance(self, s, t, h, h2):
-        """Covariance of <xi_s, h> with <xi_t, h'>."""
-        if not (0 <= s <= self.T and 0 <= t <= self.T):
-            raise ValueError("times must lie in [0, T]")
-        m = min(s, t)
-        total = 0.0
-        if m == 0:
-            return total
-        # both walks share each D_r below m, taken once for the two of them
-        g, g2 = self.propagate(h, m, s), self.propagate(h2, m, t)
-        for r in range(m, 0, -1):
-            total += self.noise_form(r, g, g2)
-            if r > 1:
-                g, g2 = map(self._transposed(r - 1), (g, g2))
-        return total
-
     def covariances(self):
         """Full covariance recursion Sigma_0..Sigma_T, cached: the (T+1, n, n)
         result plus one n x n Jacobian and the step's products at a time."""
@@ -203,7 +155,7 @@ class GaussianApprox:
             require_bytes(8 * (self.T + 1) * n * n)
             sig = np.zeros((self.T + 1, n, n))
             for t in range(self.T):
-                J = self._jacobian(t)
+                J = rule_jacobian(self.rule, self.base.p[t], t)
                 sig[t + 1] = J @ sig[t] @ J.T + np.diag(self.V[t + 1])
             self._sigma = sig
         return self._sigma
@@ -224,7 +176,7 @@ def simulate_gaussian(approx, R, seed):
     out = np.empty((R, T + 1, n))
     out[:, 0] = p[0]
     for t in range(1, T + 1):
-        J = approx._jacobian(t - 1)
+        J = rule_jacobian(approx.rule, p[t - 1], t - 1)
         for r0 in range(0, R, rng.BLOCK):
             rows = min(rng.BLOCK, R - r0)
             eps = rng.normals(seed, t, n, r0=r0, rows=rows)

@@ -5,9 +5,7 @@ from .spreading import (SpreadingModel, ThresholdReport, epidemic_threshold,
 from .domany_kinzel import (DomanyKinzel, dk_device_time, dk_exact_mean_zeta2,
                             dk_rule)
 from .hanski import (HanskiLimit, HanskiModel, equidistributed,
-                     grid_projected_variance, hanski_limit, hanski_rule,
-                     injected_noise_density as hanski_injected_noise_density,
-                     transfer_apply as hanski_transfer_apply)
+                     grid_projected_variance, hanski_limit, hanski_rule)
 from .graphdyn import (GraphDynModel, complete_host, cut_norm_exact,
                        deterministic_edge_matrices, edge_state_to_adjacency,
                        graph_rule, graphon_step, graphon_trajectory,

@@ -6,10 +6,12 @@ patch tables as CSV with columns z, a, s) are paths resolved against the
 working directory.  Each type accepts only the keys listed in ``_KEYS``;
 any other key (a misspelling, say), a missing required key or file, a
 value of the wrong type or one the model rejects, a size ``n`` below 1, a
-``graph`` vertex count ``v`` below 2, or two sources for one quantity (a
-file next to the values it replaces, see ``_SOURCES``) raises
-``SchemaError``.  A ``graph`` descriptor without ``attachment`` uses the
-``"linear"`` curve f(y) = attachment_scale * y, with the scale in [0, 1].
+``graph`` vertex count ``v`` below 2, an edge list that is not a simple
+graph on the whole vertices 0..v-1, a patch table without exactly three
+columns, or two sources for one quantity (a file next to the values it
+replaces, see ``_SOURCES``) raises ``SchemaError``.  A ``graph``
+descriptor without ``attachment`` uses the ``"linear"`` curve
+f(y) = attachment_scale * y, with the scale in [0, 1].
 """
 
 import numpy as np
@@ -119,7 +121,10 @@ def _build(desc):
     if kind == "hanski":
         if "patch_csv" in desc:
             tbl = _load_csv_matrix(desc["patch_csv"])
-            z, a_col, s_col = tbl[:, 0], tbl[:, 1], tbl[:, 2]
+            if tbl.shape[1] != 3:
+                raise SchemaError("hanski patch_csv needs three columns (z, a, s), "
+                                  f"got {tbl.shape[1]}")
+            z, a_col, s_col = tbl.T
             model = HanskiModel(z=z,
                                 a=lambda zz: np.interp(zz, z, a_col),
                                 s=lambda zz: np.interp(zz, z, s_col),
@@ -132,7 +137,10 @@ def _build(desc):
         f, fp, sups = _attachment(desc)
         q = float(desc["q"])
         if "edges_csv" in desc:
-            edges = _load_csv_matrix(desc["edges_csv"]).astype(int)
+            edges = _load_csv_matrix(desc["edges_csv"])
+            if not np.array_equal(edges, np.round(edges)):   # NaN fails here too
+                raise SchemaError("edges_csv vertices must be whole numbers")
+            edges = edges.astype(int)
             model = GraphDynModel(host_edges=edges, v=int(desc["v"]), q=q,
                                   f=f, f_prime=fp, f_derivative_sups=sups)
         else:

@@ -45,13 +45,19 @@ class GraphDynModel:
     f_derivative_sups: tuple = (1.0, 1.0, 0.0)
 
     def __post_init__(self):
-        e = np.asarray(self.host_edges, dtype=np.int64)
-        e = np.sort(e, axis=1)
+        e = np.asarray(self.host_edges)
+        if e.ndim != 2 or e.shape[1] != 2 or not np.issubdtype(e.dtype, np.integer):
+            raise ValueError("host edges must be an (E, 2) integer array")
+        e = np.sort(e.astype(np.int64), axis=1)
         order = np.lexsort((e[:, 1], e[:, 0]))
         e = e[order]
         object.__setattr__(self, "host_edges", e)
-        if e.size and (e[:, 0] == e[:, 1]).any():
+        if e.size and (e.min() < 0 or e.max() >= self.v):
+            raise ValueError(f"host edge vertices must lie in [0, {self.v})")
+        if (e[:, 0] == e[:, 1]).any():
             raise ValueError("host graph must be simple (no loops)")
+        if (e[1:] == e[:-1]).all(axis=1).any():
+            raise ValueError("host graph must be simple (no repeated edge)")
         if not 0 <= self.q <= 1:
             raise ValueError("retention probability must lie in [0, 1]")
 
@@ -112,9 +118,9 @@ def graph_rule(model):
         x = np.asarray(x, dtype=np.float64)
         arg = args_of(x)
         fp = model.f_prime(arg) * (1.0 - x) / (2.0 * v)
-        # edges e' sharing a vertex with e move e's degree argument by 1/(2v)
+        # edges e' sharing a vertex with e move e's degree argument by 1/(2v);
+        # on a simple host two distinct edges share at most one vertex
         J = incidence @ incidence.T
-        np.minimum(J, 1.0, out=J)
         J *= fp[:, None]
         J[np.arange(n), np.arange(n)] = q - model.f(arg)
         return J

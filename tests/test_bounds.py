@@ -7,14 +7,13 @@ import pytest
 import occlab as ol
 from occlab import rng
 from occlab.analysis import sign_class
-from occlab.bounds import (clt_rate_bound, concentration_bound, finite_class_bound,
-                           jbar_moment_bound, linearization_error_bound,
+from occlab.bounds import (clt_rate_bound, concentration_bound, jbar_moment_bound,
                            lqr_error_bound, mean_functional_norms,
                            rademacher_exact, rademacher_mc)
 from occlab.errors import DegenerateSigmaError, DomainError
 from occlab.gaussian import GaussianApprox
 from occlab.models import mean_field, spreading_rule
-from occlab.rules import CoefficientSet
+from occlab.rules import CoefficientSet, rule_jacobian
 
 INF = float("inf")
 
@@ -70,7 +69,7 @@ def test_clt_rate_exponent_arithmetic():
             g = h.copy()
             for u in range(1, 2)[::-1]:
                 if u > s:
-                    g = ga.jacobians[u].T @ g
+                    g = rule_jacobian(rule, ga.base.p[u], u).T @ g
             sig = math.sqrt((g * g * ga.base.p[s + 1]
                              * (1 - ga.base.p[s + 1])).sum() / n)
             total += (ol.kappa(coeffs, s, n)
@@ -146,8 +145,7 @@ def test_bounds_monotone_in_coefficients():
         return [jbar_moment_bound(coeffs, 1, 3, 10).value,
                 lqr_error_bound({"df_1": 0.1, "df_2q": 0.3, "d2f_1q": 0.2},
                                 coeffs, 1, 1, 3, 10).value,
-                clt_rate_bound(coeffs, h, 1, ga, 3).value,
-                linearization_error_bound(0.01, 0.1, coeffs, 3, 10).value]
+                clt_rate_bound(coeffs, h, 1, ga, 3).value]
 
     ref = all_values(CoefficientSet(**base))
     for name in base:
@@ -233,50 +231,11 @@ def test_rademacher_finite_class_bound():
     n = 40
     H = g.choice([-1.0, 1.0], size=(64, n))
     est, se = rademacher_mc(H, R=20000, seed=4)
-    assert est <= finite_class_bound(1.0, 64, n) + 4 * se
-
-
-# ---------------------------------------------------------------------------
-# linearization error
-# ---------------------------------------------------------------------------
-
-def test_linearization_zero_for_linear_functionals():
-    rep = linearization_error_bound(0.0, 0.0, generic_coeffs(), t=4, n=100)
-    assert rep.value == 0.0
-
-
-def test_linearization_manual_formula():
-    cs = generic_coeffs()
-    t, n = 2, 64
-    inner = 1.0
-    for s in range(t):
-        window = sum(c.alpha for c in cs[s + 1:t])
-        inner += (1 / n + n * cs[s].psi ** 2) * t * math.exp(16 * window)
-    expect = math.sqrt(1 + math.log(n)) * inner * (n * 0.01 + math.sqrt(n) * 0.2)
-    got = linearization_error_bound(0.01, 0.2, cs, t, n)
-    assert got.value == pytest.approx(expect, rel=1e-12)
+    # Massart's finite-class bound H sqrt(2 log m / n), here H = 1 and m = 64
+    assert est <= math.sqrt(2.0 * math.log(64) / n) + 4 * se
 
 
 def test_sampled_provenance_sets_caveat():
     cs = CoefficientSet(0.1, 0.1, 0.0, 0.0, 0.0, provenance="sampled")
     rep = jbar_moment_bound([cs] * 3, 1, 2, 10)
     assert any("lower-estimate" in c for c in rep.caveats)
-
-
-def test_linearization_bound_dominates_quadratic_functional():
-    # f(x) = (sum x)^2 / n^2: the first-order remainder is (1/n^2)(sum dev)^2
-    from occlab.deterministic import det_trajectory
-    from occlab.simulate import simulate_projections
-
-    n, t, R = 200, 3, 20000
-    rule = spreading_rule(mean_field(n, rbar=0.5, mu=0.5))
-    X0 = np.zeros(n, dtype=np.uint8)
-    X0[: n // 2] = 1
-    traj = det_trajectory(rule, X0.astype(float), t)
-    res = simulate_projections(rule, X0, t, R, seed=31, h=np.ones(n),
-                               p_traj=traj.p)
-    # <zeta, 1> = n^{-1/2} (sum X - sum p), so the remainder is proj^2 / n
-    remainder = (res["proj"][:, t] ** 2) / n
-    coeffs = [rule.coeff_oracle(0)] * (t + 1)
-    rep = linearization_error_bound(2.0 / n ** 2, 0.0, coeffs, t, n)
-    assert remainder.mean() <= rep.value

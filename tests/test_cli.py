@@ -104,6 +104,29 @@ def test_bad_input_exits_2_without_traceback(tmp_path, capsys, model, task, para
     assert not (tmp_path / "o" / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("key,table", [
+    # a vertex past v - 1 (an IndexError once), a negative vertex (it wrapped
+    # to v - 1), one edge given twice (its Jacobian entries came out halved)
+    # and fractional vertices (they were truncated to whole ones)
+    ("edges_csv", "0,1\n0,5\n"),
+    ("edges_csv", "0,1\n0,-1\n"),
+    ("edges_csv", "0,1\n1,0\n1,2\n"),
+    ("edges_csv", "0.7,1\n1,2.9\n"),
+    # a patch table without its third column s
+    ("patch_csv", "0.25,1\n0.75,2\n"),
+], ids=["vertex-past-v", "negative-vertex", "repeated-edge", "fractional-vertex",
+        "two-column-patches"])
+def test_malformed_tables_exit_2_without_traceback(tmp_path, capsys, key, table):
+    csv_path = tmp_path / "table.csv"
+    csv_path.write_text(table)
+    model = {"type": "graph", "v": 3, "q": 0.5} if key == "edges_csv" else {"type": "hanski"}
+    model[key] = str(csv_path)
+    path = write_config(tmp_path, {"model": model, "task": "gaussian", "parameters": {"T": 2}})
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("model,task,params", [
     # more replicates than the keyed streams address
     ({"type": "constant", "n": 3, "c": 0.4}, "simulate", {"R": 5_000_000_000}),

@@ -14,13 +14,24 @@ from occlab.gaussian import (GaussianApprox, lyapunov_solve, sigma_form,
 from occlab.models import (DomanyKinzel, GraphDynModel, SpreadingModel, dk_rule,
                            equidistributed, graph_rule, hanski_rule, mean_field,
                            spreading_rule)
-from occlab.rules import coefficient_schedule, injected_variance
+from occlab.rules import coefficient_schedule, injected_variance, rule_jacobian
 
 
 def make_approx(n=10, T=4, rbar=0.6, mu=0.4, seed=0):
     rule = spreading_rule(mean_field(n, rbar=rbar, mu=mu, reinfection=True))
     g = np.random.default_rng(seed)
     return rule, GaussianApprox.from_rule(rule, g.random(n) * 0.8 + 0.1, T)
+
+
+def counted(rule):
+    """``rule`` with a ``jacobian`` that records the step t of every call."""
+    calls = []
+
+    def jacobian(x, t):
+        calls.append(t)
+        return rule.jacobian(x, t)
+
+    return dataclasses.replace(rule, jacobian=jacobian), calls
 
 
 def test_sigma_form_degenerate_and_half():
@@ -66,7 +77,7 @@ def test_covariance_recursion_properties():
     sig = ga.covariances()
     assert np.abs(sig[0]).max() == 0.0
     for t in range(5):
-        J = ga.jacobians[t]
+        J = rule_jacobian(rule, ga.base.p[t], t)
         expect = J @ sig[t] @ J.T + np.diag(injected_variance(rule, ga.base.p[t], t))
         assert np.allclose(sig[t + 1], expect, atol=1e-12)
         eig = np.linalg.eigvalsh(sig[t + 1])
@@ -74,25 +85,26 @@ def test_covariance_recursion_properties():
 
 
 def test_propagator_cache_consistency():
-    _, ga = make_approx(T=6)
+    rule, ga = make_approx(T=6)
 
     def D(s, t):
         # D_{s,t} = D_s ... D_{t-1} with D_u the transposed Jacobian
         out = np.eye(ga.n)
         for u in range(s, t):
-            out = out @ ga.jacobians[u].T
+            out = out @ rule_jacobian(rule, ga.base.p[u], u).T
         return out
 
     for (s, t, u) in [(0, 2, 5), (1, 3, 6), (2, 2, 4), (0, 6, 6)]:
         assert np.abs(D(s, t) @ D(t, u) - D(s, u)).max() <= 1e-12
     h = np.linspace(0, 1, 10)
-    assert np.allclose(ga.propagate(h, 1, 5), D(1, 5) @ h)
+    for r, g in zip(range(5, -1, -1), ga.backward(h, 5)):   # the walk yields D_{r,5} h
+        assert np.allclose(g, D(r, 5) @ h)
 
 
 @pytest.mark.parametrize("label", ["dk-iid", "spreading-reinfection"])
 def test_backward_walks_match_hand_written_loops(label):
-    # propagate, projected_variance, cross_covariance and the rate bound each
-    # walked g <- J_u^T g by hand before they shared GaussianApprox.backward;
+    # the backward walk, projected_variance and the rate bound each walked
+    # g <- J_u^T g by hand before they shared GaussianApprox.backward;
     # those loops, copied here, are the references.  They step with the dense
     # Jacobians, so the rule's vjp is dropped (test_vjp_walks_match_dense_walks
     # compares the two)
@@ -104,8 +116,9 @@ def test_backward_walks_match_hand_written_loops(label):
     rule = dataclasses.replace(rule, vjp=None)
     n, T = 9, 4
     ga = GaussianApprox.from_rule(rule, g.random(n) * 0.8 + 0.1, T)
-    J, sched = ga.jacobians, coefficient_schedule(rule, T)
-    h, h2 = g.standard_normal(n), g.standard_normal(n)
+    J = [rule_jacobian(rule, ga.base.p[u], u) for u in range(T)]
+    sched = coefficient_schedule(rule, T)
+    h = g.standard_normal(n)
 
     def propagate(h, s, t):
         g = np.asarray(h, dtype=np.float64).copy()
@@ -119,16 +132,8 @@ def test_backward_walks_match_hand_written_loops(label):
             total += ga.noise_form(r, gt)
             gt = J[r - 1].T @ gt
         assert ga.projected_variance(h, t) == total
-        for s in range(T + 1):
-            m, total = min(s, t), 0.0
-            gs, gt = propagate(h, m, s), propagate(h2, m, t)
-            for r in range(m, 0, -1):
-                total += ga.noise_form(r, gs, gt)
-                gs = J[r - 1].T @ gs
-                gt = J[r - 1].T @ gt
-            assert ga.cross_covariance(s, t, h, h2) == total
-            if s <= t:
-                assert np.array_equal(ga.propagate(h, s, t), propagate(h, s, t))
+        for s, walked in zip(range(t, -1, -1), ga.backward(h, t)):
+            assert np.array_equal(walked, propagate(h, s, t))
         for q in (1.0, 2.0, math.inf) if t else ():
             inv_q = 0.0 if math.isinf(q) else 1.0 / q
             total, gt = 0.0, h.copy()
@@ -159,22 +164,22 @@ def test_vjp_walks_match_dense_walks(n, reinfection):
 
     T = 3
     p0 = g.random(n) * 0.8 + 0.1
-    ga, dense = (GaussianApprox.from_rule(r, p0, T) for r in (rule, dense_rule))
-    h, h2 = g.uniform(0.5, 1.5, n), g.standard_normal(n)
+    watched, calls = counted(rule)
+    ga, dense = (GaussianApprox.from_rule(r, p0, T) for r in (watched, dense_rule))
+    h = g.uniform(0.5, 1.5, n)
     sched = coefficient_schedule(rule, T)
 
     def close(a, b):
         return np.abs(np.asarray(a) - b).max() <= 1e-12 * np.abs(b).max()
 
     for t in range(1, T + 1):
-        assert close(ga.propagate(h, 0, t), dense.propagate(h, 0, t))
+        for g_vjp, g_dense in zip(ga.backward(h, t), dense.backward(h, t)):
+            assert close(g_vjp, g_dense)
         assert close(ga.projected_variance(h, t), dense.projected_variance(h, t))
-        assert close(ga.cross_covariance(t - 1, t, h, h2),
-                     dense.cross_covariance(t - 1, t, h, h2))
         for q in (1.0, math.inf):
             assert close(clt_rate_bound(sched, h, q, ga, t).value,
                          clt_rate_bound(sched, h, q, dense, t).value)
-    assert ga._jacobians is None   # the vjp walks never built the dense array
+    assert calls == []   # the vjp walks never built a dense Jacobian
 
 
 def test_vjp_companion_memory_is_linear():
@@ -199,9 +204,9 @@ def test_lazy_covariances_equal_eager_recursion():
     for t in range(5):
         J[t] = rule.jacobian(ga.base.p[t], t)
         sig[t + 1] = J[t] @ sig[t] @ J[t].T + np.diag(ga.V[t + 1])
-    assert ga._jacobians is None
-    assert np.array_equal(ga.covariances(), sig)
-    assert np.array_equal(ga.jacobians, J)
+    watched, calls = counted(rule)
+    assert np.array_equal(GaussianApprox(watched, ga.base).covariances(), sig)
+    assert calls == [0, 1, 2, 3, 4]   # each J_t built once, in time order
 
 
 def _traced_peak(f):
@@ -227,39 +232,23 @@ def test_covariances_hold_one_jacobian_at_a_time():
     # the (T, n, n) stack of Jacobians alone would be T n^2 floats beside
     # the (T + 1) n^2 of the result
     n, T = 400, 10
-    _, ga = _nonuniform_approx(n, T)
-    peak = _traced_peak(ga.covariances)
-    assert ga._jacobians is None
+    rule, ga = _nonuniform_approx(n, T)
+    watched, calls = counted(rule)
+    peak = _traced_peak(GaussianApprox(watched, ga.base).covariances)
+    assert calls == list(range(T))
     assert peak < 8 * n * n * (T + 1 + 5)
 
 
-def test_walks_build_each_jacobian_once_and_covariances_reuse_a_read_stack():
+def test_walks_build_each_jacobian_once():
     rule, ga = _nonuniform_approx(30, 4)
-    calls = []
-
-    def counted(x, t):
-        calls.append(t)
-        return rule.jacobian(x, t)
-
-    walked = GaussianApprox(dataclasses.replace(rule, jacobian=counted), ga.base)
+    watched, calls = counted(rule)
+    walked = GaussianApprox(watched, ga.base)
     # a walk without vjp builds J_{t-1}..J_1 once each and keeps none of them
     assert walked.projected_variance(np.ones(30), 4) == ga.projected_variance(np.ones(30), 4)
-    assert calls == [3, 2, 1] and walked._jacobians is None
+    assert calls == [3, 2, 1]
     calls.clear()
     walked.projected_variances(np.ones(30))    # all T + 1 walks at once
-    assert calls == [3, 2, 1] and walked._jacobians is None
-    calls.clear()
-    h2 = np.linspace(-1.0, 1.0, 30)
-    assert walked.cross_covariance(3, 4, np.ones(30), h2) == ga.cross_covariance(
-        3, 4, np.ones(30), h2)                 # two walks, one J_r each step
-    assert calls == [3, 2, 1] and walked._jacobians is None
-    # an explicit read builds the stack, which covariances and walks reuse
-    calls.clear()
-    assert np.array_equal(walked.jacobians, ga.jacobians)
-    assert calls == [0, 1, 2, 3]
-    assert np.array_equal(walked.covariances(), ga.covariances())
-    walked.projected_variance(np.ones(30), 4)
-    assert calls == [0, 1, 2, 3]
+    assert calls == [3, 2, 1]
 
 
 def _walk_rules(n):
@@ -284,13 +273,15 @@ def test_walks_build_no_jacobian_stack(label):
     # the (T, n, n) stack alone would be 10 n^2 floats; a walk holds one J_r
     n, T = 300, 10
     rule = dataclasses.replace(_walk_rules(n)[label], vjp=None)   # the walk without vjp
-    ga = GaussianApprox.from_rule(rule, np.random.default_rng(1).uniform(0.05, 0.5, n), T)
+    watched, calls = counted(rule)
+    ga = GaussianApprox.from_rule(watched, np.random.default_rng(1).uniform(0.05, 0.5, n), T)
     h = np.linspace(0.5, 1.5, n)
     sched = coefficient_schedule(rule, T)
     for walk in (lambda: ga.projected_variance(h, T), lambda: ga.projected_variances(h),
                  lambda: clt_rate_bound(sched, h, 1, ga, T)):
+        calls.clear()
         assert _traced_peak(walk) < 8 * n * n * 2
-        assert ga._jacobians is None
+        assert calls == list(range(T - 1, 0, -1))   # one J_r per step
 
 
 @pytest.mark.parametrize("label", ["hanski", "nonuniform", "mean_field", "torus", "constant",
@@ -298,12 +289,16 @@ def test_walks_build_no_jacobian_stack(label):
 def test_one_sweep_variances_equal_the_per_t_walks(label):
     n, T = 40, 12
     rule = _walk_rules(n)[label]
-    ga = GaussianApprox.from_rule(rule, np.random.default_rng(2).uniform(0.05, 0.9, n), T)
+    watched, calls = counted(rule)
+    ga = GaussianApprox.from_rule(watched, np.random.default_rng(2).uniform(0.05, 0.9, n), T)
     h = np.random.default_rng(3).uniform(-1.0, 2.0, n)
     swept = ga.projected_variances(h)
     assert swept.shape == (T + 1,) and swept[0] == 0.0
     assert np.array_equal(swept, [ga.projected_variance(h, t) for t in range(T + 1)])
-    assert ga._jacobians is None
+    # a vjp walk builds no Jacobian; otherwise each walk builds J_{t-1}..J_1 once
+    steps = [] if rule.vjp is not None else [
+        r for t in (T, *range(T + 1)) for r in range(t - 1, 0, -1)]
+    assert calls == steps
 
 
 def test_gaussian_results_are_size_checked_before_allocation():
@@ -333,9 +328,11 @@ def test_simulate_gaussian_matches_block_major_loop(label):
     else:
         rule = spreading_rule(mean_field(n, rbar=1.4, mu=0.4, reinfection=True))
     p0 = np.random.default_rng(n).uniform(0.1, 0.9, n)
-    ga = GaussianApprox.from_rule(rule, p0, T)
+    watched, calls = counted(rule)
+    ga = GaussianApprox.from_rule(watched, p0, T)
     Z = simulate_gaussian(ga, R, seed)
-    assert ga._jacobians is None
+    assert calls == [0, 1, 2]   # each J_t built once, for every block of rows
+    J = [rule_jacobian(rule, ga.base.p[t], t) for t in range(T)]
 
     p, sd = ga.base.p, np.sqrt(ga.V)
     want = np.empty((R, T + 1, n))
@@ -345,7 +342,7 @@ def test_simulate_gaussian_matches_block_major_loop(label):
         want[r0:r0 + rows, 0] = z
         for t in range(1, T + 1):
             eps = rng.normals(seed, t, n, r0=r0, rows=rows)
-            z = p[t][None, :] + (z - p[t - 1][None, :]) @ ga.jacobians[t - 1].T \
+            z = p[t][None, :] + (z - p[t - 1][None, :]) @ J[t - 1].T \
                 + eps * sd[t][None, :]
             want[r0:r0 + rows, t] = z
     assert np.array_equal(Z, want)
@@ -356,19 +353,8 @@ def test_transposed_jacobian_column_budget():
     rule, ga = make_approx(T=4)
     alpha = rule.coeff_oracle(0).alpha
     for t in range(4):
-        colsum = np.abs(ga.jacobians[t]).sum(axis=0).max()
+        colsum = np.abs(rule_jacobian(rule, ga.base.p[t], t)).sum(axis=0).max()
         assert colsum <= 1 + alpha + 1e-12
-
-
-def test_cross_covariance_edges():
-    _, ga = make_approx(T=4)
-    h = np.linspace(1, 2, 10)
-    h2 = np.linspace(-1, 1, 10)
-    assert ga.cross_covariance(0, 3, h, h2) == 0.0
-    assert ga.cross_covariance(2, 2, h, h) == pytest.approx(
-        ga.projected_variance(h, 2))
-    assert ga.cross_covariance(1, 3, h, h2) == pytest.approx(
-        ga.cross_covariance(3, 1, h2, h))
 
 
 def test_simulate_gaussian_degenerate_noise_is_deterministic():

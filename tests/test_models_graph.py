@@ -88,6 +88,18 @@ def test_vjp_matches_dense_jacobian(curve):
     assert graph_rule(complete_host(5, 0.5, lambda y: 0.5 * np.asarray(y))).vjp is None
 
 
+@pytest.mark.parametrize("edges,why", [
+    ([[0, 1], [2, 2]], "loops"),
+    ([[0, 1, 2]], "integer array"),
+    ([[0.0, 1.0]], "integer array"),
+], ids=["loop", "three-columns", "float-vertices"])
+def test_host_must_be_a_simple_edge_list(edges, why):
+    # out-of-range and repeated edges: tests/test_cli.py, through edges_csv
+    f = lambda y: 0.5 * np.asarray(y)
+    with pytest.raises(ValueError, match=why):
+        GraphDynModel(host_edges=np.array(edges), v=3, q=0.5, f=f)
+
+
 def test_chain_stays_inside_host():
     model = logistic_model(8)
     rule = graph_rule(model)

@@ -368,9 +368,6 @@ def test_dense_jacobians_of_a_large_mean_field_are_refused():
     rule = spreading_rule(mean_field(n, rbar=1.5, mu=0.4))
     with pytest.raises(TooLargeError):
         rule_jacobian(rule, np.full(n, 0.5), 0)
-    approx = GaussianApprox.from_rule(rule, np.full(n, 0.5), 1)
-    with pytest.raises(TooLargeError):
-        approx.jacobians
 
 
 # ---------------------------------------------------------------------------
