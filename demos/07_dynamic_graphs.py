@@ -42,8 +42,7 @@ ea, eb = model.host_edges[:, 0], model.host_edges[:, 1]
 x0 = A0[ea, eb].astype(np.uint8)
 t, R = 3, 4000
 P = gd.deterministic_edge_matrices(model, A0, t)
-det_tri = gd.triangle_density(P[t])
-pred = gd.triangle_clt_variance(model, A0, t)
+det_tri, pred = gd.triangle_clt(model, A0, t)
 
 ens = simulate_ensemble(rule, x0, t, R, seed=12)
 As = gd.edge_state_to_adjacency(model, ens.states[:, t, :].astype(float))

@@ -352,8 +352,7 @@ def criterion_9(fast=False):
     x0 = A0[ea, eb].astype(np.uint8)
     t = 3
     R = 2000 if fast else 10 ** 4
-    pred = gd.triangle_clt_variance(model, A0, t)
-    det_tri = gd.triangle_density(gd.deterministic_edge_matrices(model, A0, t)[t])
+    det_tri, pred = gd.triangle_clt(model, A0, t)
     ens = simulate_ensemble(rule, x0, t, R, rng.derive_seed(MASTER_SEED, "c9desk"),
                             workers=WORKERS)
     stats = np.empty(R)

@@ -238,11 +238,9 @@ def _graphon(config, params, seed, workers):
     rows = []
     for v in params.get("v_list", [8, 16]):
         gmodel, _ = model_from_descriptor({**config["model"], "v": v})
-        A0 = gmodel.host_adjacency()
-        P_seq = gd.deterministic_edge_matrices(gmodel, A0, T)
+        density, variance = gd.triangle_clt(gmodel, gmodel.host_adjacency(), T)
         rows.append({"v": v, "edges": gmodel.n_edges,
-                     "triangle_density_T": gd.triangle_density(P_seq[T]),
-                     "clt_variance_T": gd.triangle_clt_variance(gmodel, A0, T)})
+                     "triangle_density_T": density, "clt_variance_T": variance})
     return {"graphon.csv": _table(rows)}
 
 

@@ -48,14 +48,13 @@ from .deterministic import DeterministicTrajectory, det_trajectory, spectral_rad
 from .rules import injected_variance, require_bytes, rule_jacobian
 
 
-def sigma_form(p, h, h2=None):
-    """One-step bilinear variance form n^{-1} sum_i h_i h'_i p_i (1 - p_i)."""
+def sigma_form(p, h):
+    """One-step variance form n^{-1} sum_i h_i^2 p_i (1 - p_i)."""
     p = np.asarray(p, dtype=np.float64)
     h = np.asarray(h, dtype=np.float64)
-    h2 = h if h2 is None else np.asarray(h2, dtype=np.float64)
-    if not (len(p) == len(h) == len(h2)):
+    if len(p) != len(h):
         raise ValueError("length mismatch in sigma_form")
-    return float((h * h2 * p * (1.0 - p)).sum() / len(p))
+    return float((h * h * p * (1.0 - p)).sum() / len(p))
 
 
 def backward(step, h, t):

@@ -10,6 +10,6 @@ from .graphdyn import (GraphDynModel, complete_host, cut_norm_exact,
                        deterministic_edge_matrices, edge_state_to_adjacency,
                        graph_rule, graphon_step, graphon_trajectory,
                        homomorphism_density, lambda_kernel,
-                       triangle_clt_variance, triangle_density)
+                       triangle_clt, triangle_density)
 from .random_rules import random_product_rule
 from .descriptors import model_from_descriptor

@@ -232,8 +232,9 @@ def deterministic_edge_matrices(model, A0, T):
     return np.stack([edge_state_to_adjacency(model, traj.p[s]) for s in range(T + 1)])
 
 
-def triangle_clt_variance(model, A0, t):
-    """Predicted variance of v n^{-1/2} (triangle density - deterministic value).
+def triangle_clt(model, A0, t):
+    """The deterministic triangle density at t, and the predicted variance of
+    v n^{-1/2} (triangle density - that value), from one deterministic run.
 
     Linearizing the triangle density at the deterministic state gives the
     edge projection with kernel U = (2/v) Lambda_t, whose variance is the
@@ -242,5 +243,6 @@ def triangle_clt_variance(model, A0, t):
     ea, eb = model.host_edges[:, 0], model.host_edges[:, 1]
     approx = GaussianApprox.from_rule(graph_rule(model),
                                       np.asarray(A0, dtype=np.float64)[ea, eb], t)
-    U = (2.0 / model.v) * lambda_kernel(edge_state_to_adjacency(model, approx.base.p[t]))
-    return approx.projected_variance(U[ea, eb], t)
+    P_t = edge_state_to_adjacency(model, approx.base.p[t])
+    U = (2.0 / model.v) * lambda_kernel(P_t)
+    return triangle_density(P_t), approx.projected_variance(U[ea, eb], t)

@@ -28,8 +28,10 @@ over patches: :class:`_ExpKernel` applies D in O(n) per row, so the
 chain step, the deterministic map, the connectivity inside the Jacobian,
 the transposed-Jacobian product ``vjp`` (set when the model gives
 ``c_prime``) and the grid limit all run matrix-free.  A custom ``kernel``
-keeps the dense connectivity matrix, the only general option.  The rule
-still forms that matrix for the coefficient oracle and the dense Jacobian.
+keeps the dense connectivity matrix, the only general option, built and
+size-checked when the rule is made.  Under the default kernel that matrix
+is built only when the coefficient oracle or the dense Jacobian first
+reads it, so a rule that never does holds no n x n table at any n.
 """
 
 import math
@@ -78,7 +80,12 @@ class HanskiModel:
     def dispersal(self, z1, z2):
         if self.kernel is not None:
             return self.kernel(z1, z2)
-        return np.exp(-np.abs(z1 - z2) / self.kernel_scale)
+        # exp(-|z1 - z2| / ell), in place on the one table of differences
+        d = np.asarray(np.subtract(z1, z2), dtype=np.float64)
+        np.abs(d, out=d)
+        np.negative(d, out=d)
+        d /= self.kernel_scale
+        return np.exp(d, out=d)
 
 
 def equidistributed(n, **kw):
@@ -198,10 +205,16 @@ class _ExpKernel:
 
 
 def _connectivity_matrix(model):
-    """M[i, j] = a(z_j) D(z_i, z_j) / n with zero diagonal."""
+    """M[i, j] = a(z_j) D(z_i, z_j) / n with zero diagonal, formed in place
+    on the default kernel's table (on a copy of a custom kernel's, which its
+    caller may hold); TooLargeError first if M would exceed the cap."""
     require_bytes(8 * model.n * model.n)
     z = model.z
-    M = model.dispersal(z[:, None], z[None, :]) * model.a(z)[None, :] / model.n
+    M = model.dispersal(z[:, None], z[None, :])
+    if model.kernel is not None:
+        M = np.array(M, dtype=np.float64)
+    M *= model.a(z)
+    M /= model.n
     np.fill_diagonal(M, 0.0)
     return M
 
@@ -209,9 +222,21 @@ def _connectivity_matrix(model):
 def hanski_rule(model):
     """Occupancy rule with analytic split and coefficient budget, and an
     analytic Jacobian when the model gives ``c_prime`` (finite differences
-    otherwise), plus an O(n) ``vjp`` when it also keeps the default kernel."""
+    otherwise), plus an O(n) ``vjp`` when it also keeps the default kernel.
+
+    A custom kernel's connectivity matrix M is built (and size-checked) here.
+    Under the default kernel M is built on the first call of the coefficient
+    oracle or the Jacobian, after the size check; two threads that race to
+    it build the same M."""
     n = model.n
-    M = _connectivity_matrix(model)
+    M = None if model.kernel is None else _connectivity_matrix(model)
+
+    def dense():
+        nonlocal M
+        if M is None:
+            M = _connectivity_matrix(model)
+        return M
+
     s_vec = np.asarray(model.s(model.z), dtype=np.float64)
     if s_vec.min() < 0 or s_vec.max() > 1:
         raise ValueError("survival probabilities must lie in [0, 1]")
@@ -243,6 +268,7 @@ def hanski_rule(model):
         return model.c(connectivity(np.asarray(x, dtype=np.float64)))
 
     def jacobian(x, t=0):
+        M = dense()
         x = np.asarray(x, dtype=np.float64)
         conn = connectivity(x)
         J = (1.0 - x)[:, None] * model.c_prime(conn)[:, None] * M
@@ -255,6 +281,7 @@ def hanski_rule(model):
         # sup-norm budgets: |d_j P_i| <= c1 M_ij, |d_j d_k P_i| <= c2 M_ij M_ik
         # (plus c1 M_jk when i is j or k), |d_j d_k^2 P_i| <= c3 M_ij M_ik^2
         # with the matching one- and two-index boundary terms
+        M = dense()
         alpha = float(c1 * M.sum(axis=0).max())
         off = ~np.eye(n, dtype=bool)
         beta = float(c1 * math.sqrt((M[off] ** 2).sum() / n))

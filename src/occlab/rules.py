@@ -158,8 +158,12 @@ def _check_domain(x, n):
 
 def _check_range(p):
     """p itself, after RangeError if it is NaN or leaves [0,1] by more than
-    ``EDGE_TOL``; two reductions, no copy."""
-    lo, hi = p.min(), p.max()
+    ``EDGE_TOL``; two reductions, no copy.  A broadcast view is reduced over
+    one copy of its values: index 0 along each axis of stride 0."""
+    q = p
+    if p.size and 0 in p.strides:
+        q = p[tuple(0 if st == 0 else slice(None) for st in p.strides)]
+    lo, hi = q.min(), q.max()
     if not (lo >= -EDGE_TOL and hi <= 1 + EDGE_TOL):   # NaN fails too
         raise RangeError(f"rule value leaves [0,1] by more than {EDGE_TOL:g} "
                          f"(min {lo:.3e}, max {hi:.3e})")

@@ -41,11 +41,12 @@ def test_sigma_form_degenerate_and_half():
 
 
 def test_sigma_form_polarization():
+    # a quadratic form: its polarization is the bilinear form sum h h2 p (1 - p) / n
     g = np.random.default_rng(1)
     p, h, h2 = g.random(12), g.standard_normal(12), g.standard_normal(12)
-    lhs = sigma_form(p, h, h2)
-    rhs = (sigma_form(p, h + h2) - sigma_form(p, h - h2)) / 4
-    assert lhs == pytest.approx(rhs, abs=1e-12)
+    lhs = (sigma_form(p, h + h2) - sigma_form(p, h - h2)) / 4
+    assert lhs == pytest.approx((h * h2 * p * (1 - p)).sum() / 12, abs=1e-12)
+    assert sigma_form(p, 3.0 * h) == pytest.approx(9.0 * sigma_form(p, h), rel=1e-14)
 
 
 def test_projected_variance_time_zero():

@@ -10,7 +10,7 @@ from occlab.gaussian import GaussianApprox
 from occlab.models import (GraphDynModel, complete_host, graph_rule, graphon_step,
                            graphon_trajectory, homomorphism_density,
                            lambda_kernel, model_from_descriptor,
-                           triangle_clt_variance, triangle_density)
+                           triangle_clt, triangle_density)
 from occlab.models.graphdyn import (cut_norm_exact, deterministic_edge_matrices,
                                     edge_state_to_adjacency)
 from occlab.rules import injected_variance, rule_jacobian
@@ -141,7 +141,8 @@ def test_clt_functionals_match_edge_chain_exactly():
     ea, eb = model.host_edges[:, 0], model.host_edges[:, 1]
     P_seq = deterministic_edge_matrices(model, A0, 3)
     U = (2.0 / model.v) * lambda_kernel(P_seq[3])
-    grid_v = triangle_clt_variance(model, A0, 3)
+    density, grid_v = triangle_clt(model, A0, 3)
+    assert density == triangle_density(P_seq[3])
     ga = GaussianApprox.from_rule(rule, A0[ea, eb], 3)
     assert grid_v == pytest.approx(ga.projected_variance(U[ea, eb], 3), rel=1e-12)
 
@@ -163,7 +164,7 @@ def test_triangle_variance_matches_hand_written_loop():
             total += (u * u * injected_variance(rule, p, r - 1)).sum() / model.n_edges
             if r > 1:
                 u = rule_jacobian(rule, p, r - 1).T @ u
-        assert triangle_clt_variance(model, A0, t) == pytest.approx(total, rel=1e-12, abs=0)
+        assert triangle_clt(model, A0, t)[1] == pytest.approx(total, rel=1e-12, abs=0)
 
 
 def test_triangle_variance_forms_no_edge_table():
@@ -173,7 +174,7 @@ def test_triangle_variance_forms_no_edge_table():
     E = model.n_edges
     tracemalloc.start()
     try:
-        triangle_clt_variance(model, A0, 5)
+        triangle_clt(model, A0, 5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -198,7 +199,7 @@ def test_triangle_variance_desk_scale():
     ea, eb = model.host_edges[:, 0], model.host_edges[:, 1]
     x0 = A0[ea, eb].astype(np.uint8)
     t, R = 2, 4000
-    pred = triangle_clt_variance(model, A0, t)
+    pred = triangle_clt(model, A0, t)[1]
     P_det = deterministic_edge_matrices(model, A0, t)
     ens = simulate_ensemble(rule, x0, t, R, seed=5)
     As = edge_state_to_adjacency(model, ens.states[:, t, :].astype(float))

@@ -1,10 +1,12 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import occlab as ol
 from occlab.deterministic import det_trajectory
+from occlab.errors import TooLargeError
 from occlab.gaussian import GaussianApprox
 from occlab.models import equidistributed, hanski, hanski_limit, hanski_rule
 from occlab.models.hanski import (KERNEL_BLOCK, HanskiModel, _connectivity_matrix,
@@ -71,6 +73,70 @@ def test_vjp_matches_dense_jacobian(z):
         want = rule.jacobian(x, 0).T @ gv
         assert np.abs(rule.vjp(x, 0, gv) - want).max() <= 1e-13 * np.abs(want).max()
     assert hanski_rule(equidistributed(8, c_prime=None)).vjp is None
+
+
+def _traced_peak(f):
+    """f's result and the most bytes it allocated at once."""
+    tracemalloc.start()
+    try:
+        return f(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_default_kernel_rule_builds_no_connectivity_matrix():
+    # M would be 298 GiB; the rule holds its O(n) tables only, and the
+    # matrix-free step and vjp run
+    n = 200_000
+    model = equidistributed(n)
+    rule, peak = _traced_peak(lambda: hanski_rule(model))
+    assert peak < 16 * 2 ** 20
+    x = np.full(n, 0.5)
+    c = rule.split[1](x, 0)
+    assert c.shape == (n,) and 0 < c.min() <= c.max() < 1
+    assert np.isfinite(rule.vjp(x, 0, np.ones(n))).all()
+    for read in (lambda: rule.jacobian(x, 0), lambda: rule.coeff_oracle(0)):
+        _, peak = _traced_peak(lambda: pytest.raises(TooLargeError, read))
+        assert peak < 2 ** 20
+
+
+def test_connectivity_matrix_built_once_on_first_dense_read(monkeypatch):
+    built = []
+
+    def counted(model):
+        built.append(_connectivity_matrix(model))
+        return built[-1]
+
+    monkeypatch.setattr(hanski, "_connectivity_matrix", counted)
+    model = HanskiModel(z=np.random.default_rng(15).random(300), a=lambda w: 0.5 + w,
+                        kernel_scale=0.2)
+    rule = hanski_rule(model)
+    x = np.random.default_rng(16).random(300)
+    rule.split[1](x, 0)
+    rule.vjp(x, 0, x)
+    assert built == []
+    jac = [rule.jacobian(x, 0), rule.coeff_oracle(0), rule.jacobian(x, 0), rule.coeff_oracle(0)]
+    assert len(built) == 1
+    assert np.array_equal(jac[0], jac[2]) and jac[1] == jac[3]
+    # the formula the matrix was built by before it was formed in place
+    z = model.z
+    want = np.exp(-np.abs(z[:, None] - z[None, :]) / 0.2) * model.a(z)[None, :] / 300
+    np.fill_diagonal(want, 0.0)
+    assert np.array_equal(built[0], want)
+
+
+def test_connectivity_matrix_peaks_at_one_table():
+    n = 2000
+    M, peak = _traced_peak(lambda: _connectivity_matrix(equidistributed(n)))
+    assert M.nbytes == 8 * n * n and peak < 1.1 * M.nbytes
+
+
+def test_custom_kernel_matrix_refused_when_the_rule_is_made():
+    def kernel(z1, z2):
+        raise AssertionError("the kernel table is sized before it is built")
+
+    with pytest.raises(TooLargeError):
+        hanski_rule(dataclasses.replace(equidistributed(200_000), kernel=kernel))
 
 
 def test_dense_kernel_rule_agrees_with_the_operator():

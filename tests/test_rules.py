@@ -80,6 +80,26 @@ def test_range_error_for_malformed_rule():
         ol.evaluate_rule(nan, np.array([0.5, 0.5]))
 
 
+@pytest.mark.parametrize("value", [0.3, 1.5, -0.2, np.nan])
+def test_broadcast_thresholds_range_checked_like_their_dense_copy(value):
+    # a broadcast view is reduced over one copy of its values: same verdict,
+    # same min and max in the message
+    row = np.array([0.2, value, 0.9, 0.5])
+    for view in (np.broadcast_to(value, (6, 4)), np.broadcast_to(row, (6, 4)),
+                 np.broadcast_to(row[:, None], (3, 4, 5))):
+        try:
+            rules._check_range(np.array(view))
+            want = None
+        except RangeError as exc:
+            want = str(exc)
+        if want is None:
+            assert rules._check_range(view) is view
+        else:
+            with pytest.raises(RangeError) as got:
+                rules._check_range(view)
+            assert str(got.value) == want
+
+
 def test_rule_needs_evaluate_or_split():
     with pytest.raises(TypeError):
         ol.OccupancyRule(n=3)
