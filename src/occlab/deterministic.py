@@ -16,10 +16,6 @@ from .rules import _check_domain, evaluate_rule, rule_jacobian
 
 #: smith_check takes the Jacobian "at the origin" this far inside the cube
 ORIGIN_EPS = 1e-8
-#: spectral_radius's power iteration (n > 2048): tolerance, step budget, seed
-POWER_TOL = 1e-10
-POWER_MAX_ITER = 10 ** 5
-POWER_SEED = 0
 
 
 @dataclass
@@ -135,37 +131,34 @@ _EIG_CAP = 2048
 
 
 def spectral_radius(A):
-    """Largest eigenvalue modulus of a square matrix.
+    """Largest eigenvalue modulus of a square matrix or of a
+    ``scipy.sparse.linalg.LinearOperator``.
 
-    Dense eigenvalue computation up to n = 2048 (exact to machine
-    precision, robust for non-normal matrices); beyond that a normalized
-    power iteration on |A| is used, which equals the spectral radius for
-    nonnegative matrices and upper-bounds it otherwise.
+    Dense eigenvalues up to order 2048 (exact to machine precision, robust
+    for non-normal matrices; an operator is applied to the identity first);
+    beyond that ARPACK's ``eigs(k=1)`` on the matrix or the operator, from a
+    fixed start that is not constant, as a constant vector is an
+    eigenvector of every uniform model's Jacobian.
     """
-    A = np.asarray(A, dtype=np.float64)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError("spectral_radius needs a square matrix")
-    if not np.isfinite(A).all():
-        raise ValueError("matrix has non-finite entries")
-    n = A.shape[0]
-    if n <= _EIG_CAP:
-        return float(np.abs(np.linalg.eigvals(A)).max())
-
-    B = np.abs(A)
-    g = np.random.Generator(np.random.Philox(key=rng.derive_seed(POWER_SEED, "power")))
-    x = g.random(n) + 0.5
-    x /= np.linalg.norm(x)
-    est = 0.0
-    for it in range(POWER_MAX_ITER):
-        y = B @ x
-        norm = np.linalg.norm(y)
-        if norm <= POWER_TOL:
+    if hasattr(A, "matvec"):   # a LinearOperator
+        if A.shape[0] != A.shape[1]:
+            raise ValueError("spectral_radius needs a square matrix")
+        if A.shape[0] <= _EIG_CAP:
+            return spectral_radius(A.matmat(np.eye(A.shape[0])))
+    else:
+        A = np.asarray(A, dtype=np.float64)
+        if A.ndim != 2 or A.shape[0] != A.shape[1]:
+            raise ValueError("spectral_radius needs a square matrix")
+        if not np.isfinite(A).all():
+            raise ValueError("matrix has non-finite entries")
+        if A.shape[0] <= _EIG_CAP:
+            return float(np.abs(np.linalg.eigvals(A)).max())
+        if not A.any():   # ARPACK builds no Krylov space on a zero matrix
             return 0.0
-        x = y / norm
-        if abs(norm - est) <= POWER_TOL * max(1.0, norm):
-            return float(norm)
-        est = norm
-        if it > 0 and it % 5000 == 0:   # stagnation: restart from fresh vector
-            x = g.random(n) + 0.5
-            x /= np.linalg.norm(x)
-    raise NotConvergedError("power iteration did not stabilize")
+    from scipy.sparse.linalg import ArpackError, eigs
+    try:
+        lam = eigs(A, k=1, which="LM", return_eigenvectors=False,
+                   v0=np.linspace(1.0, 2.0, A.shape[0]))
+    except ArpackError as exc:   # no convergence, or no Krylov space from the start
+        raise NotConvergedError(f"ARPACK found no largest eigenvalue: {exc}") from None
+    return float(np.abs(lam).max())

@@ -226,13 +226,15 @@ def hanski_rule(model):
 
     A custom kernel's connectivity matrix M is built (and size-checked) here.
     Under the default kernel M is built on the first call of the coefficient
-    oracle or the Jacobian, after the size check; two threads that race to
-    it build the same M."""
+    oracle or the Jacobian; two threads that race to it build the same M.
+    Each of those readers holds at most one more n x n table beside M, and
+    checks that twice M fits before it builds either."""
     n = model.n
     M = None if model.kernel is None else _connectivity_matrix(model)
 
     def dense():
         nonlocal M
+        require_bytes(2 * 8 * n * n)
         if M is None:
             M = _connectivity_matrix(model)
         return M
@@ -280,15 +282,22 @@ def hanski_rule(model):
     def coeff_oracle(t):
         # sup-norm budgets: |d_j P_i| <= c1 M_ij, |d_j d_k P_i| <= c2 M_ij M_ik
         # (plus c1 M_jk when i is j or k), |d_j d_k^2 P_i| <= c3 M_ij M_ik^2
-        # with the matching one- and two-index boundary terms
+        # with the matching one- and two-index boundary terms, computed with
+        # one n x n table beside M at a time
         M = dense()
         alpha = float(c1 * M.sum(axis=0).max())
-        off = ~np.eye(n, dtype=bool)
-        beta = float(c1 * math.sqrt((M[off] ** 2).sum() / n))
-        big_gamma = float((c2 * (M.T @ M) + c1 * (M + M.T)).max())
-        gamma = float(c2 * (M ** 2).sum() / n)
-        m2 = M ** 2
-        delta = float((c3 * M.T @ m2.sum(axis=1) + c2 * m2.sum(axis=1)).max())
+        off = M.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n]   # M off the diagonal
+        beta = float(c1 * math.sqrt(np.square(off).sum() / n))
+        G = M.T @ M
+        G *= c2
+        for lo in range(0, n, 64):
+            G[lo:lo + 64] += c1 * (M[lo:lo + 64] + M.T[lo:lo + 64])
+        big_gamma = float(G.max())
+        m2 = np.square(M, out=G)
+        gamma = float(c2 * m2.sum() / n)
+        q = m2.sum(axis=1)
+        del G, m2
+        delta = float((c3 * M.T @ q + c2 * q).max())
         return CoefficientSet(alpha=alpha, beta=beta, big_gamma=big_gamma,
                               gamma=gamma, delta=delta)
 

@@ -9,33 +9,30 @@ Recovery happens with probability mu; with reinfection allowed before the
 next census the survival function is S_i(x) = 1 - mu [1 - C_i(x)],
 otherwise simply S_i = 1 - mu.
 
-An alternative extension of the same binary chain to the solid cube writes
-both functions through exponentials of weighted sums; it agrees with the
-product form on binary states and exposes rank-one second derivatives.
+An alternative extension of the same binary chain to the solid cube, the
+exponential form, takes the product factor's binary-state value
+exp(sum_j x_j log(1 - r_ij)) at every x.  Both forms read one log table,
+log1p(-R).T, so they agree bit for bit on binary states; the exponential
+form is not multilinear (its second derivatives are rank one).
 
-Analytic coefficient summaries: alpha is the max column sum of R, the
-mean-square coefficient is ||R||_F / sqrt(n), the mixed-second budget is
-the largest element of the Gram matrix G = (R+I)^T (R+I) - I, the
-pure-second and third budgets vanish (each local rule is multilinear).
-For uniform reactions r_ij = r (i != j) these are closed forms, computed
-in O(1) without R: alpha = (n-1) r, beta = r sqrt(n-1), and G has
-diagonal (n-1) r^2 and off-diagonal 2r + (n-2) r^2, the larger of which
-is big_gamma.
+Analytic coefficient summaries of W = R (product form) or of
+W = L = -log1p(-R) >= R, the sups of the exponential form's first
+partials: alpha is the max column sum of W, the mean-square coefficient
+||W||_F / sqrt(n), the mixed-second budget the largest element of
+G = (W+I)^T (W+I) - I.  The product form is multilinear, so its pure-second
+and third budgets vanish; the exponential form's are gamma = sum(L^2) / n
+and delta = max(L^T q + q), q the row sums of L^2.  Uniform reactions
+r_ij = r (i != j) give closed forms in w = r or w = -log1p(-r), O(1)
+without R.
 
-Uniform reactions in product form also make the nodes exchangeable: on a
-binary state with k occupied nodes the product factor is (1 - r)^(k-1) at
-an occupied node and (1 - r)^k at an empty one, so the chain step needs
-only each row's count (the rule's ``by_count``).  The transposed-Jacobian
-product is O(n) there (the rule's ``vjp``): off the diagonal, column j of
-the Jacobian is r / (1 - r x_j) times the vector coef_i pf_i.
-
-A mean-field model (``mean_field``) keeps only n and r: the product form,
-its count table, transposed-Jacobian product, dense Jacobian and
-coefficients read the scalar r, so no n x n array is formed.  Its
-``R_matrix`` is built on first read, by the exponential form or a caller
-that needs the dense matrix, after a size check.  A model built from an
-explicit R is scanned once for uniformity and takes the same r paths when
-it is uniform.
+Uniform reactions also make the nodes exchangeable: in both forms a binary
+state with k occupied nodes has factor (1 - r)^(k-1) at an occupied node
+and (1 - r)^k at an empty one, so the chain step needs only each row's
+count (the rule's ``by_count``), and the transposed-Jacobian product (the
+rule's ``vjp``) is O(n).  A mean-field model (``mean_field``) is (n, r) in
+every path: its ``R_matrix`` is the marker ``_Uniform(n, r)``, and no
+n x n array is formed.  A model built from an explicit R is scanned once
+for uniformity and takes the same r paths when it is uniform.
 """
 
 import math
@@ -44,7 +41,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from ..rules import CoefficientSet, OccupancyRule, product_rows, require_bytes
+from ..rules import CoefficientSet, OccupancyRule, product_rows, rule_jacobian
 from ..deterministic import (det_trajectory, find_equilibrium, spectral_radius)
 
 
@@ -57,7 +54,7 @@ class _Uniform(NamedTuple):
 
 @dataclass(frozen=True)
 class SpreadingModel:
-    R_matrix: np.ndarray          # (n, n) in [0, 1), zero diagonal
+    R_matrix: np.ndarray          # (n, n) in [0, 1), zero diagonal; a mean field's _Uniform(n, r)
     mu: float                     # recovery probability
     reinfection: bool = False
     domain_form: str = "product"  # 'product' or 'exponential'
@@ -65,12 +62,9 @@ class SpreadingModel:
     def __post_init__(self):
         R = self.R_matrix
         if isinstance(R, _Uniform):
-            # a mean field keeps n and r; R is built on its first read
             n, uniform = R
             if not 0 <= uniform < 1:
                 raise ValueError("reaction probabilities must lie in [0, 1)")
-            vars(self).pop("R_matrix")
-            object.__setattr__(self, "_mean_field", R)
         else:
             R = np.asarray(R, dtype=np.float64)
             object.__setattr__(self, "R_matrix", R)
@@ -98,88 +92,75 @@ class SpreadingModel:
         object.__setattr__(self, "_n", n)
         object.__setattr__(self, "_uniform_r", uniform)
 
-    def __getattr__(self, name):
-        # reached only for an attribute the instance lacks: a mean field's R
-        if name != "R_matrix" or "_mean_field" not in vars(self):
-            raise AttributeError(name)
-        n, r = self._mean_field
-        require_bytes(8 * n * n)
-        R = np.full((n, n), r)
-        np.fill_diagonal(R, 0.0)
-        object.__setattr__(self, "R_matrix", R)
-        return R
-
-    def __repr__(self):   # reads no R, so it never builds a mean field's
-        return (f"SpreadingModel(n={self.n}, uniform_r={self._uniform_r}, mu={self.mu}, "
-                f"reinfection={self.reinfection}, domain_form={self.domain_form!r})")
-
     @property
     def n(self):
         return self._n
 
 
 def mean_field(n, rbar, mu, reinfection=False, domain_form="product"):
-    """Uniform all-to-all reactions r_ij = rbar/n off the diagonal.
-
-    The model keeps n and r; its ``R_matrix`` is built on first read."""
+    """Uniform all-to-all reactions r_ij = rbar/n off the diagonal, kept as
+    n and r: no n x n matrix is formed."""
     R = _Uniform(n, float(rbar / n)) if n > 1 else np.zeros((n, n))
     return SpreadingModel(R_matrix=R, mu=mu, reinfection=reinfection,
                           domain_form=domain_form)
 
 
-def _is_binary(x):
-    return bool(((x == 0.0) | (x == 1.0)).all())
-
-
 def _product_factor(model):
-    """x -> prod_{j != i} (1 - r_ij x_j) for each i, batched over leading axes."""
+    """``(factor, log_keep)``: x -> prod_{j != i} (1 - r_ij x_j) for each i,
+    batched over leading axes, and the log table it reads.
+
+    ``log_keep()`` is log1p(-R).T, built on its first call (two threads that
+    race to it build the same table), or the scalar log1p(-r) of a uniform
+    model.  On binary states the factor equals exp(x @ log1p(-R).T); the
+    exponential form takes that log-linear expression at every x, which is
+    exp(log1p(-r) (sum(x) - x_i)) when uniform."""
     n = model.n
     r = model._uniform_r
+    exponential = model.domain_form == "exponential"
     if r is not None:
+        ell = math.log1p(-r)
+
         def factor(x, t=0):
             x = np.asarray(x, dtype=np.float64)
-            lg = np.log1p(-r * x.reshape(-1, n))
+            flat = x.reshape(-1, n)
+            if exponential:
+                return np.exp((flat.sum(axis=1, keepdims=True) - flat) * ell).reshape(x.shape)
+            lg = np.log1p(-r * flat)
             return np.exp(lg.sum(axis=1, keepdims=True) - lg).reshape(x.shape)
-        return factor
+        return factor, lambda: ell
 
     R = model.R_matrix
-    # log1p(-R).T, built on the first binary call (two threads that race to
-    # it build the same table), so a rule that never simulates holds no copy
-    log_keep = None
+    table = None
+
+    def log_keep():
+        nonlocal table
+        if table is None:
+            table = np.log1p(-R).T
+        return table
 
     def factor(x, t=0):
-        nonlocal log_keep
         x = np.asarray(x, dtype=np.float64)
         flat = x.reshape(-1, n)
-        if _is_binary(flat):
+        if exponential or ((flat == 0.0) | (flat == 1.0)).all():
             # on binary states log(1 - r_ij x_j) = x_j log(1 - r_ij): one matmul
-            if log_keep is None:
-                log_keep = np.log1p(-R).T
-            out = np.exp(flat @ log_keep)
+            out = np.exp(flat @ log_keep())
         else:
             out = product_rows(R, flat)
         return out.reshape(x.shape)
-    return factor
+    return factor, log_keep
 
 
 def spreading_rule(model):
     """Occupancy rule with analytic split, Jacobian and coefficients, plus
     the count table and the O(n) transposed-Jacobian product for uniform
-    reactions in product form."""
+    reactions."""
     n = model.n
     mu = model.mu
     r = model._uniform_r
-
-    if model.domain_form == "exponential":
-        S_mat = n * np.abs(np.log1p(-model.R_matrix))
-
-        def prod_factor(x, t=0):
-            x = np.asarray(x, dtype=np.float64)
-            return np.exp(-(x @ S_mat.T) / n)
-    else:
-        prod_factor = _product_factor(model)
-        # the reactions the product-form Jacobian reads: the scalar r when uniform
-        react = model.R_matrix if r is None else r
+    exponential = model.domain_form == "exponential"
+    prod_factor, log_keep = _product_factor(model)
+    # the reactions the product-form Jacobian reads: the scalar r when uniform
+    react = model.R_matrix if r is None else r
 
     def colonize(x, t=0):
         return 1.0 - prod_factor(x)
@@ -209,14 +190,15 @@ def spreading_rule(model):
         # assembled in one n x n array: J_ij = coef_i * (-d_j prod_factor_i)
         x = np.asarray(x, dtype=np.float64)
         pf = prod_factor(x)
-        if model.domain_form == "exponential":
-            jac = np.divide(S_mat, n)
-            np.multiply(jac, pf[:, None], out=jac)
+        jac = np.empty((n, n))
+        if exponential:
+            # d_j exp(sum_k x_k log(1 - r_ik)) = log(1 - r_ij) * factor
+            keep = log_keep() if r is not None else log_keep().T
+            np.multiply(keep, -pf[:, None], out=jac)
         else:
             # product form: d_j prod_{k != i}(1 - r_ik x_k) = -r_ij * deleted product
             # (1 - r_ij x_j >= 1 - r_ij > 0, so dividing the factor out is safe);
             # a uniform r broadcasts to the same off-diagonal entries as R
-            jac = np.empty((n, n))
             np.multiply(react, x[None, :], out=jac)
             np.subtract(1.0, jac, out=jac)
             np.divide(pf[:, None], jac, out=jac)
@@ -227,47 +209,56 @@ def spreading_rule(model):
         return jac
 
     by_count = vjp = None
-    if r is not None and model.domain_form == "product":
-        # exchangeable nodes: a binary row with k occupied nodes has product
-        # factor (1 - r)^(k - 1) at an occupied node and (1 - r)^k at an empty one
-        log_keep = math.log1p(-r)
+    if r is not None:
+        # exchangeable nodes: in both forms a binary row with k occupied nodes
+        # has factor (1 - r)^(k - 1) at an occupied node and (1 - r)^k at an empty one
+        ell = log_keep()
 
         def by_count(k, t=0):
             k = np.asarray(k, dtype=np.float64)
             if model.reinfection:
                 # a row with no occupied node reads no S: take k = 1 there, as
                 # (1 - r)^(-1) would put S below 0 once r > 1 - mu
-                s = 1.0 - mu * np.exp((np.maximum(k, 1.0) - 1.0) * log_keep)
+                s = 1.0 - mu * np.exp((np.maximum(k, 1.0) - 1.0) * ell)
             else:
                 s = np.full(k.shape, 1.0 - mu)
-            return s, 1.0 - np.exp(k * log_keep)
+            return s, 1.0 - np.exp(k * ell)
 
         def vjp(x, t, g):
-            # column j of the Jacobian off the diagonal is r / (1 - r x_j) times
-            # coef_i pf_i, so J^T g needs the sum of a = coef * pf * g once
+            # column j of the Jacobian off the diagonal is w_j times coef_i pf_i,
+            # with w_j = r / (1 - r x_j) (product form) or -log1p(-r) (exponential),
+            # so J^T g needs the sum of a = coef * pf * g once
             x = np.asarray(x, dtype=np.float64)
             pf = prod_factor(x)
             coef, diag = coef_diag(x, pf)
             a = coef * pf * g
-            return r / (1.0 - r * x) * (a.sum() - a) + diag * g
+            w = -ell if exponential else r / (1.0 - r * x)
+            return w * (a.sum() - a) + diag * g
 
     def coeff_oracle(t):
+        # W = R, or L = -log1p(-R) with the pure second and third budgets
+        # of the exponential form, which is not multilinear
         if r is not None:   # set only for n >= 2; G is never formed
+            w, m = (-log_keep() if exponential else r), n - 1
             return CoefficientSet(
-                alpha=(n - 1) * r,
-                beta=r * math.sqrt(n - 1),
-                big_gamma=max(2 * r + (n - 2) * r * r, (n - 1) * r * r),
-                gamma=0.0,
-                delta=0.0)
-        R = model.R_matrix
+                alpha=m * w,
+                beta=w * math.sqrt(m),
+                big_gamma=max(2 * w + (n - 2) * w * w, m * w * w),
+                gamma=m * w * w if exponential else 0.0,
+                delta=m * m * w ** 3 + m * w * w if exponential else 0.0)
+        W = -log_keep().T if exponential else model.R_matrix
         off = ~np.eye(n, dtype=bool)
-        G = (R + np.eye(n)).T @ (R + np.eye(n)) - np.eye(n)
+        G = (W + np.eye(n)).T @ (W + np.eye(n)) - np.eye(n)
+        gamma = delta = 0.0
+        if exponential:
+            q = (W ** 2).sum(axis=1)
+            gamma, delta = float(q.sum() / n), float((W.T @ q + q).max())
         return CoefficientSet(
-            alpha=float(np.abs(R).sum(axis=0).max()),
-            beta=float(math.sqrt((R[off] ** 2).sum() / n)),
+            alpha=float(np.abs(W).sum(axis=0).max()),
+            beta=float(math.sqrt((W[off] ** 2).sum() / n)),
             big_gamma=float(G.max()),
-            gamma=0.0,
-            delta=0.0)
+            gamma=gamma,
+            delta=delta)
 
     return OccupancyRule(
         n=n, evaluate=evaluate, split=(survive, colonize), jacobian=jacobian,
@@ -306,8 +297,12 @@ def epidemic_threshold(model, horizon=500, tol=1e-10):
         return ThresholdReport(reaction_radius=r_R, mu=model.mu,
                                verdict="extinction", residual=tail)
     eq = find_equilibrium(rule, np.full(model.n, 0.5), tol=tol)
-    from ..rules import rule_jacobian
-    j_inf = rule_jacobian(rule, eq.p_inf, 0)
+    if rule.vjp is not None:   # rho(J) = rho(J^T), applied in O(n)
+        from scipy.sparse.linalg import LinearOperator
+        j_inf = LinearOperator((model.n, model.n), dtype=np.float64,
+                               matvec=lambda g: rule.vjp(eq.p_inf, 0, np.ravel(g)))
+    else:
+        j_inf = rule_jacobian(rule, eq.p_inf, 0)
     return ThresholdReport(reaction_radius=r_R, mu=model.mu,
                            verdict="endemic-possible", p_inf=eq.p_inf,
                            residual=eq.residual,

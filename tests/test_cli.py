@@ -131,7 +131,8 @@ def test_malformed_tables_exit_2_without_traceback(tmp_path, capsys, key, table)
     # more replicates than the keyed streams address
     ({"type": "constant", "n": 3, "c": 0.4}, "simulate", {"R": 5_000_000_000}),
     # n x n or v x v tables (7.3 TiB or 931 GiB) refused before allocation:
-    # hanski's for its coefficient oracle, which its chain step never reads
+    # hanski's M and one more table for its coefficient oracle, which its chain
+    # step never reads
     ({"type": "hanski", "n": 1_000_000}, "bounds", {}),
     ({"type": "random_product", "n": 1_000_000}, "simulate", {}),
     # the three (T + 1, G) tables of a 10^9-node grid (134 GiB)

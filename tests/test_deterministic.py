@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.sparse.linalg import LinearOperator
 
 import occlab as ol
 from occlab.deterministic import (det_trajectory, find_equilibrium, smith_check,
@@ -135,12 +136,24 @@ def test_spectral_radius_examples():
     assert spectral_radius(R) == pytest.approx(rbar * (n - 1) / n, abs=1e-12)
 
 
-def test_spectral_radius_power_iteration_above_dense_cap():
+def test_spectral_radius_arpack_above_dense_cap():
     # uniform reactions r (11^T - I): the Perron root is (n - 1) r
     n, r = 2100, 0.5 / 2100
     R = np.full((n, n), r)
     np.fill_diagonal(R, 0.0)
-    assert spectral_radius(R) == pytest.approx((n - 1) * r, abs=1e-9)
+    assert spectral_radius(R) == pytest.approx((n - 1) * r, abs=1e-12)
+    # signed: d I + c (11^T - I) has eigenvalues d + (n - 1) c and d - c, so its
+    # radius is |d - c| = 0.5001, while the radius of its |A| is about 0.7
+    c, d = 0.2 / n, -0.5
+    A = np.full((n, n), c)
+    np.fill_diagonal(A, d)
+    assert spectral_radius(A) == pytest.approx(c - d, rel=1e-12)
+    # the same as an operator, through ARPACK above the cap and densely below it
+    for m in (n, 300):
+        op = LinearOperator((m, m), dtype=np.float64,
+                            matvec=lambda v: c * (v.sum() - v) + d * v)
+        assert spectral_radius(op) == pytest.approx(c - d, rel=1e-12)
+    assert spectral_radius(np.zeros((n, n))) == 0.0
 
 
 def test_spectral_radius_rejects_bad_input():

@@ -264,6 +264,8 @@ def _walk_rules(n):
     return {"hanski": hanski_rule(equidistributed(n)),
             "nonuniform": spreading_rule(SpreadingModel(R_matrix=reactions, mu=0.4)),
             "mean_field": spreading_rule(mean_field(n, rbar=1.4, mu=0.4, reinfection=True)),
+            "mean_field_exponential": spreading_rule(
+                mean_field(n, rbar=1.4, mu=0.4, reinfection=True, domain_form="exponential")),
             "torus": dk_rule(DomanyKinzel(n=n, q1=0.3, q2=0.8, p0=0.4), iid_start=True),
             "constant": ol.constant_rule(n, 0.3),
             "graph": graph_rule(graph)}
@@ -286,7 +288,7 @@ def test_walks_build_no_jacobian_stack(label):
 
 
 @pytest.mark.parametrize("label", ["hanski", "nonuniform", "mean_field", "torus", "constant",
-                                   "graph"])
+                                   "graph", "mean_field_exponential"])
 def test_one_sweep_variances_equal_the_per_t_walks(label):
     n, T = 40, 12
     rule = _walk_rules(n)[label]

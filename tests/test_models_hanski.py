@@ -98,6 +98,13 @@ def test_default_kernel_rule_builds_no_connectivity_matrix():
     for read in (lambda: rule.jacobian(x, 0), lambda: rule.coeff_oracle(0)):
         _, peak = _traced_peak(lambda: pytest.raises(TooLargeError, read))
         assert peak < 2 ** 20
+    # 20,000 patches: M alone (3.0 GiB) is under the cap, but not M and the
+    # one more n x n table each dense reader holds beside it
+    n = 20_000
+    rule, x = hanski_rule(equidistributed(n)), np.full(n, 0.5)
+    for read in (lambda: rule.jacobian(x, 0), lambda: rule.coeff_oracle(0)):
+        _, peak = _traced_peak(lambda: pytest.raises(TooLargeError, read))
+        assert peak < 2 ** 20
 
 
 def test_connectivity_matrix_built_once_on_first_dense_read(monkeypatch):
@@ -129,6 +136,13 @@ def test_connectivity_matrix_peaks_at_one_table():
     n = 2000
     M, peak = _traced_peak(lambda: _connectivity_matrix(equidistributed(n)))
     assert M.nbytes == 8 * n * n and peak < 1.1 * M.nbytes
+    # the dense readers, M's build included, hold about two such tables: the
+    # multiple they check against the cap
+    x = np.full(n, 0.5)
+    for read in (lambda rule: rule.jacobian(x, 0), lambda rule: rule.coeff_oracle(0)):
+        rule = hanski_rule(equidistributed(n))
+        _, peak = _traced_peak(lambda: read(rule))
+        assert peak < 2.1 * M.nbytes
 
 
 def test_custom_kernel_matrix_refused_when_the_rule_is_made():

@@ -1,4 +1,6 @@
 import dataclasses
+import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -12,7 +14,7 @@ from occlab.models import (DomanyKinzel, dk_device_time, dk_exact_mean_zeta2,
                            dk_rule, epidemic_threshold, mean_field,
                            model_from_descriptor, spreading_rule, SpreadingModel)
 from occlab.models.spreading import _product_factor
-from occlab.rules import coefficient_schedule, rule_jacobian
+from occlab.rules import coefficient_schedule, estimate_coefficients, rule_jacobian
 from occlab.simulate import exact_law, law_mean, simulate_projections, state_table
 
 
@@ -50,6 +52,27 @@ def test_spreading_alpha_is_max_column_sum():
     assert cs.delta == 0.0 and cs.gamma == 0.0
 
 
+@pytest.mark.parametrize("n", [6, 8])
+def test_spreading_coefficients_dominate_sampled(n):
+    # the exponential form's first partials reach -log1p(-r_ij) > r_ij and it
+    # is not multilinear: its bounds take the product form's on L = -log1p(-R)
+    R = np.random.default_rng(0).uniform(0.3, 0.8, (n, n))
+    np.fill_diagonal(R, 0.0)
+    L = -np.log1p(-R)
+    q = (L ** 2).sum(axis=1)
+    for form, reinfection in itertools.product(("product", "exponential"), (False, True)):
+        rule = spreading_rule(SpreadingModel(R_matrix=R, mu=0.4, reinfection=reinfection,
+                                             domain_form=form))
+        analytic = rule.coeff_oracle(0)
+        sampled = estimate_coefficients(rule)
+        for key in ("alpha", "beta", "big_gamma", "gamma", "delta"):
+            assert getattr(sampled, key) <= getattr(analytic, key) + 1e-5, (form, key)
+        if form == "exponential":
+            assert analytic.alpha == pytest.approx(L.sum(axis=0).max(), rel=1e-14)
+            assert analytic.gamma == pytest.approx(q.sum() / n, rel=1e-14)
+            assert analytic.delta == pytest.approx((L.T @ q + q).max(), rel=1e-14)
+
+
 @pytest.mark.parametrize("reinfection", [False, True])
 @pytest.mark.parametrize("domain_form", ["product", "exponential"])
 @pytest.mark.parametrize("uniform", [False, True])
@@ -80,13 +103,18 @@ def test_exponential_and_product_forms_agree_on_binary():
     assert model.domain_form == "exponential"
     corners = state_table(6)
     assert np.abs(prod.evaluate(corners, 0) - expf.evaluate(corners, 0)).max() <= 1e-12
+    # a non-uniform R: both forms read the one log table on binary states
+    R = _nonuniform_reactions(6, 3)
+    prod, expf = (spreading_rule(SpreadingModel(R_matrix=R, mu=0.4, reinfection=True,
+                                                domain_form=form))
+                  for form in ("product", "exponential"))
+    assert np.array_equal(prod.evaluate(corners, 0), expf.evaluate(corners, 0))
 
 
 def test_mean_field_fast_path_matches_dense_path():
     n = 30
     model = mean_field(n, rbar=0.7, mu=0.5, reinfection=True)
-    dense = SpreadingModel(R_matrix=model.R_matrix.copy() +
-                           np.diag(np.zeros(n)), mu=0.5, reinfection=True)
+    dense = SpreadingModel(R_matrix=dense_mean_field(n, 0.7), mu=0.5, reinfection=True)
     object.__setattr__(dense, "_uniform_r", None)  # force the generic path
     ra, rb = spreading_rule(model), spreading_rule(dense)
     g = np.random.default_rng(2)
@@ -115,13 +143,13 @@ def test_spreading_jacobian_matches_three_array_form(uniform, form, reinfection)
     rule = spreading_rule(model)
     g = np.random.default_rng(6)
     for x in (g.random(n), (g.random(n) < 0.5).astype(np.float64)):
+        pf = _product_factor(model)[0](x)
         if form == "exponential":
-            S_mat = n * np.abs(np.log1p(-R))
-            pf = np.exp(-(x @ S_mat.T) / n)
-            inner = S_mat / n * pf[:, None]
+            r = model._uniform_r
+            keep = -np.log1p(-R) if r is None else np.full((n, n), -math.log1p(-r))
+            inner = keep * pf[:, None]
         else:
             react = R if model._uniform_r is None else model._uniform_r
-            pf = _product_factor(model)(x)
             partial = pf[:, None] / (1.0 - react * x[None, :])
             inner = react * partial
         if reinfection:
@@ -161,15 +189,20 @@ def test_spreading_jacobian_holds_one_matrix(case):
 @pytest.mark.parametrize("reinfection", [False, True])
 def test_by_count_matches_split_at_binary_states(reinfection):
     g = np.random.default_rng(8)
-    for n, xs in ((9, state_table(9)),
-                  (1600, (g.random((64, 1600)) < g.random((64, 1))).astype(float))):
-        rule = spreading_rule(mean_field(n, rbar=1.7, mu=0.4, reinfection=reinfection))
+    for (n, xs), form in itertools.product(
+            ((9, state_table(9)),
+             (1600, (g.random((64, 1600)) < g.random((64, 1))).astype(float))),
+            ("product", "exponential")):
+        rule = spreading_rule(mean_field(n, rbar=1.7, mu=0.4, reinfection=reinfection,
+                                         domain_form=form))
         surv, col = rule.split
         s, c = rule.by_count(xs.sum(axis=1).astype(np.int64), 0)
         occupied = xs == 1.0
         want = np.where(occupied, surv(xs, 0), col(xs, 0))
         got = np.where(occupied, s[:, None], c[:, None])
         assert (np.abs(got - want) <= 1e-15 * np.abs(want)).all()
+        # the exponential split reads (1 - r)^k as the count table does
+        assert form == "product" or np.array_equal(got, want)
 
 
 def test_by_count_survival_stays_a_probability_in_empty_rows():
@@ -187,15 +220,19 @@ def test_by_count_survival_stays_a_probability_in_empty_rows():
     assert np.array_equal(a["proj"], b["proj"]) and np.array_equal(a["nodes"], b["nodes"])
 
 
-def test_hooks_only_for_uniform_product_form():
+def test_hooks_only_for_uniform_models():
     R = np.full((5, 5), 0.1)
     np.fill_diagonal(R, 0.0)
-    for form, uniform, hooked in (("product", True, True), ("exponential", True, False),
-                                  ("product", False, False)):
+    for form, uniform, hooked in (("product", True, True), ("exponential", True, True),
+                                  ("product", False, False), ("exponential", False, False)):
         Rm = R if uniform else R * np.linspace(0.5, 1.0, 5)[:, None]
         rule = spreading_rule(SpreadingModel(R_matrix=Rm, mu=0.3, domain_form=form))
         assert (rule.by_count is not None) == hooked
         assert (rule.vjp is not None) == hooked
+        if hooked:
+            x, g = np.linspace(0.1, 0.9, 5), np.linspace(-1.0, 2.0, 5)
+            want = rule.jacobian(x, 0).T @ g
+            assert np.abs(rule.vjp(x, 0, g) - want).max() <= 1e-15 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("n, R", [(1600, 2048), (10_000, 256)])
@@ -203,9 +240,10 @@ def test_count_table_step_matches_split_step_bitwise(n, R):
     # the chain with the rule's by_count and with the split alone draw the
     # same bits: every projection and discrepancy fraction is equal
     g = np.random.default_rng(n)
-    for reinfection in (False, True):
+    for reinfection, form in itertools.product((False, True), ("product", "exponential")):
         # r-only models: no n x n matrix at either size
-        rule = spreading_rule(mean_field(n, rbar=1.7, mu=0.4, reinfection=reinfection))
+        rule = spreading_rule(mean_field(n, rbar=1.7, mu=0.4, reinfection=reinfection,
+                                         domain_form=form))
         split_only = dataclasses.replace(rule, by_count=None)
         X0 = (g.random(n) < 0.3).astype(np.uint8)
         T, h = 2, g.uniform(0.5, 1.5, n)
@@ -215,7 +253,7 @@ def test_count_table_step_matches_split_step_bitwise(n, R):
                                          keep_nodes=np.arange(0, n, 97), couple=couple)
                     for r in (rule, split_only))
             for key in a:
-                assert np.array_equal(a[key], b[key]), (reinfection, couple, key)
+                assert np.array_equal(a[key], b[key]), (reinfection, form, couple, key)
 
 
 def gram_reference(model):
@@ -228,7 +266,7 @@ def gram_reference(model):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 50, 3000])
 def test_uniform_coefficients_match_gram_reference(n):
-    R = mean_field(n, rbar=0.8, mu=0.4).R_matrix
+    R = dense_mean_field(n, 0.8)
     for reinfection in (False, True):
         for form in ("product", "exponential"):
             model = SpreadingModel(R_matrix=R, mu=0.4, reinfection=reinfection,
@@ -256,7 +294,7 @@ def test_uniform_detection_edge_cases():
         off = R[~np.eye(R.shape[0], dtype=bool)]
         return float(off[0]) if off.size and (off == off[0]).all() else None
 
-    mf = mean_field(300, rbar=0.8, mu=0.4).R_matrix
+    mf = dense_mean_field(300, 0.8)
     cases = [np.zeros((4, 4)), np.zeros((1, 1)), np.array([[0.0, 0.2], [0.2, 0.0]]),
              np.array([[0.0, 0.2], [0.3, 0.0]]), np.array([[0.0, 0.0], [0.3, 0.0]]), mf]
     for i, j in [(0, 1), (1, 0), (299, 298), (150, 3)]:
@@ -289,7 +327,6 @@ def test_r_only_mean_field_matches_explicit_uniform_matrix(n, form, reinfection)
                            reinfection=reinfection, domain_form=form)
     assert lean._uniform_r == dense._uniform_r == 1.7 / n
     a, b = spreading_rule(lean), spreading_rule(dense)
-    assert ("R_matrix" in vars(lean)) == (form == "exponential")
     g = np.random.default_rng(n)
     x = g.random((5, n))
     bits = (x < 0.5).astype(float)
@@ -299,11 +336,10 @@ def test_r_only_mean_field_matches_explicit_uniform_matrix(n, form, reinfection)
             assert np.array_equal(fa(xs, 0), fb(xs, 0))
     for point in (x[0], bits[0]):
         assert np.array_equal(a.jacobian(point, 0), b.jacobian(point, 0))
-    if form == "product":
-        k = bits.sum(axis=1).astype(np.int64)
-        for sa, sb in zip(a.by_count(k, 0), b.by_count(k, 0)):
-            assert np.array_equal(sa, sb)
-        assert np.array_equal(a.vjp(x[0], 0, x[1]), b.vjp(x[0], 0, x[1]))
+    k = bits.sum(axis=1).astype(np.int64)
+    for sa, sb in zip(a.by_count(k, 0), b.by_count(k, 0)):
+        assert np.array_equal(sa, sb)
+    assert np.array_equal(a.vjp(x[0], 0, x[1]), b.vjp(x[0], 0, x[1]))
     got = a.coeff_oracle(0)
     want = spreading_rule(gram_reference(dense)).coeff_oracle(0)
     for key in ("alpha", "beta", "big_gamma", "gamma", "delta"):
@@ -317,19 +353,25 @@ def test_r_only_mean_field_matches_explicit_uniform_matrix(n, form, reinfection)
                   for rule in (a, b))
         for key in sa:
             assert np.array_equal(sa[key], sb[key]), (couple, key)
-    assert ("R_matrix" in vars(lean)) == (form == "exponential")
+    assert lean.R_matrix == (n, 1.7 / n)   # still the marker: no n x n matrix was formed
 
 
-def test_mean_field_builds_its_matrix_on_first_read():
-    model = mean_field(300, rbar=0.8, mu=0.4)
-    assert "R_matrix" not in vars(model) and model.n == 300
-    R = model.R_matrix
-    assert np.array_equal(R, dense_mean_field(300, 0.8)) and model.R_matrix is R
+def test_mean_field_keeps_its_marker():
+    # n = 10^5: R would be 80 GB; replace, repr and the exponential rule read n and r
+    n = 10 ** 5
+    tracemalloc.start()
+    try:
+        huge = mean_field(n, rbar=0.8, mu=0.4)
+        moved = dataclasses.replace(huge, mu=0.3, domain_form="exponential")
+        text = repr(moved)
+        rule = spreading_rule(moved)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    assert moved.R_matrix == (n, 0.8 / n) and moved.n == n and moved._uniform_r == 0.8 / n
+    assert f"n={n}" in text and rule.by_count is not None and rule.vjp is not None
     assert np.array_equal(mean_field(1, rbar=0.8, mu=0.4).R_matrix, np.zeros((1, 1)))
-    huge = mean_field(10 ** 5, rbar=0.8, mu=0.4)
-    assert "n=100000" in repr(huge)          # the repr builds no matrix
-    with pytest.raises(TooLargeError):        # 80 GB: refused, not allocated
-        huge.R_matrix
     with pytest.raises(ValueError):
         mean_field(4, rbar=4.0, mu=0.4)       # r = 1 is not a probability below 1
 
@@ -338,9 +380,28 @@ def test_epidemic_threshold_closed_form_radius_matches_eigenvalues():
     for rbar in (0.3, 1.5):
         model = mean_field(300, rbar=rbar, mu=0.4)
         rep = epidemic_threshold(model)
-        dense = spectral_radius(model.R_matrix)
+        dense = spectral_radius(dense_mean_field(300, rbar))
         assert abs(rep.reaction_radius - dense) <= 1e-12 * dense
         assert rep.verdict == ("extinction" if rbar < 0.4 else "endemic-possible")
+
+
+def test_epidemic_threshold_of_a_large_mean_field_walks_its_vjp():
+    # n = 10^5: the equilibrium Jacobian would be 80 GB.  At the uniform
+    # equilibrium it is d I + c (11^T - I), with eigenvalues d + (n - 1) c and
+    # d - c; its row 0, J^T e_0, gives d and c
+    n = 10 ** 5
+    model = mean_field(n, rbar=1.5, mu=0.9)
+    tracemalloc.start()
+    try:
+        rep = epidemic_threshold(model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * 2 ** 20
+    assert rep.verdict == "endemic-possible" and (rep.p_inf == rep.p_inf[0]).all()
+    d, c = spreading_rule(model).vjp(rep.p_inf, 0, np.eye(1, n)[0])[:2]
+    want = max(abs(d + (n - 1) * c), abs(d - c))
+    assert abs(rep.equilibrium_radius - want) <= 1e-12 * want
 
 
 def test_large_mean_field_allocates_no_matrix():
