@@ -5,7 +5,9 @@ references (reaction matrices as dense CSV, edge lists as two-column CSV,
 patch tables as CSV with columns z, a, s) are paths resolved against the
 working directory.  Each type accepts only the keys listed in ``_KEYS``;
 any other key (a misspelling, say), a missing required key or file, a
-value of the wrong type or one the model rejects, a size ``n`` below 1, a
+value of the wrong type or one the model rejects (a hanski ``kernel_scale``
+that is not finite and positive, or a patch table with a location outside
+[0, 1], a negative weight or a NaN, say), a size ``n`` below 1, a
 ``graph`` vertex count ``v`` below 2, an edge list that is not a simple
 graph on the whole vertices 0..v-1, a patch table without exactly three
 columns, or two sources for one quantity (a file next to the values it

@@ -24,7 +24,7 @@ on the graph rule, walked backward through the rule's ``vjp``.
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -40,9 +40,9 @@ class GraphDynModel:
     v: int                        # vertex count
     q: float                      # per-step edge retention probability
     f: Callable                   # attachment curve C^2 [0,1] -> [0,1]
-    f_prime: Optional[Callable] = None
+    f_prime: Callable             # f', read by the Jacobian and the vjp
     # sups of |f'|, |f''|, |f'''| on [0,1], used by the coefficient budget
-    f_derivative_sups: tuple = (1.0, 1.0, 0.0)
+    f_derivative_sups: tuple
 
     def __post_init__(self):
         e = np.asarray(self.host_edges)
@@ -90,9 +90,8 @@ def edge_state_to_adjacency(model, x):
 
 
 def graph_rule(model):
-    """Occupancy rule on host edges with analytic split, and an analytic
-    Jacobian and an O(n v) ``vjp`` when the model gives ``f_prime``
-    (finite differences otherwise)."""
+    """Occupancy rule on host edges with analytic split, Jacobian, O(n v)
+    ``vjp`` and coefficient budget."""
     n = model.n_edges
     v = model.v
     q = model.q
@@ -148,9 +147,7 @@ def graph_rule(model):
                               gamma=gamma, delta=delta)
 
     return OccupancyRule(
-        n=n, split=(survive, colonize),
-        jacobian=jacobian if model.f_prime is not None else None,
-        vjp=vjp if model.f_prime is not None else None,
+        n=n, split=(survive, colonize), jacobian=jacobian, vjp=vjp,
         coeff_oracle=coeff_oracle, homogeneous=True,
         name=f"graphdyn(v={v},edges={n},q={q})")
 

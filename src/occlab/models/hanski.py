@@ -20,31 +20,28 @@ acting on test functions; all three are advanced here on a quadrature grid
 (left-endpoint rectangles on [0, 1]); projected limit variances walk J_t
 in the finite chain's sweep, :func:`occlab.gaussian.accumulated_variance`.
 
-Defaults (our choice, not canonical): habitat [0, 1] with uniform measure,
-c(y) = y / (1 + y), D(z, w) = exp(-|z - w| / ell).
+Our choices, not canonical: habitat [0, 1] with uniform measure, the
+kernel D(z, w) = exp(-|z - w| / ell) and, by default, c(y) = y / (1 + y).
 
-Under the default kernel no n x n (or G x G) table is formed for a sum
-over patches: :class:`_ExpKernel` applies D in O(n) per row, so the
-chain step, the deterministic map, the connectivity inside the Jacobian,
-the transposed-Jacobian product ``vjp`` (set when the model gives
-``c_prime``) and the grid limit all run matrix-free.  A custom ``kernel``
-keeps the dense connectivity matrix, the only general option, built and
-size-checked when the rule is made.  Under the default kernel that matrix
-is built only when the coefficient oracle or the dense Jacobian first
-reads it, so a rule that never does holds no n x n table at any n.
+No n x n (or G x G) table is formed for a sum over patches:
+:class:`_ExpKernel` applies D in O(n) per row, so the chain step, the
+deterministic map, the connectivity inside the Jacobian, the
+transposed-Jacobian product ``vjp`` and the grid limit all run
+matrix-free.  The dense connectivity matrix is built only when the
+coefficient oracle or the dense Jacobian first reads it, so a rule that
+never does holds no n x n table at any n.
 """
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import accumulate
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from ..errors import DomainError
 from ..gaussian import accumulated_variance, backward
-from ..rules import FD_STEP, CoefficientSet, OccupancyRule, require_bytes
+from ..rules import CoefficientSet, OccupancyRule, require_bytes
 
 
 def default_colonization(y):
@@ -61,31 +58,22 @@ class HanskiModel:
     a: Callable = field(default=lambda z: np.ones_like(z))   # weight density
     s: Callable = field(default=lambda z: np.full_like(z, 0.8))  # survival prob
     c: Callable = staticmethod(default_colonization)
-    c_prime: Optional[Callable] = staticmethod(default_colonization_prime)
+    c_prime: Callable = staticmethod(default_colonization_prime)
     kernel_scale: float = 0.25                      # ell in exp(-|z - w| / ell)
-    kernel: Optional[Callable] = None               # overrides the default D
     # sup bounds for |c'|, |c''|, |c'''| on the reachable connectivity range
     c_derivative_sups: tuple = (1.0, 2.0, 6.0)
 
     def __post_init__(self):
         z = np.asarray(self.z, dtype=np.float64)
         object.__setattr__(self, "z", z)
-        if z.min() < 0 or z.max() > 1:
-            raise ValueError("patch locations must lie in [0, 1]")
+        if not (z.min() >= 0 and z.max() <= 1):   # NaN fails here too
+            raise ValueError("patch locations must be finite and lie in [0, 1]")
+        if not 0 < self.kernel_scale < math.inf:
+            raise ValueError("kernel_scale must be finite and positive")
 
     @property
     def n(self):
         return len(self.z)
-
-    def dispersal(self, z1, z2):
-        if self.kernel is not None:
-            return self.kernel(z1, z2)
-        # exp(-|z1 - z2| / ell), in place on the one table of differences
-        d = np.asarray(np.subtract(z1, z2), dtype=np.float64)
-        np.abs(d, out=d)
-        np.negative(d, out=d)
-        d /= self.kernel_scale
-        return np.exp(d, out=d)
 
 
 def equidistributed(n, **kw):
@@ -206,13 +194,15 @@ class _ExpKernel:
 
 def _connectivity_matrix(model):
     """M[i, j] = a(z_j) D(z_i, z_j) / n with zero diagonal, formed in place
-    on the default kernel's table (on a copy of a custom kernel's, which its
-    caller may hold); TooLargeError first if M would exceed the cap."""
+    on the one table of differences; TooLargeError first if M would exceed
+    the cap."""
     require_bytes(8 * model.n * model.n)
     z = model.z
-    M = model.dispersal(z[:, None], z[None, :])
-    if model.kernel is not None:
-        M = np.array(M, dtype=np.float64)
+    M = np.subtract(z[:, None], z[None, :])
+    np.abs(M, out=M)
+    np.negative(M, out=M)
+    M /= model.kernel_scale
+    np.exp(M, out=M)
     M *= model.a(z)
     M /= model.n
     np.fill_diagonal(M, 0.0)
@@ -220,17 +210,15 @@ def _connectivity_matrix(model):
 
 
 def hanski_rule(model):
-    """Occupancy rule with analytic split and coefficient budget, and an
-    analytic Jacobian when the model gives ``c_prime`` (finite differences
-    otherwise), plus an O(n) ``vjp`` when it also keeps the default kernel.
+    """Occupancy rule with analytic split, Jacobian, O(n) ``vjp`` and
+    coefficient budget.
 
-    A custom kernel's connectivity matrix M is built (and size-checked) here.
-    Under the default kernel M is built on the first call of the coefficient
+    The connectivity matrix M is built on the first call of the coefficient
     oracle or the Jacobian; two threads that race to it build the same M.
     Each of those readers holds at most one more n x n table beside M, and
     checks that twice M fits before it builds either."""
     n = model.n
-    M = None if model.kernel is None else _connectivity_matrix(model)
+    M = None
 
     def dense():
         nonlocal M
@@ -239,28 +227,25 @@ def hanski_rule(model):
             M = _connectivity_matrix(model)
         return M
 
+    a_vec = np.asarray(model.a(model.z), dtype=np.float64)
+    if not (a_vec.min() >= 0 and a_vec.max() < math.inf):
+        raise ValueError("patch weights a(z) must be finite and >= 0")
     s_vec = np.asarray(model.s(model.z), dtype=np.float64)
-    if s_vec.min() < 0 or s_vec.max() > 1:
+    if not (s_vec.min() >= 0 and s_vec.max() <= 1):
         raise ValueError("survival probabilities must lie in [0, 1]")
-    vjp = None
-    if model.kernel is None:
-        kernel = _ExpKernel(model.z, model.kernel_scale)
-        weight = np.asarray(model.a(model.z), dtype=np.float64) / n
+    kernel = _ExpKernel(model.z, model.kernel_scale)
+    weight = a_vec / n
 
-        def connectivity(x):
-            return kernel(x * weight)
+    def connectivity(x):
+        return kernel(x * weight)
 
-        if model.c_prime is not None:
-            def vjp(x, t, g):
-                # J^T g = M^T ((1 - x) c'(conn) g) + (s - c(conn)) g, where
-                # M^T v = (a / n) K v as the kernel K is symmetric
-                x = np.asarray(x, dtype=np.float64)
-                conn = connectivity(x)
-                return (weight * kernel((1.0 - x) * model.c_prime(conn) * g)
-                        + (s_vec - model.c(conn)) * g)
-    else:
-        def connectivity(x):
-            return x @ M.T
+    def vjp(x, t, g):
+        # J^T g = M^T ((1 - x) c'(conn) g) + (s - c(conn)) g, where
+        # M^T v = (a / n) K v as the kernel K is symmetric
+        x = np.asarray(x, dtype=np.float64)
+        conn = connectivity(x)
+        return (weight * kernel((1.0 - x) * model.c_prime(conn) * g)
+                + (s_vec - model.c(conn)) * g)
 
     def survive(x, t=0):
         # a read-only view: the chain step reads S, it never writes it
@@ -302,9 +287,7 @@ def hanski_rule(model):
                               gamma=gamma, delta=delta)
 
     return OccupancyRule(
-        n=n, split=(survive, colonize),
-        jacobian=jacobian if model.c_prime is not None else None,
-        vjp=vjp,
+        n=n, split=(survive, colonize), jacobian=jacobian, vjp=vjp,
         coeff_oracle=coeff_oracle, homogeneous=True,
         name=f"hanski(n={n})")
 
@@ -343,31 +326,26 @@ def hanski_limit(model, rho0, T, G=512):
     """Advance the limiting density, variance density and connectivity.
 
     ``rho0`` is the initial density: a callable on [0,1] or a (G,) array.
-    The default kernel is applied matrix-free, in O(G) per step; a custom
-    ``kernel`` is formed as a G x G matrix.
+    Each step applies the kernel matrix-free, in O(G).
     """
-    # the (T+1, G) tables, plus the G x G kernel only for a custom one
-    require_bytes(8 * G * (3 * (T + 1) + (G if model.kernel is not None else 0)))
+    require_bytes(8 * G * 3 * (T + 1))   # the (T+1, G) tables
     nodes, weights = _grid(G)
     rho = np.empty((T + 1, G))
     rho[0] = rho0(nodes) if callable(rho0) else np.asarray(rho0, dtype=np.float64)
-    if rho[0].min() < -1e-12 or rho[0].max() > 1 + 1e-12:
+    if not (rho[0].min() >= -1e-12 and rho[0].max() <= 1 + 1e-12):   # NaN fails too
         raise DomainError("initial density must take values in [0, 1]")
     rho[0] = np.clip(rho[0], 0.0, 1.0)
 
     a_g = model.a(nodes)
     s_g = model.s(nodes)
-    if model.kernel is None:
-        dispersal = _ExpKernel(nodes, model.kernel_scale, diagonal=True)
-    else:
-        dispersal = partial(np.matmul, model.dispersal(nodes[:, None], nodes[None, :]))
+    dispersal = _ExpKernel(nodes, model.kernel_scale, diagonal=True)
     var = np.zeros((T + 1, G))
     conn = np.empty((T + 1, G))
     for t in range(T):
         conn[t] = dispersal(weights * a_g * rho[t])
         cg = model.c(conn[t])
         rho[t + 1] = s_g * rho[t] + cg * (1.0 - rho[t])
-        if rho[t + 1].min() < -1e-12 or rho[t + 1].max() > 1 + 1e-12:
+        if not (rho[t + 1].min() >= -1e-12 and rho[t + 1].max() <= 1 + 1e-12):
             raise DomainError("density left [0, 1]; malformed model inputs")
         rho[t + 1] = np.clip(rho[t + 1], 0.0, 1.0)
         var[t + 1] = (s_g * (1.0 - s_g) * rho[t] + cg * (1.0 - cg) * (1.0 - rho[t])
@@ -410,19 +388,10 @@ def transfer_apply(model, limit, h, t):
 
     (J_t h)(z) = (s(z) - c[C_t(z)]) h(z)
                  + a(z) * integral D(z, w) h(w) c'[C_t(w)] (1 - rho_t(w)) dw
-    evaluated on the grid; ``h`` is a callable or a grid array.  Without
-    ``model.c_prime``, c' is a central difference of c at step ``FD_STEP``,
-    one-sided where C_t(w) < FD_STEP (c is read only at C >= 0).
+    evaluated on the grid; ``h`` is a callable or a grid array.
     """
     nodes, weights = limit.grid, limit.weights
     hg = h(nodes) if callable(h) else np.asarray(h, dtype=np.float64)
     conn = limit.connectivity[t]
-    cg = model.c(conn)
-    if model.c_prime is not None:
-        cpg = model.c_prime(conn)
-    else:
-        dn = np.where(conn < FD_STEP, conn, conn - FD_STEP)
-        up = conn + FD_STEP
-        cpg = (model.c(up) - model.c(dn)) / (up - dn)
-    integral = limit.dispersal(weights * hg * cpg * (1.0 - limit.rho[t]))
-    return (limit.s - cg) * hg + limit.a * integral
+    integral = limit.dispersal(weights * hg * model.c_prime(conn) * (1.0 - limit.rho[t]))
+    return (limit.s - model.c(conn)) * hg + limit.a * integral

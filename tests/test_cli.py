@@ -95,6 +95,11 @@ GRAPH = {"type": "graph", "q": 0.5, "attachment": "linear", "attachment_scale": 
     ({"type": "linear", "A_csv": "A.csv", "A": [[0.1]]}, "deterministic", {}),
     # too few replicates for a distance
     (SPREADING, "clt-sweep", {"R": 1, "n_list": [8]}),
+    # a kernel scale that is zero, negative (a kernel growing with distance)
+    # or NaN: before they were checked these exited 0 or 3
+    ({"type": "hanski", "n": 8, "kernel_scale": 0}, "hanski-limit", {}),
+    ({"type": "hanski", "n": 8, "kernel_scale": -0.5}, "simulate", {}),
+    ({"type": "hanski", "n": 8, "kernel_scale": float("nan")}, "hanski-limit", {}),
 ])
 def test_bad_input_exits_2_without_traceback(tmp_path, capsys, model, task, params):
     path = write_config(tmp_path, {"model": model, "task": task, "parameters": params})
@@ -112,10 +117,14 @@ def test_bad_input_exits_2_without_traceback(tmp_path, capsys, model, task, para
     ("edges_csv", "0,1\n0,-1\n"),
     ("edges_csv", "0,1\n1,0\n1,2\n"),
     ("edges_csv", "0.7,1\n1,2.9\n"),
-    # a patch table without its third column s
+    # a patch table without its third column s, and ones with a NaN location,
+    # a NaN survival probability (both exited 3) or a negative weight (exit 0)
     ("patch_csv", "0.25,1\n0.75,2\n"),
+    ("patch_csv", "0.25,1,0.8\nnan,1,0.8\n"),
+    ("patch_csv", "0.25,1,0.8\n0.75,1,nan\n"),
+    ("patch_csv", "0.25,1,0.8\n0.75,-1,0.8\n"),
 ], ids=["vertex-past-v", "negative-vertex", "repeated-edge", "fractional-vertex",
-        "two-column-patches"])
+        "two-column-patches", "nan-location", "nan-survival", "negative-weight"])
 def test_malformed_tables_exit_2_without_traceback(tmp_path, capsys, key, table):
     csv_path = tmp_path / "table.csv"
     csv_path.write_text(table)
@@ -139,6 +148,8 @@ def test_malformed_tables_exit_2_without_traceback(tmp_path, capsys, key, table)
     ({"type": "hanski", "n": 8}, "hanski-limit", {"grid": 1_000_000_000}),
     ({**GRAPH, "v": 1_000_000}, "simulate", {}),
     (GRAPH, "graphon", {"v_list": [1_000_000]}),
+    # a NaN initial density (it exited 0 with NaN rows, where 1.5 exits 3)
+    ({"type": "hanski", "n": 8}, "hanski-limit", {"rho0": float("nan")}),
 ])
 def test_model_error_exits_3_without_traceback(tmp_path, capsys, model, task, params):
     path = write_config(tmp_path, {"model": model, "task": task, "parameters": params})

@@ -260,7 +260,8 @@ def _walk_rules(n):
     v = math.ceil((1 + math.sqrt(1 + 8 * n)) / 2)
     host = np.column_stack(np.triu_indices(v, k=1))[:n]
     graph = GraphDynModel(host_edges=host, v=v, q=0.6, f=lambda y: 0.7 * np.asarray(y) ** 2,
-                          f_prime=lambda y: 1.4 * np.asarray(y))
+                          f_prime=lambda y: 1.4 * np.asarray(y),
+                          f_derivative_sups=(1.4, 1.4, 0.0))
     return {"hanski": hanski_rule(equidistributed(n)),
             "nonuniform": spreading_rule(SpreadingModel(R_matrix=reactions, mu=0.4)),
             "mean_field": spreading_rule(mean_field(n, rbar=1.4, mu=0.4, reinfection=True)),

@@ -4,7 +4,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-import occlab as ol
 from occlab.errors import SchemaError, TooLargeError
 from occlab.gaussian import GaussianApprox
 from occlab.models import (GraphDynModel, complete_host, graph_rule, graphon_step,
@@ -61,16 +60,6 @@ def test_graphon_step_range_and_symmetry():
         assert W.min() >= 0 and W.max() <= 1
 
 
-def test_jacobian_without_f_prime_by_finite_differences():
-    f = lambda y: 0.8 * np.asarray(y, dtype=np.float64) ** 2
-    fp = lambda y: 1.6 * np.asarray(y, dtype=np.float64)
-    analytic = graph_rule(complete_host(5, 0.5, f, f_prime=fp))
-    rule = graph_rule(complete_host(5, 0.5, f))
-    assert rule.jacobian is None
-    x = np.random.default_rng(2).uniform(0.1, 0.9, rule.n)
-    assert np.abs(ol.rule_jacobian(rule, x) - analytic.jacobian(x, 0)).max() <= 1e-6
-
-
 @pytest.mark.parametrize("curve", ["constant", "linear", "quadratic"])
 def test_vjp_matches_dense_jacobian(curve):
     g = np.random.default_rng(10)
@@ -85,7 +74,6 @@ def test_vjp_matches_dense_jacobian(curve):
             gv = g.normal(size=rule.n)
             want = rule.jacobian(x, 0).T @ gv
             assert np.abs(rule.vjp(x, 0, gv) - want).max() <= 1e-13 * np.abs(want).max()
-    assert graph_rule(complete_host(5, 0.5, lambda y: 0.5 * np.asarray(y))).vjp is None
 
 
 @pytest.mark.parametrize("edges,why", [
@@ -96,8 +84,10 @@ def test_vjp_matches_dense_jacobian(curve):
 def test_host_must_be_a_simple_edge_list(edges, why):
     # out-of-range and repeated edges: tests/test_cli.py, through edges_csv
     f = lambda y: 0.5 * np.asarray(y)
+    fp = lambda y: np.full_like(y, 0.5)
     with pytest.raises(ValueError, match=why):
-        GraphDynModel(host_edges=np.array(edges), v=3, q=0.5, f=f)
+        GraphDynModel(host_edges=np.array(edges), v=3, q=0.5, f=f, f_prime=fp,
+                      f_derivative_sups=(0.5, 0.0, 0.0))
 
 
 def test_chain_stays_inside_host():

@@ -15,11 +15,12 @@ from occlab.models.hanski import (KERNEL_BLOCK, HanskiModel, _connectivity_matri
 from occlab.simulate import simulate_projections
 
 
-def _dense_twin(model):
-    """The same model with its exponential kernel given as a custom one,
-    which takes the dense path."""
-    ell = model.kernel_scale
-    return dataclasses.replace(model, kernel=lambda z1, z2: np.exp(-np.abs(z1 - z2) / ell))
+def _dense_rule(model):
+    """The model's split with the connectivity read from the dense matrix."""
+    M, s = _connectivity_matrix(model), model.s(model.z)
+    return ol.OccupancyRule(
+        n=model.n, split=(lambda x, t=0: np.broadcast_to(s, np.shape(x)),
+                          lambda x, t=0: model.c(np.asarray(x, dtype=np.float64) @ M.T)))
 
 
 @pytest.mark.parametrize("n", [1, 2, KERNEL_BLOCK - 1, KERNEL_BLOCK, KERNEL_BLOCK + 1, 801])
@@ -72,7 +73,6 @@ def test_vjp_matches_dense_jacobian(z):
         gv = g.normal(size=300)
         want = rule.jacobian(x, 0).T @ gv
         assert np.abs(rule.vjp(x, 0, gv) - want).max() <= 1e-13 * np.abs(want).max()
-    assert hanski_rule(equidistributed(8, c_prime=None)).vjp is None
 
 
 def _traced_peak(f):
@@ -145,26 +145,17 @@ def test_connectivity_matrix_peaks_at_one_table():
         assert peak < 2.1 * M.nbytes
 
 
-def test_custom_kernel_matrix_refused_when_the_rule_is_made():
-    def kernel(z1, z2):
-        raise AssertionError("the kernel table is sized before it is built")
-
-    with pytest.raises(TooLargeError):
-        hanski_rule(dataclasses.replace(equidistributed(200_000), kernel=kernel))
-
-
 def test_dense_kernel_rule_agrees_with_the_operator():
     model = HanskiModel(z=np.random.default_rng(11).random(200), kernel_scale=0.2)
-    rule, dense = hanski_rule(model), hanski_rule(_dense_twin(model))
+    rule, dense = hanski_rule(model), _dense_rule(model)
     x = np.random.default_rng(12).random((4, 200))
     for f, f_dense in zip(rule.split, dense.split):
         assert np.abs(f(x, 0) - f_dense(x, 0)).max() <= 1e-15
-    assert dense.vjp is None   # a custom kernel is walked by its dense Jacobians
 
 
 def test_chain_bits_equal_the_dense_kernel_chain():
     model = equidistributed(800)
-    rule, dense = hanski_rule(model), hanski_rule(_dense_twin(model))
+    rule, dense = hanski_rule(model), _dense_rule(model)
     X0 = (np.random.default_rng(14).random(800) < 0.5).astype(np.uint8)
     p = det_trajectory(rule, X0.astype(float), 3).p
     h = np.linspace(0.5, 1.5, 800)
@@ -175,24 +166,21 @@ def test_chain_bits_equal_the_dense_kernel_chain():
         assert np.array_equal(got[key], want[key])
 
 
-@pytest.mark.parametrize("c_prime", [True, False])
-def test_limit_matches_dense_kernel_limit(c_prime):
-    model = equidistributed(8, kernel_scale=0.15, a=lambda z: 1.0 + z,
-                            **({} if c_prime else {"c_prime": None}))
-    dense = _dense_twin(model)
-    rho0 = lambda z: 0.3 + 0.4 * z
-    lim, ref = (hanski_limit(m, rho0, T=4, G=300) for m in (model, dense))
-    for key in ("rho", "variance", "connectivity"):
-        assert np.abs(getattr(lim, key) - getattr(ref, key)).max() <= 1e-13
-    # a central difference of c turns C's rounding into about eps / FD_STEP
-    tol = 1e-13 if c_prime else 1e-9
+def test_limit_matches_dense_kernel_limit():
+    model = equidistributed(8, kernel_scale=0.15, a=lambda z: 1.0 + z)
+    lim = hanski_limit(model, lambda z: 0.3 + 0.4 * z, T=4, G=300)
+    D = np.exp(-np.abs(lim.grid[:, None] - lim.grid[None, :]) / 0.15)   # G x G
+    for t in range(5):
+        want = D @ (lim.weights * lim.a * lim.rho[t])
+        assert np.abs(lim.connectivity[t] - want).max() <= 1e-13
+    ref = dataclasses.replace(lim, dispersal=lambda w: D @ w)
     h = np.cos(2 * np.pi * lim.grid)
     for t in range(4):
         assert np.abs(transfer_apply(model, lim, h, t)
-                      - transfer_apply(dense, ref, h, t)).max() <= tol
+                      - transfer_apply(model, ref, h, t)).max() <= 1e-13
     h_fn = lambda z: 1.0 + 0.5 * np.sin(2 * np.pi * z)
-    want = grid_projected_variance(dense, ref, h_fn, 4)
-    assert abs(grid_projected_variance(model, lim, h_fn, 4) - want) <= tol * want
+    want = grid_projected_variance(model, ref, h_fn, 4)
+    assert abs(grid_projected_variance(model, lim, h_fn, 4) - want) <= 1e-13 * want
 
 
 def test_pure_survival_decay():
@@ -250,30 +238,6 @@ def test_injected_density_vs_marginal_split():
         cg = model.c(lim.connectivity[t - 1])
         prev = lim.rho[t - 1] * (1 - lim.rho[t - 1])
         assert np.allclose(marg, inj + (s_g - cg) ** 2 * prev, atol=1e-12)
-
-
-def test_jacobian_without_c_prime_by_finite_differences():
-    analytic = hanski_rule(equidistributed(8))
-    rule = hanski_rule(equidistributed(8, c_prime=None))
-    assert rule.jacobian is None
-    x = np.random.default_rng(2).uniform(0.1, 0.9, 8)
-    assert np.abs(ol.rule_jacobian(rule, x) - analytic.jacobian(x, 0)).max() <= 1e-6
-
-
-@pytest.mark.parametrize("rho0", [0.0, 0.4])
-def test_limit_without_c_prime_by_finite_differences(rho0):
-    # rho0 = 0 puts C_0 at 0, where the difference is one-sided
-    analytic = equidistributed(8)
-    model = equidistributed(8, c_prime=None)
-    lim = hanski_limit(model, lambda z: np.full_like(z, rho0), T=3, G=256)
-    assert lim.connectivity[:3].any() == (rho0 > 0)
-    h = np.cos(2 * np.pi * lim.grid)
-    for t in range(3):
-        got = transfer_apply(model, lim, h, t)
-        assert np.abs(got - transfer_apply(analytic, lim, h, t)).max() <= 1e-6
-    h_fn = lambda z: 1.0 + 0.5 * np.sin(2 * np.pi * z)
-    want = grid_projected_variance(analytic, lim, h_fn, 3)
-    assert abs(grid_projected_variance(model, lim, h_fn, 3) - want) <= 1e-6 * want
 
 
 def test_transfer_operator_against_finite_jacobian():
@@ -346,5 +310,6 @@ def test_empirical_measure_converges_to_limit():
 
 def test_density_domain_validation():
     model = equidistributed(8)
-    with pytest.raises(ol.DomainError):
-        hanski_limit(model, lambda z: 1.2 * np.ones_like(z), T=1, G=32)
+    for rho0 in (lambda z: 1.2 * np.ones_like(z), np.full(32, np.nan)):
+        with pytest.raises(ol.DomainError):
+            hanski_limit(model, rho0, T=1, G=32)

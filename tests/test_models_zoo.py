@@ -10,11 +10,12 @@ import occlab as ol
 from occlab.deterministic import det_trajectory, spectral_radius
 from occlab.errors import TooLargeError
 from occlab.gaussian import GaussianApprox
-from occlab.models import (DomanyKinzel, dk_device_time, dk_exact_mean_zeta2,
+from occlab.models import (DomanyKinzel, descriptors, dk_device_time, dk_exact_mean_zeta2,
                            dk_rule, epidemic_threshold, mean_field,
                            model_from_descriptor, spreading_rule, SpreadingModel)
 from occlab.models.spreading import _product_factor
-from occlab.rules import coefficient_schedule, estimate_coefficients, rule_jacobian
+from occlab.rules import (coefficient_schedule, estimate_coefficients, fd_jacobian,
+                          rule_jacobian)
 from occlab.simulate import exact_law, law_mean, simulate_projections, state_table
 
 
@@ -484,3 +485,38 @@ def test_dk_mean_grows_like_sqrt_n():
     big = DomanyKinzel(n=100, q1=0.4, q2=0.7, p0=0.5)
     assert dk_exact_mean_zeta2(big) == pytest.approx(
         2 * dk_exact_mean_zeta2(base))
+
+
+# ---------------------------------------------------------------------------
+# descriptors
+# ---------------------------------------------------------------------------
+
+#: one descriptor of each type, and whether its rule must walk a vjp
+DESCRIBED = {
+    "constant": ({"type": "constant", "n": 5, "c": 0.3}, False),
+    "linear": ({"type": "linear", "A": [[0.1, 0.2], [0.3, 0.1]]}, False),
+    "spreading": ({"type": "spreading", "n": 8, "rbar": 0.5, "mu": 0.5}, True),
+    "domany_kinzel": ({"type": "domany_kinzel", "n": 8, "q1": 0.4, "q2": 0.7}, False),
+    "hanski": ({"type": "hanski", "n": 8}, True),
+    "graph": ({"type": "graph", "v": 5, "q": 0.5, "attachment": "quadratic"}, True),
+    "random_product": ({"type": "random_product", "n": 5}, False),
+}
+
+
+def test_every_descriptor_type_is_described():
+    assert set(DESCRIBED) == set(descriptors._KEYS)
+
+
+@pytest.mark.parametrize("kind", sorted(DESCRIBED))
+def test_descriptor_rules_have_analytic_jacobians(kind):
+    # no task on a described model reaches rules.fd_jacobian
+    desc, needs_vjp = DESCRIBED[kind]
+    _, rule = model_from_descriptor(desc)
+    assert rule.jacobian is not None
+    assert rule.vjp is not None or not needs_vjp
+    g = np.random.default_rng(17)
+    x, gv = g.uniform(0.2, 0.8, rule.n), g.normal(size=rule.n)
+    J = rule.jacobian(x, 1)
+    assert np.abs(J - fd_jacobian(rule, x, 1)).max() <= 1e-6
+    if rule.vjp is not None:
+        assert np.abs(rule.vjp(x, 1, gv) - J.T @ gv).max() <= 1e-13

@@ -401,7 +401,9 @@ def _step_zero_rules(n):
         "nonuniform_reinfection": (spreading_rule(
             SpreadingModel(R_matrix=reactions, mu=0.4, reinfection=True)), True),
         # its nodes are the 36 edges of a 9-vertex host
-        "graph": (graph_rule(complete_host(9, q=0.6, f=lambda y: 0.5 * np.asarray(y))), True),
+        "graph": (graph_rule(complete_host(9, q=0.6, f=lambda y: 0.5 * np.asarray(y),
+                                           f_prime=lambda y: np.full_like(y, 0.5),
+                                           f_derivative_sups=(0.5, 0.0, 0.0))), True),
         "random_product": (random_product_rule(n, seed=29), False),
     }
 
