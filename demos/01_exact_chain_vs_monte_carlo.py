@@ -1,7 +1,7 @@
 """Exact enumeration versus Monte Carlo on a small occupancy chain.
 
-At n <= 12 nodes the full distribution over {0,1}^n can be iterated
-exactly, which turns the simulator into a falsifiable object: empirical
+At n <= 18 nodes (the sizes whose tables fit in 4 GiB) the full
+distribution over {0,1}^n can be iterated exactly, which turns the simulator into a falsifiable object: empirical
 state frequencies must match the enumerated law to sampling accuracy.
 This script runs both on a random product-form rule and reports the total
 variation gap at several horizons.

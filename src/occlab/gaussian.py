@@ -28,6 +28,14 @@ and the matrix covariance obeys Sigma_t = J_{t-1} Sigma_{t-1} J_{t-1}^T
 + diag(v_t); in the homogeneous stable case Sigma_t converges to the
 solution of the discrete Lyapunov equation Q = J Q J^T + V.
 
+The companion is built for rules whose nodes interact through sums over
+many nodes (spreading, hanski, the dynamic graph rule): there each node
+feels the state only through averages, which concentrate.  A strictly
+local rule breaks that.  Two steps after an iid start, the torus
+automaton's mean projected fluctuation is not 0, as the companion's is,
+but :func:`occlab.models.domany_kinzel.dk_exact_mean_zeta2`, which grows
+like sqrt(n) (acceptance criterion 2).
+
 The projected forms need only products D_s g.  When the rule supplies
 ``vjp`` the backward walk takes them from it, and no n x n matrix is
 formed; otherwise a walk builds J_r for its step r and holds only that

@@ -10,15 +10,17 @@ that is not finite and positive, or a patch table with a location outside
 [0, 1], a negative weight or a NaN, say), a size ``n`` below 1, a
 ``graph`` vertex count ``v`` below 2, an edge list that is not a simple
 graph on the whole vertices 0..v-1, a patch table without exactly three
-columns, or two sources for one quantity (a file next to the values it
-replaces, see ``_SOURCES``) raises ``SchemaError``.  A ``graph``
+columns or with a location twice, a ``linear`` ``A`` that is not square or
+not substochastic, a ``constant`` ``c`` outside [0, 1], or two sources
+for one quantity (a file next to the values it replaces, see
+``_SOURCES``) raises ``SchemaError``.  A ``graph``
 descriptor without ``attachment`` uses the ``"linear"`` curve
 f(y) = attachment_scale * y, with the scale in [0, 1].
 """
 
 import numpy as np
 
-from ..errors import SchemaError
+from ..errors import RangeError, SchemaError
 from ..rules import constant_rule, linear_rule
 from .spreading import SpreadingModel, mean_field, spreading_rule
 from .domany_kinzel import DomanyKinzel, dk_rule
@@ -90,7 +92,7 @@ def model_from_descriptor(desc):
     except KeyError as exc:
         raise SchemaError(f"{kind!r} descriptor is missing key "
                           f"{exc.args[0]!r}") from None
-    except (TypeError, ValueError) as exc:   # e.g. "n": null or "mu": 1.5
+    except (TypeError, ValueError, RangeError) as exc:   # e.g. "n": null, "mu": 1.5
         raise SchemaError(f"{kind!r} descriptor: {exc}") from None
 
 
@@ -126,10 +128,15 @@ def _build(desc):
             if tbl.shape[1] != 3:
                 raise SchemaError("hanski patch_csv needs three columns (z, a, s), "
                                   f"got {tbl.shape[1]}")
-            z, a_col, s_col = tbl.T
+            # np.interp reads its table in increasing z; the patches keep the
+            # file's order
+            z = tbl[:, 0]
+            zs, a_col, s_col = tbl[np.argsort(z, kind="stable")].T
+            if (np.diff(zs) == 0).any():
+                raise SchemaError("hanski patch_csv gives a location z twice")
             model = HanskiModel(z=z,
-                                a=lambda zz: np.interp(zz, z, a_col),
-                                s=lambda zz: np.interp(zz, z, s_col),
+                                a=lambda zz: np.interp(zz, zs, a_col),
+                                s=lambda zz: np.interp(zz, zs, s_col),
                                 kernel_scale=float(desc.get("kernel_scale", 0.25)))
         else:
             model = equidistributed(int(desc["n"]),

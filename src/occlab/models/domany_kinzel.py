@@ -59,15 +59,31 @@ def dk_rule(model, iid_start=True):
     n, q1, q2, p0 = model.n, model.q1, model.q2, model.p0
     b = q2 - 2.0 * q1
 
-    def survive_dk(x, t=0):
-        return _right(x, q2 - q1)
+    def iid(t):
+        return iid_start and t == 0
 
-    def colonize_dk(x, t=0):
-        return _right(x, q1)
+    def start(x):
+        return np.full_like(np.asarray(x, dtype=np.float64), p0)
 
-    def jac_dk(x, t=0):
+    def survive(x, t=0):
+        return start(x) if iid(t) else _right(x, q2 - q1)
+
+    def colonize(x, t=0):
+        return start(x) if iid(t) else _right(x, q1)
+
+    # given, not derived, with the iid start: x * p0 + (1 - x) * p0 is not
+    # exactly p0; after it, the derived form written out
+    def evaluate(x, t=0):
+        if iid(t):
+            return start(x)
         x = np.asarray(x, dtype=np.float64)
+        return x * survive(x, t) + (1.0 - x) * colonize(x, t)
+
+    def jacobian(x, t=0):
         J = np.zeros((n, n))
+        if iid(t):
+            return J
+        x = np.asarray(x, dtype=np.float64)
         idx = np.arange(n)
         nxt = (idx + 1) % n
         J[idx, idx] = b * x[nxt]
@@ -82,33 +98,11 @@ def dk_rule(model, iid_start=True):
         delta=0.0)
     zero_coeffs = CoefficientSet(0.0, 0.0, 0.0, 0.0, 0.0)
 
-    plain = OccupancyRule(
-        n=n, split=(survive_dk, colonize_dk),
-        jacobian=jac_dk, coeff_oracle=lambda t: dk_coeffs,
-        homogeneous=True, name=f"domany-kinzel(n={n},q1={q1},q2={q2})")
-    if not iid_start:
-        return plain
-
-    def iid_first(step):
-        """``step``, except that every node gets p0 at time 0."""
-        def at(x, t=0):
-            if t == 0:
-                return np.full_like(np.asarray(x, dtype=np.float64), p0)
-            return step(x, t)
-        return at
-
-    def jacobian(x, t=0):
-        if t == 0:
-            return np.zeros((n, n))
-        return jac_dk(x, t)
-
-    # evaluate is given, not derived: x * p0 + (1 - x) * p0 is not exactly p0
     return OccupancyRule(
-        n=n, evaluate=iid_first(plain.evaluate),
-        split=(iid_first(survive_dk), iid_first(colonize_dk)), jacobian=jacobian,
-        coeff_oracle=lambda t: zero_coeffs if t == 0 else dk_coeffs,
-        homogeneous=False,
-        name=f"domany-kinzel(n={n},q1={q1},q2={q2},p0={p0})")
+        n=n, split=(survive, colonize), evaluate=evaluate if iid_start else None,
+        jacobian=jacobian, coeff_oracle=lambda t: zero_coeffs if iid(t) else dk_coeffs,
+        homogeneous=not iid_start,
+        name=f"domany-kinzel(n={n},q1={q1},q2={q2}" + (f",p0={p0})" if iid_start else ")"))
 
 
 def dk_device_time(steps_after_start):

@@ -21,7 +21,9 @@ acting on test functions; all three are advanced here on a quadrature grid
 in the finite chain's sweep, :func:`occlab.gaussian.accumulated_variance`.
 
 Our choices, not canonical: habitat [0, 1] with uniform measure, the
-kernel D(z, w) = exp(-|z - w| / ell) and, by default, c(y) = y / (1 + y).
+kernel D(z, w) = exp(-|z - w| / ell) and the colonization curve
+c(y) = y / (1 + y), the one curve every path reads, with its derivative and
+the sups 1, 2, 6 of |c'|, |c''|, |c'''| on y >= 0.
 
 No n x n (or G x G) table is formed for a sum over patches:
 :class:`_ExpKernel` applies D in O(n) per row, so the chain step, the
@@ -57,11 +59,7 @@ class HanskiModel:
     z: np.ndarray                                   # (n,) patch locations in [0, 1]
     a: Callable = field(default=lambda z: np.ones_like(z))   # weight density
     s: Callable = field(default=lambda z: np.full_like(z, 0.8))  # survival prob
-    c: Callable = staticmethod(default_colonization)
-    c_prime: Callable = staticmethod(default_colonization_prime)
     kernel_scale: float = 0.25                      # ell in exp(-|z - w| / ell)
-    # sup bounds for |c'|, |c''|, |c'''| on the reachable connectivity range
-    c_derivative_sups: tuple = (1.0, 2.0, 6.0)
 
     def __post_init__(self):
         z = np.asarray(self.z, dtype=np.float64)
@@ -244,27 +242,27 @@ def hanski_rule(model):
         # M^T v = (a / n) K v as the kernel K is symmetric
         x = np.asarray(x, dtype=np.float64)
         conn = connectivity(x)
-        return (weight * kernel((1.0 - x) * model.c_prime(conn) * g)
-                + (s_vec - model.c(conn)) * g)
+        return (weight * kernel((1.0 - x) * default_colonization_prime(conn) * g)
+                + (s_vec - default_colonization(conn)) * g)
 
     def survive(x, t=0):
         # a read-only view: the chain step reads S, it never writes it
         return np.broadcast_to(s_vec, np.shape(x))
 
     def colonize(x, t=0):
-        return model.c(connectivity(np.asarray(x, dtype=np.float64)))
+        return default_colonization(connectivity(np.asarray(x, dtype=np.float64)))
 
     def jacobian(x, t=0):
         M = dense()
         x = np.asarray(x, dtype=np.float64)
         conn = connectivity(x)
-        J = (1.0 - x)[:, None] * model.c_prime(conn)[:, None] * M
-        J[np.arange(n), np.arange(n)] = s_vec - model.c(conn)
+        J = (1.0 - x)[:, None] * default_colonization_prime(conn)[:, None] * M
+        J[np.arange(n), np.arange(n)] = s_vec - default_colonization(conn)
         return J
 
-    c1, c2, c3 = model.c_derivative_sups
-
     def coeff_oracle(t):
+        # the sups of |c'|, |c''|, |c'''| for c(y) = y / (1 + y) on y >= 0
+        c1, c2, c3 = 1.0, 2.0, 6.0
         # sup-norm budgets: |d_j P_i| <= c1 M_ij, |d_j d_k P_i| <= c2 M_ij M_ik
         # (plus c1 M_jk when i is j or k), |d_j d_k^2 P_i| <= c3 M_ij M_ik^2
         # with the matching one- and two-index boundary terms, computed with
@@ -343,7 +341,7 @@ def hanski_limit(model, rho0, T, G=512):
     conn = np.empty((T + 1, G))
     for t in range(T):
         conn[t] = dispersal(weights * a_g * rho[t])
-        cg = model.c(conn[t])
+        cg = default_colonization(conn[t])
         rho[t + 1] = s_g * rho[t] + cg * (1.0 - rho[t])
         if not (rho[t + 1].min() >= -1e-12 and rho[t + 1].max() <= 1 + 1e-12):
             raise DomainError("density left [0, 1]; malformed model inputs")
@@ -366,7 +364,7 @@ def injected_noise_density(model, limit, t):
     if t < 1:
         return np.zeros_like(limit.grid)
     s_g = limit.s
-    cg = model.c(limit.connectivity[t - 1])
+    cg = default_colonization(limit.connectivity[t - 1])
     rho = limit.rho[t - 1]
     return s_g * (1.0 - s_g) * rho + cg * (1.0 - cg) * (1.0 - rho)
 
@@ -393,5 +391,6 @@ def transfer_apply(model, limit, h, t):
     nodes, weights = limit.grid, limit.weights
     hg = h(nodes) if callable(h) else np.asarray(h, dtype=np.float64)
     conn = limit.connectivity[t]
-    integral = limit.dispersal(weights * hg * model.c_prime(conn) * (1.0 - limit.rho[t]))
-    return (limit.s - model.c(conn)) * hg + limit.a * integral
+    integral = limit.dispersal(weights * hg * default_colonization_prime(conn)
+                               * (1.0 - limit.rho[t]))
+    return (limit.s - default_colonization(conn)) * hg + limit.a * integral

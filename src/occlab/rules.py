@@ -437,7 +437,7 @@ def kappa(coeffs, t, n):
 def constant_rule(n, c):
     """State-independent rule: every node flips to occupied w.p. c_i."""
     c = np.broadcast_to(np.asarray(c, dtype=np.float64), (n,)).copy()
-    if c.min() < 0 or c.max() > 1:
+    if not (c.min() >= 0 and c.max() <= 1):   # NaN fails too
         raise RangeError("constant rule probabilities must lie in [0,1]")
 
     # given, not derived: x * c + (1 - x) * c is not exactly c
@@ -464,8 +464,10 @@ def linear_rule(A):
     S = x A^T + diag(A) (1 - x) and C = x A^T - diag(A) x.
     """
     A = np.asarray(A, dtype=np.float64)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError(f"linear rule needs a square matrix A, got shape {A.shape}")
     n = A.shape[0]
-    if A.min() < 0 or A.sum(axis=1).max() > 1 + EDGE_TOL:
+    if not (A.min() >= 0 and A.sum(axis=1).max() <= 1 + EDGE_TOL):   # NaN fails too
         raise RangeError("linear rule needs nonnegative rows summing to <= 1")
 
     d = A.diagonal()

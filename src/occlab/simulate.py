@@ -43,7 +43,6 @@ sum in the same order, so the t = 0 column is exactly 0 when p_0 = X0.
 
 import math
 import os
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
@@ -54,9 +53,6 @@ from . import rng
 from .errors import RangeError, TooLargeError
 from .rules import (_check_range, evaluate_rule, require_bytes, rule_conditionals,
                     state_table)
-
-EXACT_LAW_CAP = 12
-EXACT_LAW_HARD_CAP = 16
 
 #: replicate rows one worker advances through all T steps at a time; it
 #: divides ``rng.BLOCK``, so no tile straddles two generator keys
@@ -325,25 +321,30 @@ def _half_factor(p):
     return np.ascontiguousarray(Ft.T)
 
 
-def exact_law(rule, X0, T, n_cap=EXACT_LAW_CAP):
+def exact_law(rule, X0, T):
     """Exact distribution over {0,1}^n at steps 0..T from the fixed state X0.
 
     Returns an array of shape (T+1, 2^n); row t sums to 1 within 1e-12.
-    The product-Bernoulli kernel is never formed: each step builds two
-    half-node factors of 2^n x 2^(n/2) floats (O(2^(3n/2)) work and memory,
-    128 MB each at n = 16) and contracts them with the law in one matmul
-    of 4^n multiply-adds.  The default cap is n <= 12; n_cap may raise it
-    to 16 at the cost of a warning.
+    The product-Bernoulli kernel is never formed: with a = n // 2, each
+    step builds two half-node factors of 2^n x 2^a and 2^n x 2^(n-a)
+    floats and contracts them with the law in one matmul of 4^n
+    multiply-adds.
+
+    The peak tables are the state and rule tables (2^n x n each), both
+    factors, one more table the size of the larger factor (the transposed
+    copy :func:`_half_factor` makes, or the law-weighted factor, which is
+    no larger and never held with it) and the (T+1, 2^n) law table:
+    8 (2 n 2^n + 2^(n+a) + 2^(2n-a+1) + (T+1) 2^n) bytes, refused with
+    TooLargeError before anything is allocated when they exceed
+    ``rules.MAX_RESULT_BYTES`` (4 GiB).  So n = 18 is the largest size
+    admitted, 3.08 GiB at T = 3 (3 GiB of it the factors), while n = 19
+    needs 10.2 GiB; n = 16 needs 402 MiB.
     """
     n = rule.n
-    if n > min(n_cap, EXACT_LAW_HARD_CAP):
-        raise TooLargeError(f"exact_law supports n <= {min(n_cap, EXACT_LAW_HARD_CAP)}, got {n}")
-    if n > EXACT_LAW_CAP:
-        mb = 2 ** (2 * n - n // 2) * 8 / 2 ** 20
-        warnings.warn(f"exact_law at n={n} is expensive: 4^n multiply-adds and "
-                      f"two factors of up to {mb:.0f} MB per step")
-    states = state_table(n)
     a = n // 2
+    require_bytes(8 * (2 * n * 2 ** n + 2 ** (n + a) + 2 ** (2 * n - a + 1)
+                       + (T + 1) * 2 ** n))
+    states = state_table(n)
     laws = np.zeros((T + 1, 2 ** n))
     laws[0, state_index(X0)] = 1.0
     for t in range(T):

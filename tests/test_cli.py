@@ -100,6 +100,13 @@ GRAPH = {"type": "graph", "q": 0.5, "attachment": "linear", "attachment_scale": 
     ({"type": "hanski", "n": 8, "kernel_scale": 0}, "hanski-limit", {}),
     ({"type": "hanski", "n": 8, "kernel_scale": -0.5}, "simulate", {}),
     ({"type": "hanski", "n": 8, "kernel_scale": float("nan")}, "hanski-limit", {}),
+    # a probability above 1, a negative weight, NaN in either (these exited
+    # 3) and a non-square matrix (it exited 2 with numpy's broadcast message)
+    ({"type": "constant", "n": 3, "c": 1.5}, "deterministic", {}),
+    ({"type": "linear", "A": [[0.1, -0.2], [0.3, 0.1]]}, "deterministic", {}),
+    ({"type": "constant", "n": 3, "c": float("nan")}, "simulate", {}),
+    ({"type": "linear", "A": [[float("nan"), 0.1], [0.1, 0.1]]}, "simulate", {}),
+    ({"type": "linear", "A": [[0.1, 0.2, 0.1], [0.3, 0.1, 0.1]]}, "deterministic", {}),
 ])
 def test_bad_input_exits_2_without_traceback(tmp_path, capsys, model, task, params):
     path = write_config(tmp_path, {"model": model, "task": task, "parameters": params})
@@ -123,8 +130,11 @@ def test_bad_input_exits_2_without_traceback(tmp_path, capsys, model, task, para
     ("patch_csv", "0.25,1,0.8\nnan,1,0.8\n"),
     ("patch_csv", "0.25,1,0.8\n0.75,1,nan\n"),
     ("patch_csv", "0.25,1,0.8\n0.75,-1,0.8\n"),
+    # one location given twice, which no interpolation of a(z) and s(z) fits
+    ("patch_csv", "0.75,1,0.8\n0.25,1,0.8\n0.75,2,0.5\n"),
 ], ids=["vertex-past-v", "negative-vertex", "repeated-edge", "fractional-vertex",
-        "two-column-patches", "nan-location", "nan-survival", "negative-weight"])
+        "two-column-patches", "nan-location", "nan-survival", "negative-weight",
+        "repeated-location"])
 def test_malformed_tables_exit_2_without_traceback(tmp_path, capsys, key, table):
     csv_path = tmp_path / "table.csv"
     csv_path.write_text(table)

@@ -8,10 +8,12 @@ import occlab as ol
 from occlab.deterministic import det_trajectory
 from occlab.errors import TooLargeError
 from occlab.gaussian import GaussianApprox
-from occlab.models import equidistributed, hanski, hanski_limit, hanski_rule
+from occlab.models import (equidistributed, hanski, hanski_limit, hanski_rule,
+                           model_from_descriptor)
 from occlab.models.hanski import (KERNEL_BLOCK, HanskiModel, _connectivity_matrix,
-                                  _ExpKernel, grid_projected_variance,
-                                  injected_noise_density, transfer_apply)
+                                  _ExpKernel, default_colonization,
+                                  grid_projected_variance, injected_noise_density,
+                                  transfer_apply)
 from occlab.simulate import simulate_projections
 
 
@@ -20,7 +22,8 @@ def _dense_rule(model):
     M, s = _connectivity_matrix(model), model.s(model.z)
     return ol.OccupancyRule(
         n=model.n, split=(lambda x, t=0: np.broadcast_to(s, np.shape(x)),
-                          lambda x, t=0: model.c(np.asarray(x, dtype=np.float64) @ M.T)))
+                          lambda x, t=0: default_colonization(
+                              np.asarray(x, dtype=np.float64) @ M.T)))
 
 
 @pytest.mark.parametrize("n", [1, 2, KERNEL_BLOCK - 1, KERNEL_BLOCK, KERNEL_BLOCK + 1, 801])
@@ -183,11 +186,22 @@ def test_limit_matches_dense_kernel_limit():
     assert abs(grid_projected_variance(model, lim, h_fn, 4) - want) <= 1e-13 * want
 
 
+def test_unsorted_patch_table_keeps_each_rows_weights(tmp_path):
+    # np.interp needs increasing z: read in file order, this table gave the
+    # patches a = [3, 1, 1] and s = [0.5, 0.9, 0.9]
+    path = tmp_path / "patches.csv"
+    path.write_text("0.9,1,0.9\n0.1,2,0.1\n0.5,3,0.5\n")
+    model, _ = model_from_descriptor({"type": "hanski", "patch_csv": str(path)})
+    assert model.z.tolist() == [0.9, 0.1, 0.5]
+    assert model.a(model.z).tolist() == [1.0, 2.0, 3.0]
+    assert model.s(model.z).tolist() == [0.9, 0.1, 0.5]
+
+
 def test_pure_survival_decay():
-    # zero colonization: the density just decays by the survival profile
-    model = equidistributed(16, s=lambda z: np.full_like(z, 0.75),
-                            c=lambda y: np.zeros_like(np.asarray(y, dtype=np.float64)),
-                            c_prime=lambda y: np.zeros_like(np.asarray(y, dtype=np.float64)))
+    # zero weights give zero connectivity and so zero colonization: the
+    # density just decays by the survival profile
+    model = equidistributed(16, a=lambda z: np.zeros_like(z),
+                            s=lambda z: np.full_like(z, 0.75))
     lim = hanski_limit(model, lambda z: np.full_like(z, 0.6), T=4, G=64)
     for t in range(5):
         assert np.allclose(lim.rho[t], 0.6 * 0.75 ** t)
@@ -235,7 +249,7 @@ def test_injected_density_vs_marginal_split():
         marg = lim.rho[t] * (1 - lim.rho[t])
         # marginal = injected + (s - c)^2 * previous marginal
         s_g = model.s(lim.grid)
-        cg = model.c(lim.connectivity[t - 1])
+        cg = default_colonization(lim.connectivity[t - 1])
         prev = lim.rho[t - 1] * (1 - lim.rho[t - 1])
         assert np.allclose(marg, inj + (s_g - cg) ** 2 * prev, atol=1e-12)
 

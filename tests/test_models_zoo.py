@@ -74,6 +74,38 @@ def test_spreading_coefficients_dominate_sampled(n):
             assert analytic.delta == pytest.approx((L.T @ q + q).max(), rel=1e-14)
 
 
+def _zoo_descriptor(kind, tmp_path):
+    """A descriptor of ``kind`` at n <= 12 whose coefficients are not all
+    trivial: unsorted hanski patches with non-constant weights and survival,
+    a non-uniform linear A."""
+    g = np.random.default_rng(12)
+    if kind == "hanski":
+        z = g.permutation(np.linspace(0.05, 0.95, 10))
+        path = tmp_path / "patches.csv"
+        np.savetxt(path, np.column_stack([z, 0.5 + 3.0 * z, 0.2 + 0.6 * z]), delimiter=",")
+        return {"type": "hanski", "patch_csv": str(path), "kernel_scale": 0.3}
+    if kind == "linear":
+        A = g.random((7, 7))
+        return {"type": "linear", "A": (A / (1.1 * A.sum(axis=1, keepdims=True))).tolist()}
+    return {"domany_kinzel": {"type": "domany_kinzel", "n": 9, "q1": 0.3, "q2": 0.8},
+            "graph": {"type": "graph", "v": 5, "q": 0.6, "attachment": "quadratic",
+                      "attachment_scale": 0.9},
+            "constant": {"type": "constant", "n": 5, "c": 0.3}}[kind]
+
+
+@pytest.mark.parametrize("kind", ["hanski", "domany_kinzel", "graph", "linear", "constant"])
+def test_zoo_coefficients_dominate_sampled(kind, tmp_path):
+    # the analytic coefficients of every other descriptor type with an oracle
+    # bound its sampled lower estimate, as the spreading ones do above
+    _, rule = model_from_descriptor(_zoo_descriptor(kind, tmp_path))
+    assert rule.n <= 12
+    for t in (0, 1):   # the torus's iid start makes its step 0 differ
+        analytic = rule.coeff_oracle(t)
+        sampled = estimate_coefficients(rule, t)
+        for key in ("alpha", "beta", "big_gamma", "gamma", "delta"):
+            assert getattr(sampled, key) <= getattr(analytic, key) + 1e-5, (t, key)
+
+
 @pytest.mark.parametrize("reinfection", [False, True])
 @pytest.mark.parametrize("domain_form", ["product", "exponential"])
 @pytest.mark.parametrize("uniform", [False, True])

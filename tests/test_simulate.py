@@ -1,5 +1,6 @@
 import dataclasses
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -171,9 +172,18 @@ def test_exact_law_trivia():
 
 
 def test_exact_law_cap():
-    rule = ol.constant_rule(13, 0.5)
-    with pytest.raises(TooLargeError):
-        exact_law(rule, np.zeros(13, dtype=np.uint8), 1)
+    # n = 19 needs 10.2 GiB of tables, above the 4 GiB cap: refused before
+    # the state table or a factor is built
+    rule = ol.constant_rule(19, 0.5)
+    X0 = np.zeros(19, dtype=np.uint8)
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLargeError, match="GiB"):
+            exact_law(rule, X0, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def _dense_exact_law(rule, X0, T):
@@ -210,14 +220,16 @@ def test_exact_law_matches_dense_kernel(n):
         assert np.abs(laws.sum(axis=1) - 1.0).max() <= 1e-12
 
 
-def test_exact_law_torus_closed_form_at_n14():
-    n = 14
+def test_exact_law_torus_closed_form_at_n16():
+    # 16 nodes are within the byte cap (402 MiB of tables): no opt-in, no warning
+    n = 16
     model = DomanyKinzel(n=n, q1=0.35, q2=0.75, p0=0.4)
     rule = dk_rule(model, iid_start=True)
     X0 = np.zeros(n, dtype=np.uint8)
     t = dk_device_time(2)
-    with pytest.warns(UserWarning, match="expensive"):
-        laws = exact_law(rule, X0, t, n_cap=n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        laws = exact_law(rule, X0, t)
     traj = det_trajectory(rule, X0.astype(float), t)
     gap = (law_mean(laws[t], n) - traj.p[t]).sum() / np.sqrt(n)
     assert abs(gap - dk_exact_mean_zeta2(model)) <= 1e-10
