@@ -12,7 +12,6 @@ import numpy as np
 from occlab.deterministic import det_trajectory
 from occlab.gaussian import GaussianApprox
 from occlab.models import equidistributed, hanski_limit, hanski_rule
-from occlab.models.hanski import grid_projected_variance
 from occlab.simulate import simulate_projections
 
 T = 3
@@ -37,7 +36,7 @@ model = equidistributed(n)
 rule = hanski_rule(model)
 X0 = (np.arange(n) % 2).astype(np.uint8)
 ga = GaussianApprox.from_rule(rule, X0.astype(float), T)
-grid_v = grid_projected_variance(model, lim, h_fn, T)
+grid_v = lim.projected_variance(h_fn, T)
 print(f"\nfluctuation variance of sqrt(n) <mu_t - rho_t, h> at n = {n}:")
 print(f"  finite-chain recursion : {ga.projected_variance(h_fn(model.z), T):.5f}")
 print(f"  continuum functional   : {grid_v:.5f}")

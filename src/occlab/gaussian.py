@@ -65,28 +65,6 @@ def sigma_form(p, h):
     return float((h * h * p * (1.0 - p)).sum() / len(p))
 
 
-def backward(step, h, t):
-    """Yield g_r for r = t, t-1, ..., 0, where g_t = h and g_r = step(r, g_{r+1}).
-
-    The walk starts from a copy of h, and each step is taken only when the
-    next item is requested: a caller that stops at r = s pays for t - s steps.
-    """
-    g = np.asarray(h, dtype=np.float64).copy()
-    yield g
-    for r in range(t - 1, -1, -1):
-        g = step(r, g)
-        yield g
-
-
-def accumulated_variance(noise, walk, t):
-    """sum_{r=t..1} noise(r, g_r) over the first t items g_t, ..., g_1 of
-    ``walk``; the step to g_0 is never taken."""
-    total = 0.0
-    for r, g in zip(range(t, 0, -1), walk):
-        total += noise(r, g)
-    return total
-
-
 class GaussianApprox:
     """Deterministic path plus its variance diagonals."""
 
@@ -123,10 +101,20 @@ class GaussianApprox:
 
     def backward(self, h, t):
         """Yield D_{r,t} h for r = t, t-1, ..., 0 (D_u = transposed Jacobian),
-        through the rule's ``vjp`` when it has one."""
+        through the rule's ``vjp`` when it has one.
+
+        The walk starts from a copy of h, and each step is taken only when
+        the next item is requested: a caller that stops at r = s pays for
+        t - s steps."""
         if not 0 <= t <= self.T:
             raise ValueError("need 0 <= t <= T")
-        return backward(lambda r, g: self._transposed(r)(g), h, t)
+
+        def walk(g):
+            yield g
+            for r in range(t - 1, -1, -1):
+                g = self._transposed(r)(g)
+                yield g
+        return walk(np.asarray(h, dtype=np.float64).copy())
 
     def noise_form(self, t, h):
         """Injected-noise quadratic form n^{-1} sum_i h_i^2 v_{i,t}."""
@@ -134,8 +122,12 @@ class GaussianApprox:
         return float((h * h * self.V[t]).sum() / self.n)
 
     def projected_variance(self, h, t):
-        """Variance of <xi_t, h> via the propagated one-step sums."""
-        return accumulated_variance(self.noise_form, self.backward(h, t), t)
+        """Variance of <xi_t, h> via the propagated one-step sums over
+        D_{t,t} h, ..., D_{1,t} h; the step to D_{0,t} h is never taken."""
+        total = 0.0
+        for r, g in zip(range(t, 0, -1), self.backward(h, t)):
+            total += self.noise_form(r, g)
+        return total
 
     def projected_variances(self, h):
         """Variances of <xi_t, h> for t = 0..T in one backward sweep.

@@ -15,10 +15,11 @@ measure) obeys
     rho_{t+1}(z) = s(z) rho_t(z) + c[C_t(z)] (1 - rho_t(z)),
     C_t(z) = integral a(w) D(z, w) rho_t(w) dw,
 
-with a companion variance density v_t and a linear transfer operator J_t
-acting on test functions; all three are advanced here on a quadrature grid
-(left-endpoint rectangles on [0, 1]); projected limit variances walk J_t
-in the finite chain's sweep, :func:`occlab.gaussian.accumulated_variance`.
+and a Gaussian fluctuation field around it.  That limit is the chain's own
+deterministic map taken on a quadrature grid (left-endpoint rectangles on
+[0, 1]), with the self term w = z kept: :func:`hanski_limit` builds it
+from the same operators as :func:`hanski_rule`, and its projected
+variances are the grid rule's Gaussian companion.
 
 Our choices, not canonical: habitat [0, 1] with uniform measure, the
 kernel D(z, w) = exp(-|z - w| / ell) and the colonization curve
@@ -41,9 +42,10 @@ from typing import Callable
 
 import numpy as np
 
+from ..deterministic import DeterministicTrajectory
 from ..errors import DomainError
-from ..gaussian import accumulated_variance, backward
-from ..rules import CoefficientSet, OccupancyRule, require_bytes
+from ..gaussian import GaussianApprox
+from ..rules import CoefficientSet, OccupancyRule, require_bytes, rule_conditionals
 
 
 def default_colonization(y):
@@ -207,32 +209,19 @@ def _connectivity_matrix(model):
     return M
 
 
-def hanski_rule(model):
-    """Occupancy rule with analytic split, Jacobian, O(n) ``vjp`` and
-    coefficient budget.
-
-    The connectivity matrix M is built on the first call of the coefficient
-    oracle or the Jacobian; two threads that race to it build the same M.
-    Each of those readers holds at most one more n x n table beside M, and
-    checks that twice M fits before it builds either."""
-    n = model.n
-    M = None
-
-    def dense():
-        nonlocal M
-        require_bytes(2 * 8 * n * n)
-        if M is None:
-            M = _connectivity_matrix(model)
-        return M
-
-    a_vec = np.asarray(model.a(model.z), dtype=np.float64)
+def _operators(model, z, diagonal):
+    """The Hanski operators on the points z, each weighted a(z_j) / len(z):
+    the survival profile s(z), the connectivity x -> sum_j (a(z_j) / len(z))
+    D(z_i, z_j) x_j (over j != i, or every j with ``diagonal``), the split
+    (S, C) and the O(n) ``vjp``, all through one matrix-free kernel."""
+    a_vec = np.asarray(model.a(z), dtype=np.float64)
     if not (a_vec.min() >= 0 and a_vec.max() < math.inf):
         raise ValueError("patch weights a(z) must be finite and >= 0")
-    s_vec = np.asarray(model.s(model.z), dtype=np.float64)
+    s_vec = np.asarray(model.s(z), dtype=np.float64)
     if not (s_vec.min() >= 0 and s_vec.max() <= 1):
         raise ValueError("survival probabilities must lie in [0, 1]")
-    kernel = _ExpKernel(model.z, model.kernel_scale)
-    weight = a_vec / n
+    kernel = _ExpKernel(z, model.kernel_scale, diagonal=diagonal)
+    weight = a_vec / len(z)
 
     def connectivity(x):
         return kernel(x * weight)
@@ -251,6 +240,29 @@ def hanski_rule(model):
 
     def colonize(x, t=0):
         return default_colonization(connectivity(np.asarray(x, dtype=np.float64)))
+
+    return s_vec, connectivity, (survive, colonize), vjp
+
+
+def hanski_rule(model):
+    """Occupancy rule with analytic split, Jacobian, O(n) ``vjp`` and
+    coefficient budget.
+
+    The connectivity matrix M is built on the first call of the coefficient
+    oracle or the Jacobian; two threads that race to it build the same M.
+    Each of those readers holds at most one more n x n table beside M, and
+    checks that twice M fits before it builds either."""
+    n = model.n
+    M = None
+
+    def dense():
+        nonlocal M
+        require_bytes(2 * 8 * n * n)
+        if M is None:
+            M = _connectivity_matrix(model)
+        return M
+
+    s_vec, connectivity, split, vjp = _operators(model, model.z, diagonal=False)
 
     def jacobian(x, t=0):
         M = dense()
@@ -285,13 +297,13 @@ def hanski_rule(model):
                               gamma=gamma, delta=delta)
 
     return OccupancyRule(
-        n=n, split=(survive, colonize), jacobian=jacobian, vjp=vjp,
+        n=n, split=split, jacobian=jacobian, vjp=vjp,
         coeff_oracle=coeff_oracle, homogeneous=True,
         name=f"hanski(n={n})")
 
 
 # ---------------------------------------------------------------------------
-# limiting measure recursions on a quadrature grid
+# the continuum limit on a quadrature grid
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -299,11 +311,8 @@ class HanskiLimit:
     grid: np.ndarray          # (G,) quadrature nodes
     weights: np.ndarray       # (G,) quadrature weights summing to 1
     rho: np.ndarray           # (T+1, G) occupancy density
-    variance: np.ndarray      # (T+1, G) variance density
-    connectivity: np.ndarray  # (T+1, G) limiting connectivity C_t(z)
-    dispersal: Callable       # f -> sum_w D(z, w) f(w) over grid nodes, (G,) -> (G,)
-    s: np.ndarray             # (G,) survival probability s(z) on the grid
-    a: np.ndarray             # (G,) weight density a(z) on the grid
+    variance: np.ndarray      # (T+1, G) site variance from the fixed start
+    rule: OccupancyRule       # the chain's map on the grid, never simulated
 
     def integrate(self, values_on_grid):
         return float((self.weights * values_on_grid).sum())
@@ -312,85 +321,50 @@ class HanskiLimit:
         """integral of h against the occupancy measure at time t."""
         return self.integrate(h(self.grid) * self.rho[t])
 
-
-def _grid(G):
-    # left-endpoint rectangles: first-order quadrature, refinement halves error
-    nodes = np.arange(G) / G
-    weights = np.full(G, 1.0 / G)
-    return nodes, weights
+    def projected_variance(self, h, t):
+        """Limit variance of sqrt(n) <empirical measure - rho_t, h>: the
+        Gaussian companion of the grid rule along rho, walked through its
+        ``vjp``; ``h`` is a callable or a grid array."""
+        hg = h(self.grid) if callable(h) else h
+        approx = GaussianApprox(self.rule, DeterministicTrajectory(p=self.rho))
+        return approx.projected_variance(hg, t)
 
 
 def hanski_limit(model, rho0, T, G=512):
-    """Advance the limiting density, variance density and connectivity.
+    """Advance the limiting density and variance density on G grid nodes.
 
-    ``rho0`` is the initial density: a callable on [0,1] or a (G,) array.
-    Each step applies the kernel matrix-free, in O(G).
+    The limit is the chain's deterministic map on a quadrature grid: a rule
+    on the left-endpoint nodes z_k = k / G (first-order rectangles: refining
+    the grid halves the error), node k weighted a(z_k) / G, whose
+    connectivity keeps the self term w = z.  That rule is never simulated,
+    as its C_k reads x_k.  Each step reads S and C once, one kernel
+    application in O(G); ``rho0`` is the initial density, a callable on
+    [0, 1] or a (G,) array.
+
+    ``variance[t]`` is the site variance the steps add to a fixed start:
+    the injected s(1 - s) rho + c(1 - c)(1 - rho) plus the past carried by
+    (s - c)^2.  It equals rho_t (1 - rho_t) only from a 0/1 start; from a
+    constant density in (0, 1) it starts at 0.
     """
-    require_bytes(8 * G * 3 * (T + 1))   # the (T+1, G) tables
-    nodes, weights = _grid(G)
+    require_bytes(8 * G * 2 * (T + 1))   # the (T+1, G) tables
+    nodes = np.arange(G) / G
     rho = np.empty((T + 1, G))
     rho[0] = rho0(nodes) if callable(rho0) else np.asarray(rho0, dtype=np.float64)
     if not (rho[0].min() >= -1e-12 and rho[0].max() <= 1 + 1e-12):   # NaN fails too
         raise DomainError("initial density must take values in [0, 1]")
     rho[0] = np.clip(rho[0], 0.0, 1.0)
 
-    a_g = model.a(nodes)
-    s_g = model.s(nodes)
-    dispersal = _ExpKernel(nodes, model.kernel_scale, diagonal=True)
+    _, _, split, vjp = _operators(model, nodes, diagonal=True)
+    rule = OccupancyRule(n=G, split=split, vjp=vjp, homogeneous=True,
+                         name=f"hanski-limit(G={G})")
     var = np.zeros((T + 1, G))
-    conn = np.empty((T + 1, G))
     for t in range(T):
-        conn[t] = dispersal(weights * a_g * rho[t])
-        cg = default_colonization(conn[t])
-        rho[t + 1] = s_g * rho[t] + cg * (1.0 - rho[t])
+        s, c = rule_conditionals(rule, rho[t], t)
+        rho[t + 1] = s * rho[t] + c * (1.0 - rho[t])
         if not (rho[t + 1].min() >= -1e-12 and rho[t + 1].max() <= 1 + 1e-12):
             raise DomainError("density left [0, 1]; malformed model inputs")
         rho[t + 1] = np.clip(rho[t + 1], 0.0, 1.0)
-        var[t + 1] = (s_g * (1.0 - s_g) * rho[t] + cg * (1.0 - cg) * (1.0 - rho[t])
-                      + (s_g - cg) ** 2 * var[t])
-    conn[T] = dispersal(weights * a_g * rho[T])
-    return HanskiLimit(grid=nodes, weights=weights, rho=rho, variance=var,
-                       connectivity=conn, dispersal=dispersal, s=s_g, a=a_g)
-
-
-def injected_noise_density(model, limit, t):
-    """Conditional-variance density of the step rho_{t-1} -> rho_t.
-
-    s(1-s) rho + c(1-c)(1-rho) at time t-1.  The recursive density stored in
-    ``limit.variance`` adds the (s-c)^2-propagated past and therefore equals
-    the marginal rho_t (1 - rho_t); projections of the chain inject only the
-    conditional part per step, the transfer operator carries the rest.
-    """
-    if t < 1:
-        return np.zeros_like(limit.grid)
-    s_g = limit.s
-    cg = default_colonization(limit.connectivity[t - 1])
-    rho = limit.rho[t - 1]
-    return s_g * (1.0 - s_g) * rho + cg * (1.0 - cg) * (1.0 - rho)
-
-
-def grid_projected_variance(model, limit, h, t):
-    """Limit variance of sqrt(n) <empirical measure - rho_t, h>.
-
-    The finite-n backward sweep, stepping through the transfer operator.
-    """
-    hg = h(limit.grid) if callable(h) else h
-    walk = backward(lambda r, g: transfer_apply(model, limit, g, r), hg, t)
-    return accumulated_variance(
-        lambda r, g: limit.integrate(g * g * injected_noise_density(model, limit, r)),
-        walk, t)
-
-
-def transfer_apply(model, limit, h, t):
-    """Apply the limiting transfer operator at time t to a test function.
-
-    (J_t h)(z) = (s(z) - c[C_t(z)]) h(z)
-                 + a(z) * integral D(z, w) h(w) c'[C_t(w)] (1 - rho_t(w)) dw
-    evaluated on the grid; ``h`` is a callable or a grid array.
-    """
-    nodes, weights = limit.grid, limit.weights
-    hg = h(nodes) if callable(h) else np.asarray(h, dtype=np.float64)
-    conn = limit.connectivity[t]
-    integral = limit.dispersal(weights * hg * default_colonization_prime(conn)
-                               * (1.0 - limit.rho[t]))
-    return (limit.s - default_colonization(conn)) * hg + limit.a * integral
+        var[t + 1] = (s * (1.0 - s) * rho[t] + c * (1.0 - c) * (1.0 - rho[t])
+                      + (s - c) ** 2 * var[t])
+    return HanskiLimit(grid=nodes, weights=np.full(G, 1.0 / G), rho=rho,
+                       variance=var, rule=rule)

@@ -154,7 +154,7 @@ def test_malformed_tables_exit_2_without_traceback(tmp_path, capsys, key, table)
     # step never reads
     ({"type": "hanski", "n": 1_000_000}, "bounds", {}),
     ({"type": "random_product", "n": 1_000_000}, "simulate", {}),
-    # the three (T + 1, G) tables of a 10^9-node grid (134 GiB)
+    # the two (T + 1, G) tables of a 10^9-node grid (89 GiB)
     ({"type": "hanski", "n": 8}, "hanski-limit", {"grid": 1_000_000_000}),
     ({**GRAPH, "v": 1_000_000}, "simulate", {}),
     (GRAPH, "graphon", {"v_list": [1_000_000]}),
@@ -454,3 +454,27 @@ def test_manifest_round_trip_reproduces_outputs(tmp_path):
     assert cli.main(["run", "--config", str(replay), "--out", str(out2)]) == 0
     for name in manifest["files"]:
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_bounds_on_sampled_coefficients_carry_the_caveat(tmp_path, capsys):
+    # a random-product rule has no coefficient oracle: every bound is fed
+    # sampled finite-difference maxima and says so
+    path = write_config(tmp_path, {"model": {"type": "random_product", "n": 5},
+                                   "task": "bounds"})
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    payload = json.loads(file_bytes(tmp_path / "o" / "bounds.json"))
+    assert set(payload) == {"discrepancy_moment", "mean_functional_error", "projection_rate"}
+    for report in payload.values():
+        assert "lower-estimate inputs (sampled coefficients)" in report["caveats"]
+
+
+@pytest.mark.parametrize("text", [None, "{not json", ""], ids=["missing", "not-json", "empty"])
+def test_unreadable_config_exits_2(tmp_path, capsys, text):
+    path = tmp_path / "cfg.json"
+    if text is not None:
+        path.write_text(text)
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read config") and "Traceback" not in err
+    assert not (tmp_path / "o").exists()

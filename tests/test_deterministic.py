@@ -161,3 +161,11 @@ def test_spectral_radius_rejects_bad_input():
         spectral_radius(np.ones((2, 3)))
     with pytest.raises(ValueError):
         spectral_radius(np.array([[np.nan, 0], [0, 1]]))
+
+
+def test_equilibrium_budget_runs_out_flagged_not_raised():
+    rule = spreading_rule(mean_field(20, rbar=1.5, mu=0.3))
+    eq = find_equilibrium(rule, np.full(20, 0.5), tol=1e-15, max_iter=3)
+    assert not eq.converged and eq.iterations == 3
+    assert eq.residual == pytest.approx(4.104e-3, rel=1e-3)
+    assert eq.residual == float(np.abs(ol.evaluate_rule(rule, eq.p_inf) - eq.p_inf).max())

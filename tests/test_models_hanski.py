@@ -12,8 +12,8 @@ from occlab.models import (equidistributed, hanski, hanski_limit, hanski_rule,
                            model_from_descriptor)
 from occlab.models.hanski import (KERNEL_BLOCK, HanskiModel, _connectivity_matrix,
                                   _ExpKernel, default_colonization,
-                                  grid_projected_variance, injected_noise_density,
-                                  transfer_apply)
+                                  default_colonization_prime)
+from occlab.rules import injected_variance, rule_conditionals
 from occlab.simulate import simulate_projections
 
 
@@ -169,21 +169,56 @@ def test_chain_bits_equal_the_dense_kernel_chain():
         assert np.array_equal(got[key], want[key])
 
 
+def _dense_grid_rule(model, lim):
+    """The limit's grid rule with its G x G kernel (self term kept) formed
+    densely, and its Jacobian from that table."""
+    G = len(lim.grid)
+    M = (np.exp(-np.abs(lim.grid[:, None] - lim.grid[None, :]) / model.kernel_scale)
+         * lim.weights * model.a(lim.grid))
+    s = model.s(lim.grid)
+
+    def jacobian(x, t=0):
+        conn = M @ x
+        J = (1.0 - x)[:, None] * default_colonization_prime(conn)[:, None] * M
+        J[np.arange(G), np.arange(G)] += s - default_colonization(conn)
+        return J
+
+    return ol.OccupancyRule(
+        n=G, split=(lambda x, t=0: np.broadcast_to(s, np.shape(x)),
+                    lambda x, t=0: default_colonization(x @ M.T)),
+        jacobian=jacobian)
+
+
 def test_limit_matches_dense_kernel_limit():
     model = equidistributed(8, kernel_scale=0.15, a=lambda z: 1.0 + z)
     lim = hanski_limit(model, lambda z: 0.3 + 0.4 * z, T=4, G=300)
-    D = np.exp(-np.abs(lim.grid[:, None] - lim.grid[None, :]) / 0.15)   # G x G
-    for t in range(5):
-        want = D @ (lim.weights * lim.a * lim.rho[t])
-        assert np.abs(lim.connectivity[t] - want).max() <= 1e-13
-    ref = dataclasses.replace(lim, dispersal=lambda w: D @ w)
+    dense = _dense_grid_rule(model, lim)
+    for t in range(4):
+        S, C = rule_conditionals(dense, lim.rho[t], t)
+        want = S * lim.rho[t] + C * (1.0 - lim.rho[t])
+        assert np.abs(lim.rho[t + 1] - want).max() <= 1e-13
     h = np.cos(2 * np.pi * lim.grid)
     for t in range(4):
-        assert np.abs(transfer_apply(model, lim, h, t)
-                      - transfer_apply(model, ref, h, t)).max() <= 1e-13
+        want = dense.jacobian(lim.rho[t], t).T @ h
+        assert np.abs(lim.rule.vjp(lim.rho[t], t, h) - want).max() <= 1e-13
     h_fn = lambda z: 1.0 + 0.5 * np.sin(2 * np.pi * z)
-    want = grid_projected_variance(model, ref, h_fn, 4)
-    assert abs(grid_projected_variance(model, lim, h_fn, 4) - want) <= 1e-13 * want
+    want = dataclasses.replace(lim, rule=dense).projected_variance(h_fn, 4)
+    assert abs(lim.projected_variance(h_fn, 4) - want) <= 1e-13 * want
+
+
+def test_limit_applies_the_kernel_once_a_step(monkeypatch):
+    calls = []
+    apply = _ExpKernel.__call__
+
+    def counted(self, w):
+        calls.append(np.shape(w))
+        return apply(self, w)
+
+    monkeypatch.setattr(_ExpKernel, "__call__", counted)
+    for T in (0, 1, 5):
+        calls.clear()
+        hanski_limit(equidistributed(8), lambda z: np.full_like(z, 0.5), T, G=64)
+        assert calls == [(64,)] * T
 
 
 def test_unsorted_patch_table_keeps_each_rows_weights(tmp_path):
@@ -241,21 +276,30 @@ def test_variance_density_identity_from_binary_start():
                            atol=1e-12)
 
 
+def test_variance_density_from_a_constant_start():
+    # from the fixed start of density 1/2 (the hanski-limit task's default)
+    # the variance starts at 0, below the marginal rho (1 - rho) = 1/4, and
+    # the site-averaged gap narrows step by step
+    lim = hanski_limit(equidistributed(8), lambda z: np.full_like(z, 0.5), T=4, G=512)
+    gap = (lim.weights * (lim.rho * (1 - lim.rho) - lim.variance)).sum(axis=1)
+    assert gap[0] == 0.25 and (np.diff(gap) < 0).all()
+    assert np.abs(gap - [0.25, 0.103, 0.0433, 0.0185, 0.0080]).max() <= 1e-3
+
+
 def test_injected_density_vs_marginal_split():
     model = equidistributed(16)
     lim = hanski_limit(model, lambda z: (z < 0.5).astype(np.float64), T=3, G=64)
     for t in (1, 3):
-        inj = injected_noise_density(model, lim, t)
+        inj = injected_variance(lim.rule, lim.rho[t - 1], t - 1)
         marg = lim.rho[t] * (1 - lim.rho[t])
         # marginal = injected + (s - c)^2 * previous marginal
-        s_g = model.s(lim.grid)
-        cg = default_colonization(lim.connectivity[t - 1])
+        S, C = rule_conditionals(lim.rule, lim.rho[t - 1], t - 1)
         prev = lim.rho[t - 1] * (1 - lim.rho[t - 1])
-        assert np.allclose(marg, inj + (s_g - cg) ** 2 * prev, atol=1e-12)
+        assert np.allclose(marg, inj + (S - C) ** 2 * prev, atol=1e-12)
 
 
 def test_transfer_operator_against_finite_jacobian():
-    # the grid transfer operator is the n -> infinity limit of h -> J^T h
+    # the grid rule's vjp is the n -> infinity limit of h -> J^T h
     n, G = 400, 400
     model = equidistributed(n)
     rule = hanski_rule(model)
@@ -265,7 +309,7 @@ def test_transfer_operator_against_finite_jacobian():
     ga = GaussianApprox.from_rule(rule, p0, 2)
     h = np.cos(2 * np.pi * model.z)
     finite = ol.rule_jacobian(rule, ga.base.p[1], 1).T @ h   # sum_i h_i dP_i/dx_j
-    grid_vals = transfer_apply(model, lim, np.cos(2 * np.pi * lim.grid), 1)
+    grid_vals = lim.rule.vjp(lim.rho[1], 1, np.cos(2 * np.pi * lim.grid))
     # evaluate the grid answer at patch locations (same grid geometry)
     interp = np.interp(model.z, lim.grid, grid_vals)
     assert np.abs(finite - interp).max() <= 0.02
@@ -281,7 +325,7 @@ def test_grid_projected_variance_matches_finite_chain():
     h = h_fn(model.z)
     finite_v = ga.projected_variance(h, 3)
     lim = hanski_limit(model, lambda z: np.full_like(z, 0.5), T=3, G=512)
-    grid_v = grid_projected_variance(model, lim, h_fn, 3)
+    grid_v = lim.projected_variance(h_fn, 3)
     assert abs(finite_v - grid_v) <= 0.05 * grid_v
     res = simulate_projections(rule, X0, 3, 30000, seed=3, h=h, p_traj=ga.base.p)
     emp = res["proj"][:, 3].var()
@@ -289,19 +333,30 @@ def test_grid_projected_variance_matches_finite_chain():
 
 
 def test_grid_projected_variance_matches_hand_written_loop():
-    # the grid sweep before it shared occlab.gaussian's backward walk,
-    # copied here as the reference
+    # the backward sweep through the grid rule's vjp, written out
     model = equidistributed(16, kernel_scale=0.3)
     lim = hanski_limit(model, lambda z: 0.3 + 0.4 * z, T=4, G=128)
     h_fn = lambda z: np.cos(3 * z) - 0.2
     for t in range(5):
         g, total = h_fn(lim.grid), 0.0
         for r in range(t, 0, -1):
-            total += lim.integrate(g * g * injected_noise_density(model, lim, r))
+            inj = injected_variance(lim.rule, lim.rho[r - 1], r - 1)
+            total += float((g * g * inj).sum() / 128)
             if r > 1:
-                g = transfer_apply(model, lim, g, r - 1)
-        assert grid_projected_variance(model, lim, h_fn, t) == total
-        assert grid_projected_variance(model, lim, h_fn(lim.grid), t) == total
+                g = lim.rule.vjp(lim.rho[r - 1], r - 1, g)
+        assert lim.projected_variance(h_fn, t) == total
+        assert lim.projected_variance(h_fn(lim.grid), t) == total
+
+
+@pytest.mark.parametrize("G,want", [(128, 0.13723911756388074),
+                                    (512, 0.1378130242047278),
+                                    (2048, 0.13795677836342432)])
+def test_grid_projected_variance_keeps_the_transfer_operator_sweep(G, want):
+    # the values of the grid's own transfer-operator sweep, which the grid
+    # rule's Gaussian companion replaced
+    model = equidistributed(16, kernel_scale=0.3, a=lambda z: 1.0 + z)
+    lim = hanski_limit(model, lambda z: 0.3 + 0.4 * z, T=4, G=G)
+    assert abs(lim.projected_variance(lambda z: np.cos(3 * z) - 0.2, 4) - want) <= 1e-15 * want
 
 
 def test_empirical_measure_converges_to_limit():
@@ -327,3 +382,11 @@ def test_density_domain_validation():
     for rho0 in (lambda z: 1.2 * np.ones_like(z), np.full(32, np.nan)):
         with pytest.raises(ol.DomainError):
             hanski_limit(model, rho0, T=1, G=32)
+
+
+def test_oversized_grid_refused_before_allocating():
+    # the two (T + 1, G) tables of a 10^9-node grid are 89 GiB
+    model = equidistributed(8)
+    _, peak = _traced_peak(lambda: pytest.raises(
+        TooLargeError, hanski_limit, model, lambda z: np.full_like(z, 0.5), 5, G=10 ** 9))
+    assert peak < 2 ** 20

@@ -129,6 +129,39 @@ def test_spreading_evaluate_equals_split_form_bitwise(reinfection, domain_form, 
         assert np.array_equal(rule.evaluate(x, 0), derived)
 
 
+@pytest.mark.parametrize("reinfection", [False, True])
+@pytest.mark.parametrize("domain_form", ["product", "exponential"])
+def test_spreading_descriptor_reads_its_reaction_csv(tmp_path, reinfection, domain_form):
+    g = np.random.default_rng(21)
+    n = 7
+    R = g.uniform(0.0, 0.3, (n, n))
+    np.fill_diagonal(R, 0.0)
+    path = tmp_path / "R.csv"
+    np.savetxt(path, R, delimiter=",")
+    desc = {"type": "spreading", "R_csv": str(path), "mu": 0.35,
+            "reinfection": reinfection, "domain_form": domain_form}
+    model, rule = model_from_descriptor(desc)
+    assert np.array_equal(model.R_matrix, R)
+    assert model.reinfection == reinfection and model.domain_form == domain_form
+    want = spreading_rule(SpreadingModel(R_matrix=R, mu=0.35, reinfection=reinfection,
+                                         domain_form=domain_form))
+    assert rule.by_count is None
+    for x in (g.random(n), g.random((5, n)), state_table(n)):
+        assert np.array_equal(rule.evaluate(x, 0), want.evaluate(x, 0))
+    # a uniform table is recognised: the exchangeable count path serves it
+    U = np.full((n, n), 0.1)
+    np.fill_diagonal(U, 0.0)
+    np.savetxt(path, U, delimiter=",")
+    model, rule = model_from_descriptor(desc)
+    assert model._uniform_r is not None and rule.by_count is not None
+    xs = state_table(n)
+    s, c = rule.by_count(xs.sum(axis=1).astype(np.int64), 0)
+    surv, col = rule.split
+    want = np.where(xs == 1.0, surv(xs, 0), col(xs, 0))
+    got = np.where(xs == 1.0, s[:, None], c[:, None])
+    assert (np.abs(got - want) <= 1e-15 * np.abs(want)).all()
+
+
 def test_exponential_and_product_forms_agree_on_binary():
     desc = {"type": "spreading", "n": 6, "rbar": 0.8, "mu": 0.4, "reinfection": True}
     _, prod = model_from_descriptor(desc)

@@ -326,3 +326,29 @@ def test_injected_variance_matches_split_form():
     s, c = surv(p, 0), col(p, 0)
     expect = p * s * (1 - s) + (1 - p) * c * (1 - c)
     assert np.allclose(ol.injected_variance(rule, p), expect)
+
+
+def test_rule_without_coefficient_oracle_gets_sampled_schedule():
+    rule = random_product_rule(5, seed=3)
+    assert rule.coeff_oracle is None
+    sched = coefficient_schedule(rule, 2)
+    assert sched.provenance == "sampled" and sched[0].provenance == "sampled"
+    assert sched[0] == estimate_coefficients(rule, 0)
+
+
+def test_rule_without_jacobian_takes_finite_differences():
+    # S_i = 1 - x_{i+1} / 2 and C_i = x_{i-1} x_{i+1} on a ring of four nodes
+    def survive(x, t=0):
+        return 1.0 - 0.5 * np.roll(x, -1, axis=-1)
+
+    def colonize(x, t=0):
+        return np.roll(x, 1, axis=-1) * np.roll(x, -1, axis=-1)
+
+    rule = ol.OccupancyRule(n=4, split=(survive, colonize))
+    assert rule.jacobian is None
+    x = np.array([0.2, 0.9, 0.5, 0.35])
+    J = ol.rule_jacobian(rule, x)
+    assert np.array_equal(J, fd_jacobian(rule, x))
+    # the hand derivative: dP_i/dx_{i+1} = -x_i / 2 + (1 - x_i) x_{i-1}
+    i = np.arange(4)
+    assert np.abs(J[i, (i + 1) % 4] - (-0.5 * x + (1 - x) * np.roll(x, 1))).max() <= 1e-9
